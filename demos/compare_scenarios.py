@@ -6,13 +6,7 @@ Usage: python3 demos/compare_scenarios.py
 """
 import numpy as np
 
-from cems import (
-    compare,
-    replication_config,
-    run_no_cems,
-    run_prosumer_centric,
-    run_system_centric,
-)
+from cems import compare, replication_config, run_scenarios
 
 
 def main():
@@ -21,11 +15,8 @@ def main():
           f"sell factor alpha={config.alpha}")
     print("solving: pooled system model + per-home selfish models ...\n")
 
-    results = [
-        run_system_centric(config),
-        run_prosumer_centric(config),
-        run_no_cems(config),
-    ]
+    # the selfish models are solved once and settled both ways
+    results = run_scenarios(config, ("system", "prosumer", "none"))
     report = compare(results)
 
     labels = {

@@ -31,6 +31,7 @@ from .milp import (
     write_lp,
 )
 from .scenarios import (
+    SCENARIO_KINDS,
     BenchReport,
     ComparisonReport,
     InfeasibleHomeError,
@@ -40,6 +41,7 @@ from .scenarios import (
     run_no_cems,
     run_prosumer_centric,
     run_scenario,
+    run_scenarios,
     run_system_centric,
 )
 from .solve import (

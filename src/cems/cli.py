@@ -7,15 +7,19 @@ schedule), 2 solver failure, 3 I/O failure.
 Report files are written atomically (temp file, then rename) and are
 byte-identical across repeated runs on the same inputs; wall-clock timings
 go to a separate ``timings.json`` / ``bench_timings.csv`` so they never
-perturb the deterministic outputs.
+perturb the deterministic outputs.  Stdout carries only the summary lines:
+whatever the solver's native code prints while ``solve``, ``compare`` or
+``bench`` compute goes to stderr.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -30,6 +34,7 @@ from .domain import (
 )
 from .milp import ModelBuildError, build_home_model, build_system_centric_model, write_lp
 from .scenarios import (
+    SCENARIO_KINDS,
     InfeasibleHomeError,
     bench_scaling,
     bench_timings_to_csv,
@@ -41,6 +46,7 @@ from .scenarios import (
     comparison_to_csv,
     comparison_to_dict,
     run_scenario,
+    run_scenarios,
 )
 from .solve import (
     FeasibilityReport,
@@ -51,7 +57,6 @@ from .solve import (
 )
 from .trading import settlement_to_csv, settlement_to_dict, settle_day
 
-_SCENARIOS = ("system", "prosumer", "none")
 _PMID_CASES = ("case1", "case2", "case3")
 
 
@@ -79,7 +84,8 @@ def _build_parser() -> _Parser:
     def solver_flags(p: argparse.ArgumentParser):
         p.add_argument("--gap", type=float, default=None, help="relative MIP gap")
         p.add_argument("--time-limit", type=float, default=None, help="solver time limit, seconds")
-        p.add_argument("--jobs", type=int, default=1, help="parallel per-home solves")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="threads for the selfish per-home solves (default 1)")
 
     def override_flags(p: argparse.ArgumentParser):
         p.add_argument("--alpha", type=float, default=None, help="override sell price factor")
@@ -90,7 +96,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_validate)
 
     p = add("solve", "schedule one scenario and write schedule/settlement/feasibility reports")
-    p.add_argument("--scenario", choices=_SCENARIOS, default="system")
+    p.add_argument("--scenario", choices=SCENARIO_KINDS, default="system")
     override_flags(p)
     solver_flags(p)
     p.add_argument("--out", required=True, help="output directory")
@@ -192,6 +198,39 @@ def _apply_overrides(config: CommunityConfig, args) -> CommunityConfig:
     return config
 
 
+def _c_fflush():
+    """Flush every C stdio stream, so native output buffered for fd 1 is
+    written before fd 1 is moved.  A no-op where libc cannot be loaded."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return
+    libc.fflush.argtypes = [ctypes.c_void_p]
+    libc.fflush.restype = ctypes.c_int
+    libc.fflush(None)
+
+
+@contextmanager
+def _native_stdout_to_stderr():
+    """Point fd 1 at fd 2 for the duration.
+
+    HiGHS can print to the process's stdout below Python even with its own
+    display off.  Redirecting fd 1 once around a subcommand's computation,
+    rather than per solve, also covers the ``--jobs`` threads, which share
+    fd 1.
+    """
+    sys.stdout.flush()
+    _c_fflush()
+    saved = os.dup(1)
+    try:
+        os.dup2(2, 1)
+        yield
+    finally:
+        _c_fflush()
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def _options(args) -> SolverOptions:
     kwargs = {}
     if getattr(args, "gap", None) is not None:
@@ -267,7 +306,8 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    result = run_scenario(args.scenario, config, _options(args), jobs=args.jobs)
+    with _native_stdout_to_stderr():
+        result = run_scenario(args.scenario, config, _options(args), jobs=args.jobs)
     _write_json(out / "schedule.json", schedule_to_dict(result.schedule))
     _write_json(out / "settlement.json", settlement_to_dict(result.settlement))
     _write_csv(out / "settlement.csv", settlement_to_csv, result.settlement)
@@ -286,8 +326,8 @@ def _cmd_solve(args) -> int:
 def _cmd_compare(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    options = _options(args)
-    results = [run_scenario(kind, config, options, jobs=args.jobs) for kind in _SCENARIOS]
+    with _native_stdout_to_stderr():
+        results = run_scenarios(config, SCENARIO_KINDS, _options(args), jobs=args.jobs)
     report = compare(results)
     _write_json(out / "comparison.json", comparison_to_dict(report))
     _write_csv(out / "comparison.csv", comparison_to_csv, report)
@@ -327,7 +367,8 @@ def _cmd_bench(args) -> int:
     if not sizes:
         raise _UsageError("--sizes is empty")
     options = SolverOptions(relative_mip_gap=args.gap, time_limit=args.time_limit)
-    report = bench_scaling(sizes, args.seed, config, options)
+    with _native_stdout_to_stderr():
+        report = bench_scaling(sizes, args.seed, config, options)
     _write_csv(out / "bench.csv", bench_to_csv, report)
     _write_json(out / "bench.json", bench_to_dict(report))
     _write_csv(out / "bench_timings.csv", bench_timings_to_csv, report)

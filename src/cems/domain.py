@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, BinaryIO, Sequence, Union
@@ -515,6 +516,9 @@ def config_to_json(config: CommunityConfig, indent: int | None = 2) -> str:
 def validate_config(config: CommunityConfig) -> ValidationReport:
     """Check every domain invariant; problems come back as report entries.
 
+    Every number must be finite (``NaN`` and infinities are reported with
+    their field path); a range check runs only on numbers that passed that
+    test, and a check relating several fields only when all of them did.
     Errors and warnings are ordered by (home index, field path) with
     community-level entries first, so output is deterministic.
     """
@@ -524,14 +528,30 @@ def validate_config(config: CommunityConfig) -> ValidationReport:
     def err(idx: int, path: str, message: str):
         errors.append((idx, path, message))
 
+    def finite(idx: int, path: str, value: float) -> bool:
+        if math.isfinite(value):
+            return True
+        err(idx, path, f"must be a finite number, got {value}")
+        return False
+
+    def finite_fields(idx: int, path: str, params) -> bool:
+        # every field is checked, so each non-finite one gets its own entry
+        return all([finite(idx, f"{path}.{f.name}", getattr(params, f.name)) for f in fields(params)])
+
+    def finite_entries(idx: int, path: str, arr: np.ndarray) -> np.ndarray:
+        ok = np.isfinite(arr)
+        for t in np.flatnonzero(~ok):
+            err(idx, f"{path}[{t}]", f"must be a finite number, got {arr[t]}")
+        return ok
+
     T = config.horizon_slots
     if T < 1:
         err(-1, "community.horizon_slots", f"must be >= 1, got {T}")
-    if not config.slot_hours > 0:
+    if finite(-1, "community.slot_hours", config.slot_hours) and not config.slot_hours > 0:
         err(-1, "community.slot_hours", f"must be > 0, got {config.slot_hours}")
-    if not 0 < config.alpha < 1:
+    if finite(-1, "community.alpha", config.alpha) and not 0 < config.alpha < 1:
         err(-1, "community.alpha", f"must lie strictly between 0 and 1, got {config.alpha}")
-    if not config.community_peak > 0:
+    if finite(-1, "community.community_peak", config.community_peak) and not config.community_peak > 0:
         err(-1, "community.community_peak", f"must be > 0, got {config.community_peak}")
 
     policy = config.big_m_policy
@@ -539,27 +559,29 @@ def validate_config(config: CommunityConfig) -> ValidationReport:
         value = parse_big_m_policy(policy)
         if value is None:
             err(-1, "community.big_m_policy", f"expected 'derived' or 'fixed:<value>', got {policy!r}")
-        elif not value > 0:
+        elif finite(-1, "community.big_m_policy", value) and not value > 0:
             err(-1, "community.big_m_policy", f"fixed big-M must be > 0, got {value}")
 
     for name in ("buy_price", "ghi", "t_out"):
         arr = getattr(config, name)
         if len(arr) != T:
             err(-1, f"series.{name}", f"expected {T} entries, got {len(arr)}")
+    price_ok = finite_entries(-1, "series.buy_price", config.buy_price)
+    ghi_ok = finite_entries(-1, "series.ghi", config.ghi)
+    finite_entries(-1, "series.t_out", config.t_out)
     if len(config.buy_price) == T:
-        for t, p in enumerate(config.buy_price):
-            if not p > 0:
-                err(-1, f"series.buy_price[{t}]", f"price must be > 0, got {p}")
+        for t in np.flatnonzero(price_ok & ~(config.buy_price > 0)):
+            err(-1, f"series.buy_price[{t}]", f"price must be > 0, got {config.buy_price[t]}")
     if len(config.ghi) == T:
-        for t, g in enumerate(config.ghi):
-            if g < 0:
-                err(-1, f"series.ghi[{t}]", f"irradiance must be >= 0, got {g}")
+        for t in np.flatnonzero(ghi_ok & (config.ghi < 0)):
+            err(-1, f"series.ghi[{t}]", f"irradiance must be >= 0, got {config.ghi[t]}")
 
     mid = config.mid_price_policy
     if isinstance(mid, str):
         if mid not in MID_PRICE_CASES:
             err(-1, "community.mid_price_policy", f"unknown policy {mid!r}")
     else:
+        finite_entries(-1, "community.mid_price_policy", mid)
         if len(mid) != T:
             err(-1, "community.mid_price_policy", f"expected {T} entries, got {len(mid)}")
         elif len(config.buy_price) == T and not errors:
@@ -580,23 +602,24 @@ def validate_config(config: CommunityConfig) -> ValidationReport:
         else:
             seen[home.id] = i
         hv = home.hvac
-        if not hv.p_max > 0:
-            err(i, f"{base}.hvac.p_max", f"must be > 0, got {hv.p_max}")
-        if not 0 < hv.epsilon < 1:
-            err(i, f"{base}.hvac.epsilon", f"must lie strictly between 0 and 1, got {hv.epsilon}")
-        if not hv.eta_hvac > 0:
-            err(i, f"{base}.hvac.eta_hvac", f"must be > 0, got {hv.eta_hvac}")
-        if not hv.conductivity_a > 0:
-            err(i, f"{base}.hvac.conductivity_a", f"must be > 0, got {hv.conductivity_a}")
-        if not hv.t_min < hv.t_max:
-            err(i, f"{base}.hvac.t_min", f"comfort band is empty: t_min {hv.t_min} >= t_max {hv.t_max}")
-        elif not hv.t_min <= hv.t_in_initial <= hv.t_max:
-            err(
-                i,
-                f"{base}.hvac.t_in_initial",
-                f"{hv.t_in_initial} outside comfort band [{hv.t_min}, {hv.t_max}]",
-            )
-        if home.ess is not None:
+        if finite_fields(i, f"{base}.hvac", hv):
+            if not hv.p_max > 0:
+                err(i, f"{base}.hvac.p_max", f"must be > 0, got {hv.p_max}")
+            if not 0 < hv.epsilon < 1:
+                err(i, f"{base}.hvac.epsilon", f"must lie strictly between 0 and 1, got {hv.epsilon}")
+            if not hv.eta_hvac > 0:
+                err(i, f"{base}.hvac.eta_hvac", f"must be > 0, got {hv.eta_hvac}")
+            if not hv.conductivity_a > 0:
+                err(i, f"{base}.hvac.conductivity_a", f"must be > 0, got {hv.conductivity_a}")
+            if not hv.t_min < hv.t_max:
+                err(i, f"{base}.hvac.t_min", f"comfort band is empty: t_min {hv.t_min} >= t_max {hv.t_max}")
+            elif not hv.t_min <= hv.t_in_initial <= hv.t_max:
+                err(
+                    i,
+                    f"{base}.hvac.t_in_initial",
+                    f"{hv.t_in_initial} outside comfort band [{hv.t_min}, {hv.t_max}]",
+                )
+        if home.ess is not None and finite_fields(i, f"{base}.ess", home.ess):
             es = home.ess
             p = f"{base}.ess"
             if not 0 <= es.level_min <= es.level_max:
@@ -613,18 +636,19 @@ def validate_config(config: CommunityConfig) -> ValidationReport:
                 err(i, f"{p}.discharge_rate_max", f"must be > 0, got {es.discharge_rate_max}")
             if not 0 < es.efficiency <= 1:
                 err(i, f"{p}.efficiency", f"must lie in (0, 1], got {es.efficiency}")
-        if home.pv is not None:
+        if home.pv is not None and finite_fields(i, f"{base}.pv", home.pv):
             if not home.pv.panel_area > 0:
                 err(i, f"{base}.pv.panel_area", f"must be > 0, got {home.pv.panel_area}")
             if not 0 < home.pv.efficiency <= 1:
                 err(i, f"{base}.pv.efficiency", f"must lie in (0, 1], got {home.pv.efficiency}")
+        load_ok = finite_entries(i, f"{base}.fixed_load", home.fixed_load)
         if len(home.fixed_load) != T:
             err(i, f"{base}.fixed_load", f"expected {T} entries, got {len(home.fixed_load)}")
         else:
-            for t, v in enumerate(home.fixed_load):
-                if v < 0:
-                    err(i, f"{base}.fixed_load[{t}]", f"home {home.id!r} slot {t + 1}: load must be >= 0, got {v}")
-        if not home.peak_limit > 0:
+            for t in np.flatnonzero(load_ok & (home.fixed_load < 0)):
+                err(i, f"{base}.fixed_load[{t}]",
+                    f"home {home.id!r} slot {t + 1}: load must be >= 0, got {home.fixed_load[t]}")
+        if finite(i, f"{base}.peak_limit", home.peak_limit) and not home.peak_limit > 0:
             err(i, f"{base}.peak_limit", f"must be > 0, got {home.peak_limit}")
 
     if not errors and len(config.homes) > 0:

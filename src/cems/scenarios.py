@@ -9,9 +9,15 @@ Three ways to run the same community through a day:
 * ``none``: the same selfish schedules, but each home settles directly
   with the external provider; no local market at all.
 
-All three return a :class:`ScenarioResult` carrying the schedule, the
+Every scenario goes through one pipeline, :func:`run_scenarios`: a schedule
+step (the pooled model for ``system``, the per-home selfish stage for
+``prosumer`` and ``none``), then the independent checker, then settlement.
+``prosumer`` and ``none`` differ only in how they settle, so a run asking
+for both solves and checks the selfish stage once and settles it twice.
+
+Every run returns a :class:`ScenarioResult` carrying the schedule, the
 settlement, an independent feasibility report and the community cost, so
-they plot and compare uniformly.
+the scenarios plot and compare uniformly.
 """
 from __future__ import annotations
 
@@ -65,26 +71,28 @@ class ScenarioResult:
     per_home_objective: dict[str, float] | None = None
 
 
-def run_system_centric(config: CommunityConfig, options: SolverOptions | None = None) -> ScenarioResult:
-    """Pooled scheduling: solve the community MILP, settle, verify."""
+@dataclass(frozen=True)
+class _Scheduled:
+    """What a schedule step hands to the check and settle steps."""
+
+    schedule: CommunitySchedule
+    build_time: float
+    solve_time: float
+    solver_status: str
+    objective: float | None = None
+    per_home_objective: dict[str, float] | None = None
+
+
+def _schedule_pooled(config: CommunityConfig, options: SolverOptions | None) -> _Scheduled:
+    """Solve the community MILP."""
     start = time.perf_counter()
     model = build_system_centric_model(config)
     build_time = time.perf_counter() - start
     solution = solve_model(model, options)
     if solution.values is None:
         raise SolverError(f"system-centric model ended {solution.status}")
-    schedule = extract_schedule(solution, model, config)
-    feasibility = check_schedule_feasibility(
-        schedule, config, reference_objective=solution.objective
-    )
-    settlement = settle_day(schedule, config)
-    return ScenarioResult(
-        kind="system",
-        config=config,
-        schedule=schedule,
-        settlement=settlement,
-        feasibility=feasibility,
-        community_cost=community_cost(schedule, config),
+    return _Scheduled(
+        schedule=extract_schedule(solution, model, config),
         build_time=build_time,
         solve_time=solution.solve_time,
         solver_status=solution.status,
@@ -92,9 +100,9 @@ def run_system_centric(config: CommunityConfig, options: SolverOptions | None = 
     )
 
 
-def _solve_stage_one(
+def _schedule_selfish(
     config: CommunityConfig, options: SolverOptions | None, jobs: int
-) -> tuple[dict[str, HomeSchedule], dict[str, float], float, float, str]:
+) -> _Scheduled:
     """Selfish per-home solves; independent, so optionally run in parallel.
 
     Results merge in config order regardless of completion order.
@@ -115,7 +123,7 @@ def _solve_stage_one(
     else:
         solutions = dict(solve_one(hid) for hid in models)
 
-    schedules: dict[str, HomeSchedule] = {}
+    homes: dict[str, HomeSchedule] = {}
     objectives: dict[str, float] = {}
     solve_time = 0.0
     worst = "optimal"
@@ -127,14 +135,100 @@ def _solve_stage_one(
         if solution.status != "optimal":
             worst = solution.status
         one = extract_schedule(solution, models[home.id], config)
-        schedules[home.id] = one.homes[home.id]
+        homes[home.id] = one.homes[home.id]
         objectives[home.id] = float(solution.objective)
-    return schedules, objectives, build_time, solve_time, worst
-
-
-def _merge(config: CommunityConfig, homes: dict[str, HomeSchedule]) -> CommunitySchedule:
     net = np.sum([homes[h.id].net for h in config.homes], axis=0)
-    return CommunitySchedule(homes={h.id: homes[h.id] for h in config.homes}, community_net=net)
+    return _Scheduled(
+        schedule=CommunitySchedule(homes=homes, community_net=net),
+        build_time=build_time,
+        solve_time=solve_time,
+        solver_status=worst,
+        per_home_objective=objectives,
+    )
+
+
+def _settle(
+    kind: str, config: CommunityConfig, step: _Scheduled, feasibility: FeasibilityReport
+) -> ScenarioResult:
+    """Settle a checked schedule the way ``kind`` trades.
+
+    ``none`` bills every home at the provider's prices, so its community
+    cost is the sum of the individual bills, which double-pays the buy/sell
+    spread on any energy that crosses between neighbors.  The other kinds
+    settle at the mid-market rate, which is budget balanced against the
+    pooled exchange.
+    """
+    if kind == "none":
+        settlement = settle_day_at_external_prices(step.schedule, config)
+        cost = settlement.community_daily_cost
+    else:
+        settlement = settle_day(step.schedule, config)
+        cost = community_cost(step.schedule, config)
+    return ScenarioResult(
+        kind=kind,
+        config=config,
+        schedule=step.schedule,
+        settlement=settlement,
+        feasibility=feasibility,
+        community_cost=cost,
+        build_time=step.build_time,
+        solve_time=step.solve_time,
+        solver_status=step.solver_status,
+        objective=step.objective,
+        per_home_objective=step.per_home_objective,
+    )
+
+
+def run_scenarios(
+    config: CommunityConfig,
+    kinds: Sequence[str] = SCENARIO_KINDS,
+    options: SolverOptions | None = None,
+    jobs: int = 1,
+) -> list[ScenarioResult]:
+    """Run each scenario in ``kinds`` on ``config``, results in that order.
+
+    Each schedule step and its checker pass run at most once: the selfish
+    stage serves both ``prosumer`` and ``none``, and its schedule and
+    feasibility report, arrays included, are shared by the results that
+    settle it.  ``jobs`` is the number of threads for the selfish per-home
+    solves.  An unknown kind raises :class:`ValueError` before anything is
+    solved.
+    """
+    kinds = tuple(kinds)
+    for kind in kinds:
+        if kind not in SCENARIO_KINDS:
+            raise ValueError(f"unknown scenario {kind!r}")
+    checked: dict[bool, tuple[_Scheduled, FeasibilityReport]] = {}
+    results = []
+    for kind in kinds:
+        selfish = kind != "system"
+        if selfish not in checked:
+            if selfish:
+                step = _schedule_selfish(config, options, jobs)
+            else:
+                step = _schedule_pooled(config, options)
+            # The selfish models never saw the community band, so a breach
+            # of it is reportable but not an extraction bug.
+            feasibility = check_schedule_feasibility(
+                step.schedule,
+                config,
+                reference_objective=step.objective,
+                community_peak_as_warning=selfish,
+            )
+            checked[selfish] = step, feasibility
+        results.append(_settle(kind, config, *checked[selfish]))
+    return results
+
+
+def run_scenario(
+    kind: str, config: CommunityConfig, options: SolverOptions | None = None, jobs: int = 1
+) -> ScenarioResult:
+    return run_scenarios(config, (kind,), options, jobs)[0]
+
+
+def run_system_centric(config: CommunityConfig, options: SolverOptions | None = None) -> ScenarioResult:
+    """Pooled scheduling: solve the community MILP, verify, settle."""
+    return run_scenario("system", config, options)
 
 
 def run_prosumer_centric(
@@ -142,64 +236,16 @@ def run_prosumer_centric(
 ) -> ScenarioResult:
     """Selfish schedules pooled and settled at the mid-market rate.
 
-    Settlement is financial only: the stage-1 schedules are not re-solved.
-    The pooled exchange may exceed the community band (no stage saw that
-    constraint); the checker reports such breaches as warnings.
+    Settlement is financial only: the selfish schedules are not re-solved.
     """
-    schedules, objectives, build_time, solve_time, status = _solve_stage_one(config, options, jobs)
-    schedule = _merge(config, schedules)
-    feasibility = check_schedule_feasibility(schedule, config, community_peak_as_warning=True)
-    settlement = settle_day(schedule, config)
-    return ScenarioResult(
-        kind="prosumer",
-        config=config,
-        schedule=schedule,
-        settlement=settlement,
-        feasibility=feasibility,
-        community_cost=community_cost(schedule, config),
-        build_time=build_time,
-        solve_time=solve_time,
-        solver_status=status,
-        per_home_objective=objectives,
-    )
+    return run_scenario("prosumer", config, options, jobs)
 
 
 def run_no_cems(
     config: CommunityConfig, options: SolverOptions | None = None, jobs: int = 1
 ) -> ScenarioResult:
-    """Selfish schedules, each home billed by the external provider alone.
-
-    The community cost is the sum of the individual bills, which double-pays
-    the buy/sell spread on any energy that crosses between neighbors.
-    """
-    schedules, objectives, build_time, solve_time, status = _solve_stage_one(config, options, jobs)
-    schedule = _merge(config, schedules)
-    feasibility = check_schedule_feasibility(schedule, config, community_peak_as_warning=True)
-    settlement = settle_day_at_external_prices(schedule, config)
-    return ScenarioResult(
-        kind="none",
-        config=config,
-        schedule=schedule,
-        settlement=settlement,
-        feasibility=feasibility,
-        community_cost=settlement.community_daily_cost,
-        build_time=build_time,
-        solve_time=solve_time,
-        solver_status=status,
-        per_home_objective=objectives,
-    )
-
-
-def run_scenario(
-    kind: str, config: CommunityConfig, options: SolverOptions | None = None, jobs: int = 1
-) -> ScenarioResult:
-    if kind == "system":
-        return run_system_centric(config, options)
-    if kind == "prosumer":
-        return run_prosumer_centric(config, options, jobs)
-    if kind == "none":
-        return run_no_cems(config, options, jobs)
-    raise ValueError(f"unknown scenario {kind!r}")
+    """Selfish schedules, each home billed by the external provider alone."""
+    return run_scenario("none", config, options, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,16 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs forwarded to the backend.
+    """Knobs forwarded to the backend: the relative MIP gap at which a solve
+    stops, and an optional wall-time limit in seconds per solve.
 
-    ``threads`` is accepted for interface stability but the bundled HiGHS
-    backend runs single-threaded and ignores it.
+    The bundled HiGHS backend solves each model on one thread; the selfish
+    stage's per-home models can run on several threads through the
+    ``jobs`` argument of :func:`cems.scenarios.run_scenarios`.
     """
 
     relative_mip_gap: float = 1e-6
     time_limit: float | None = None
-    threads: int | None = None
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import ctypes
 import io
 import json
 import zipfile
@@ -5,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import cems.scenarios
 from cems import PvParams, config_to_dict, config_to_json
-from cems.cli import main
+from cems.cli import _native_stdout_to_stderr, main
 
 from conftest import make_community, make_ess, make_home, make_hvac
 
@@ -197,6 +199,69 @@ def test_bigm_override(cfg_file, tmp_path, capsys):
                  "--out", str(tmp_path / "y")])
     assert code == 1
     assert "big_m_policy" in capsys.readouterr().err
+
+
+def test_non_finite_config_is_input_error(small_cfg, tmp_path, capsys):
+    doc = config_to_dict(small_cfg)
+    doc["series"]["t_out"][3] = float("nan")
+    doc["series"]["ghi"][1] = float("inf")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text() and "Infinity" in path.read_text()
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "series.t_out[3]" in captured.err
+    assert "series.ghi[1]" in captured.err
+    assert "solver failure" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--alpha", "nan", "community.alpha"),
+    ("--bigm", "fixed:inf", "community.big_m_policy"),
+])
+def test_non_finite_override_is_input_error(cfg_file, tmp_path, capsys, flag, value, field):
+    code = main(["solve", "--config", cfg_file, flag, value, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"{field}: must be a finite number" in capsys.readouterr().err
+
+
+_LIBC = ctypes.CDLL(None)
+_LIBC.printf.argtypes = [ctypes.c_char_p]
+_LIBC.printf.restype = ctypes.c_int
+
+
+def test_native_stdout_is_sent_to_stderr(capfd):
+    print("before", flush=True)
+    with _native_stdout_to_stderr():
+        _LIBC.printf(b"native chatter\n")
+    print("after", flush=True)
+    out, err = capfd.readouterr()
+    assert out == "before\nafter\n"
+    assert "native chatter" in err
+
+
+@pytest.mark.parametrize("command, lines", [
+    (["solve"], 1),
+    (["solve", "--scenario", "prosumer", "--jobs", "2"], 1),
+    (["compare"], 3),
+    (["bench", "--sizes", "2", "--gap", "0.05"], 1),
+])
+def test_stdout_holds_only_the_summary(cfg_file, tmp_path, capfd, monkeypatch, command, lines):
+    # stands in for HiGHS writing to fd 1 from inside a solve
+    real = cems.scenarios.solve_model
+
+    def chatty(model, options=None):
+        _LIBC.printf(b"tmpSolver.run();\n")
+        return real(model, options)
+
+    monkeypatch.setattr(cems.scenarios, "solve_model", chatty)
+    assert main([*command, "--config", cfg_file, "--out", str(tmp_path / "o")]) == 0
+    out, err = capfd.readouterr()
+    assert len(out.splitlines()) == lines
+    assert "tmpSolver" not in out
+    assert "tmpSolver.run();" in err
 
 
 # -- compare ----------------------------------------------------------------

@@ -139,6 +139,61 @@ def test_validate_rejects_alpha_out_of_band():
         load_community_config(_doc(mutate))
 
 
+@pytest.mark.parametrize("keys, value, field", [
+    (("series", "t_out", 3), float("nan"), "series.t_out[3]"),
+    (("series", "ghi", 11), float("inf"), "series.ghi[11]"),
+    (("series", "buy_price", 0), float("-inf"), "series.buy_price[0]"),
+    (("homes", 4, "fixed_load", 7), float("nan"), "homes[4].fixed_load[7]"),
+    (("homes", 1, "hvac", "p_max"), float("nan"), "homes[1].hvac.p_max"),
+    (("homes", 0, "ess", "level_max"), float("inf"), "homes[0].ess.level_max"),
+    (("homes", 0, "pv", "efficiency"), float("nan"), "homes[0].pv.efficiency"),
+    (("homes", 2, "peak_limit"), float("inf"), "homes[2].peak_limit"),
+    (("community", "alpha"), float("nan"), "community.alpha"),
+    (("community", "community_peak"), float("inf"), "community.community_peak"),
+])
+def test_validate_rejects_non_finite_numbers(keys, value, field):
+    def mutate(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+
+    text = _doc(mutate)
+    assert "NaN" in text or "Infinity" in text  # tokens json.loads accepts
+    with pytest.raises(InvalidConfigError) as exc:
+        load_community_config(text)
+    assert exc.value.report.errors == ((field, f"must be a finite number, got {value}"),)
+
+
+def test_validate_reports_each_non_finite_field_once(replication):
+    from dataclasses import replace
+
+    hvac = replace(replication.homes[0].hvac, t_max=float("nan"), epsilon=float("inf"))
+    home = replace(replication.homes[0], hvac=hvac)
+    t_out = replication.t_out.copy()
+    t_out[[2, 5]] = np.nan
+    cfg = replace(replication, homes=(home,) + replication.homes[1:], t_out=t_out,
+                  big_m_policy="fixed:inf")
+    paths = [path for path, _ in validate_config(cfg).errors]
+    assert paths == ["community.big_m_policy", "series.t_out[2]", "series.t_out[5]",
+                     "homes[0].hvac.epsilon", "homes[0].hvac.t_max"]
+
+
+def test_csv_bundle_rejects_nan_series():
+    doc = config_to_dict(replication_config())
+    series = doc.pop("series")
+    series["t_out"][3] = "nan"
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as z:
+        z.writestr("community.json", json.dumps(doc))
+        for name, values in series.items():
+            rows = "\n".join(f"{i + 1},{v}" for i, v in enumerate(values))
+            z.writestr(f"{name}.csv", f"slot,value\n{rows}\n")
+    with pytest.raises(InvalidConfigError) as exc:
+        load_community_config(buf.getvalue(), format="csv-bundle")
+    assert [path for path, _ in exc.value.report.errors] == ["series.t_out[3]"]
+
+
 def test_validate_warns_on_load_above_community_peak():
     home = make_home("big", 2, fixed_load=[300.0, 300.0], peak_limit=400.0)
     cfg = make_community([home], [2.0, 2.0], community_peak=10.0)

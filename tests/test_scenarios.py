@@ -4,7 +4,9 @@ import io
 import numpy as np
 import pytest
 
+import cems.scenarios
 from cems import (
+    SCENARIO_KINDS,
     InfeasibleHomeError,
     bench_scaling,
     compare,
@@ -12,6 +14,7 @@ from cems import (
     run_no_cems,
     run_prosumer_centric,
     run_scenario,
+    run_scenarios,
     run_system_centric,
 )
 from cems.scenarios import (
@@ -113,6 +116,73 @@ def test_parallel_stage_one_matches_serial():
     for hid, hs in serial.schedule.homes.items():
         np.testing.assert_allclose(parallel.schedule.homes[hid].net, hs.net,
                                    atol=1e-9)
+
+
+def _assert_same_result(a, b):
+    assert a.kind == b.kind
+    assert a.community_cost == b.community_cost
+    assert a.settlement.per_home_daily_cost == b.settlement.per_home_daily_cost
+    assert a.settlement.community_daily_cost == b.settlement.community_daily_cost
+    assert a.feasibility == b.feasibility
+    assert (a.solver_status, a.objective) == (b.solver_status, b.objective)
+    assert a.per_home_objective == b.per_home_objective
+    np.testing.assert_array_equal(a.schedule.community_net, b.schedule.community_net)
+    for name in ("status_flags", "slot_costs"):
+        x, y = getattr(a.schedule, name), getattr(b.schedule, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            np.testing.assert_array_equal(x, y)
+    assert list(a.schedule.homes) == list(b.schedule.homes)
+    for hid, hs in a.schedule.homes.items():
+        for f in dataclasses.fields(hs):
+            np.testing.assert_array_equal(getattr(hs, f.name),
+                                          getattr(b.schedule.homes[hid], f.name),
+                                          err_msg=f"{hid}.{f.name}")
+
+
+def test_run_scenarios_matches_single_runs(replication, system_result,
+                                           prosumer_result, no_cems_result):
+    together = run_scenarios(replication)
+    assert [r.kind for r in together] == list(SCENARIO_KINDS)
+    for joint, alone in zip(together, (system_result, prosumer_result, no_cems_result)):
+        _assert_same_result(joint, alone)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    real = cems.scenarios.solve_model
+
+    def counting(model, options=None):
+        calls.append(model.name)
+        return real(model, options)
+
+    monkeypatch.setattr(cems.scenarios, "solve_model", counting)
+    return calls
+
+
+def test_compare_solves_the_selfish_stage_once(monkeypatch):
+    cfg = small_der_config()
+    n = len(cfg.homes)
+    calls = _count_solves(monkeypatch)
+    results = run_scenarios(cfg)
+    assert len(calls) == 1 + n
+    # prosumer and none settle the very same selfish schedule
+    assert results[1].schedule is results[2].schedule
+    assert results[1].feasibility is results[2].feasibility
+
+    calls.clear()
+    run_scenarios(cfg, ("none", "prosumer"), jobs=2)
+    assert len(calls) == n
+    calls.clear()
+    run_scenario("prosumer", cfg)
+    assert len(calls) == n
+
+
+def test_unknown_kind_rejected_before_any_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="cooperative"):
+        run_scenarios(small_der_config(), ("system", "cooperative"))
+    assert calls == []
 
 
 def test_solver_is_deterministic():
