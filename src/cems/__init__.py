@@ -22,7 +22,6 @@ from .domain import (
     validate_config,
 )
 from .milp import (
-    BigM,
     MilpModel,
     big_m_value,
     build_home_model,

@@ -17,6 +17,7 @@ import argparse
 import ctypes
 import io
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -70,6 +71,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _checked(convert, ok, rule: str):
+    """Argument type that converts a flag value and rejects it unless
+    ``ok(value)``; argparse prefixes the message with the flag name."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
+
+
+_GAP = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_TIME_LIMIT = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_JOBS = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cems", description="Day-ahead community energy scheduling")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -82,15 +104,14 @@ def _build_parser() -> _Parser:
         return p
 
     def solver_flags(p: argparse.ArgumentParser):
-        p.add_argument("--gap", type=float, default=None, help="relative MIP gap")
-        p.add_argument("--time-limit", type=float, default=None, help="solver time limit, seconds")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--gap", type=_GAP, default=None, help="relative MIP gap")
+        p.add_argument("--time-limit", type=_TIME_LIMIT, default=None, help="solver time limit, seconds")
+        p.add_argument("--jobs", type=_JOBS, default=1,
                        help="threads for the selfish per-home solves (default 1)")
 
     def override_flags(p: argparse.ArgumentParser):
         p.add_argument("--alpha", type=float, default=None, help="override sell price factor")
         p.add_argument("--pmid", choices=_PMID_CASES, default=None, help="override mid price policy")
-        p.add_argument("--bigm", default=None, help="override big-M policy: derived or fixed:<value>")
 
     p = add("validate", "check a config and report every problem")
     p.set_defaults(func=_cmd_validate)
@@ -117,8 +138,8 @@ def _build_parser() -> _Parser:
     p = add("bench", "scaling benchmark over synthetic communities")
     p.add_argument("--sizes", default="10,50,100", help="comma-separated home counts")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--gap", type=float, default=1e-3, help="relative MIP gap")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--gap", type=_GAP, default=1e-3, help="relative MIP gap")
+    p.add_argument("--time-limit", type=_TIME_LIMIT, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_bench)
 
@@ -187,8 +208,6 @@ def _apply_overrides(config: CommunityConfig, args) -> CommunityConfig:
         changes["alpha"] = args.alpha
     if getattr(args, "pmid", None) is not None:
         changes["mid_price_policy"] = args.pmid
-    if getattr(args, "bigm", None) is not None:
-        changes["big_m_policy"] = args.bigm
     if not changes:
         return config
     config = replace(config, **changes)
@@ -358,14 +377,16 @@ def _cmd_settle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise _UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not sizes:
         raise _UsageError("--sizes is empty")
+    if min(sizes) < 1:
+        raise _UsageError(f"--sizes must be home counts >= 1, got {args.sizes!r}")
+    config = _load_config(args)
+    out = _out_dir(args)
     options = SolverOptions(relative_mip_gap=args.gap, time_limit=args.time_limit)
     with _native_stdout_to_stderr():
         report = bench_scaling(sizes, args.seed, config, options)

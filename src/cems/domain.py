@@ -143,7 +143,6 @@ class CommunityConfig:
     ghi: np.ndarray  # kW/m^2
     t_out: np.ndarray  # degF
     mid_price_policy: Union[str, np.ndarray] = "case2"
-    big_m_policy: str = "derived"
 
     def __post_init__(self):
         object.__setattr__(self, "homes", tuple(self.homes))
@@ -172,7 +171,6 @@ class CommunityConfig:
             and np.array_equal(self.ghi, other.ghi)
             and np.array_equal(self.t_out, other.t_out)
             and mid_equal
-            and self.big_m_policy == other.big_m_policy
         )
 
     def home(self, home_id: str) -> HomeConfig:
@@ -327,9 +325,6 @@ def _config_from_document(doc: Any) -> CommunityConfig:
     mid = community.get("mid_price_policy", "case2")
     if not isinstance(mid, str):
         mid = np.array(_number_list(mid, "community.mid_price_policy", horizon))
-    big_m = community.get("big_m_policy", "derived")
-    if not isinstance(big_m, str):
-        raise SchemaError("community.big_m_policy", "expected a string")
     return CommunityConfig(
         homes=tuple(
             _parse_home(h, i, horizon, slot_hours) for i, h in enumerate(homes_doc)
@@ -342,7 +337,6 @@ def _config_from_document(doc: Any) -> CommunityConfig:
         ghi=np.array(_number_list(_require(series, "ghi", "series"), "series.ghi", horizon)),
         t_out=np.array(_number_list(_require(series, "t_out", "series"), "series.t_out", horizon)),
         mid_price_policy=mid,
-        big_m_policy=big_m,
     )
 
 
@@ -465,7 +459,6 @@ def config_to_dict(config: CommunityConfig) -> dict:
             "alpha": config.alpha,
             "community_peak": config.community_peak,
             "mid_price_policy": mid if isinstance(mid, str) else list(mid),
-            "big_m_policy": config.big_m_policy,
         },
         "series": {
             "buy_price": list(config.buy_price),
@@ -553,14 +546,6 @@ def validate_config(config: CommunityConfig) -> ValidationReport:
         err(-1, "community.alpha", f"must lie strictly between 0 and 1, got {config.alpha}")
     if finite(-1, "community.community_peak", config.community_peak) and not config.community_peak > 0:
         err(-1, "community.community_peak", f"must be > 0, got {config.community_peak}")
-
-    policy = config.big_m_policy
-    if policy != "derived":
-        value = parse_big_m_policy(policy)
-        if value is None:
-            err(-1, "community.big_m_policy", f"expected 'derived' or 'fixed:<value>', got {policy!r}")
-        elif finite(-1, "community.big_m_policy", value) and not value > 0:
-            err(-1, "community.big_m_policy", f"fixed big-M must be > 0, got {value}")
 
     for name in ("buy_price", "ghi", "t_out"):
         arr = getattr(config, name)
@@ -671,16 +656,6 @@ def validate_config(config: CommunityConfig) -> ValidationReport:
         errors=tuple((path, msg) for _, path, msg in errors),
         warnings=tuple((path, msg) for _, path, msg in warnings),
     )
-
-
-def parse_big_m_policy(policy: str) -> float | None:
-    """Value of a ``fixed:<value>`` policy string, ``None`` if unparseable."""
-    if not policy.startswith("fixed:"):
-        return None
-    try:
-        return float(policy[len("fixed:"):])
-    except ValueError:
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .domain import CommunityConfig, HomeConfig, parse_big_m_policy
+from .domain import CommunityConfig, HomeConfig
 from .thermal import pv_output_energy
 
 CONTINUOUS = "continuous"
@@ -110,31 +110,16 @@ class MilpModel:
                 raise ModelBuildError(f"objective references undeclared variable {var!r}")
 
 
-@dataclass(frozen=True)
-class BigM:
-    """A big-M constant together with the policy that produced it."""
+def big_m_value(config: CommunityConfig) -> float:
+    """Big-M constant for the community status and slot-cost envelope rows.
 
-    value: float
-    policy: str
-
-
-def big_m_value(config: CommunityConfig) -> BigM:
-    """Big-M constant for the community model under the config's policy.
-
-    ``fixed:<value>`` uses the value verbatim.  ``derived`` (the default)
-    returns ``2 * max(P) * (sum of per-home trading caps + community peak)``,
-    which upper-bounds both the per-slot energy gap between total purchases
-    and total sales and the magnitude of any slot cost, so the status
-    switching rows and the slot-cost envelope are both safely slack.
+    ``2 * max(P) * (sum of per-home trading caps + community peak)``
+    upper-bounds both the per-slot energy gap between total purchases and
+    total sales and the magnitude of any slot cost, so those rows are
+    safely slack whichever way the status binary points.
     """
-    policy = config.big_m_policy
-    if policy == "derived":
-        caps = sum(h.peak_limit for h in config.homes) + config.community_peak
-        return BigM(value=2.0 * float(np.max(config.buy_price)) * caps, policy=policy)
-    value = parse_big_m_policy(policy)
-    if value is None or not value > 0:
-        raise ModelBuildError(f"unusable big-M policy {policy!r}")
-    return BigM(value=value, policy=policy)
+    caps = sum(h.peak_limit for h in config.homes) + config.community_peak
+    return 2.0 * float(np.max(config.buy_price)) * caps
 
 
 def exclusivity_big_m(home: HomeConfig, config: CommunityConfig) -> float:
@@ -332,16 +317,14 @@ def build_system_centric_model(config: CommunityConfig) -> MilpModel:
     with mode-gated rates and restored end level, buy/sell accounting with
     one-direction-at-a-time exclusivity.  Community-wide: the net exchange
     band and the linearized slot cost driven by one import/export status
-    binary per slot.  Big-M comes from the config's policy.
+    binary per slot.  Both big-M constants are derived from the config:
+    :func:`big_m_value` for the community rows, the tighter
+    :func:`exclusivity_big_m` for each home's exclusivity rows.
     """
     T = config.horizon_slots
-    big_m = big_m_value(config).value
-    fixed_policy = config.big_m_policy != "derived"
+    big_m = big_m_value(config)
     b = _Builder("system_centric")
-    per_home = [
-        _add_home(b, home, config, big_m if fixed_policy else exclusivity_big_m(home, config))
-        for home in config.homes
-    ]
+    per_home = [_add_home(b, home, config, exclusivity_big_m(home, config)) for home in config.homes]
 
     status = [b.var("status", None, t, 0.0, 1.0, BINARY) for t in range(1, T + 1)]
     slot_cost = [b.var("slot_cost", None, t, -INF, INF) for t in range(1, T + 1)]

@@ -444,8 +444,28 @@ def schedule_to_dict(schedule: CommunitySchedule) -> dict:
     return doc
 
 
+def _finite_series(value, path: str, n: int) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path} must be a list of {n} numbers") from None
+    if arr.shape != (n,):
+        raise ValueError(f"{path} must have {n} entries")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{path}[{bad[0]}] must be a finite number")
+    return arr
+
+
 def schedule_from_dict(doc: Mapping, config: CommunityConfig) -> CommunitySchedule:
-    """Rebuild a schedule written by :func:`schedule_to_dict`."""
+    """Rebuild a schedule written by :func:`schedule_to_dict`.
+
+    Raises ``ValueError`` naming the offending path for a malformed
+    document, a missing array, or a non-finite entry.  Every home needs
+    every array: absent devices are written as zeros, so a missing array
+    means a damaged file, not an absent device."""
+    if not isinstance(doc, Mapping):
+        raise ValueError("schedule document must be an object")
     homes_doc = doc.get("homes")
     if not isinstance(homes_doc, Mapping):
         raise ValueError("schedule document lacks a 'homes' mapping")
@@ -455,15 +475,13 @@ def schedule_from_dict(doc: Mapping, config: CommunityConfig) -> CommunitySchedu
         h = homes_doc.get(home.id)
         if h is None:
             raise ValueError(f"schedule is missing home {home.id!r}")
-        temp = np.asarray(h["indoor_temp"], dtype=float)
-        if temp.shape != (T + 1,):
-            raise ValueError(f"home {home.id!r}: indoor_temp must have {T + 1} entries")
-        arrays = {}
-        for role in _FLOW_ROLES:
-            arr = np.asarray(h.get(role, np.zeros(T)), dtype=float)
-            if arr.shape != (T,):
-                raise ValueError(f"home {home.id!r}: {role} must have {T} entries")
-            arrays[role] = arr
+        if not isinstance(h, Mapping):
+            raise ValueError(f"home {home.id!r}: expected an object")
+        missing = [key for key in ("indoor_temp", *_FLOW_ROLES) if key not in h]
+        if missing:
+            raise ValueError(f"home {home.id!r}: {missing[0]} is missing")
+        temp = _finite_series(h["indoor_temp"], f"home {home.id!r}: indoor_temp", T + 1)
+        arrays = {role: _finite_series(h[role], f"home {home.id!r}: {role}", T) for role in _FLOW_ROLES}
         homes[home.id] = HomeSchedule(home=home.id, indoor_temp=temp, **arrays)
     community_net = np.sum([hs.net for hs in homes.values()], axis=0)
     flags = doc.get("status_flags")
@@ -471,8 +489,8 @@ def schedule_from_dict(doc: Mapping, config: CommunityConfig) -> CommunitySchedu
     return CommunitySchedule(
         homes=homes,
         community_net=community_net,
-        status_flags=None if flags is None else np.asarray(flags, dtype=float),
-        slot_costs=None if costs is None else np.asarray(costs, dtype=float),
+        status_flags=None if flags is None else _finite_series(flags, "status_flags", T),
+        slot_costs=None if costs is None else _finite_series(costs, "slot_costs", T),
     )
 
 

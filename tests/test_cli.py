@@ -52,10 +52,10 @@ def test_no_command_prints_help_and_fails(capsys):
 
 
 def test_unknown_flag_is_usage_error(cfg_file, tmp_path, capsys):
-    code = main(["solve", "--config", cfg_file, "--out", str(tmp_path),
-                 "--frobnicate"])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    for extra in (["--frobnicate"], ["--bigm", "fixed:1e9"]):
+        code = main(["solve", "--config", cfg_file, "--out", str(tmp_path), *extra])
+        assert code == 1
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -65,15 +65,15 @@ def test_unknown_subcommand_is_usage_error(capsys):
 HELP_FLAGS = {
     "validate": ["--config", "--format"],
     "solve": ["--config", "--format", "--scenario", "--alpha", "--pmid",
-              "--bigm", "--gap", "--time-limit", "--jobs", "--out"],
-    "compare": ["--config", "--format", "--alpha", "--pmid", "--bigm",
+              "--gap", "--time-limit", "--jobs", "--out"],
+    "compare": ["--config", "--format", "--alpha", "--pmid",
                 "--gap", "--time-limit", "--jobs", "--out"],
     "settle": ["--config", "--format", "--schedule", "--alpha", "--pmid",
-               "--bigm", "--out"],
+               "--out"],
     "bench": ["--config", "--format", "--sizes", "--seed", "--gap",
               "--time-limit", "--out"],
     "export-lp": ["--config", "--format", "--scenario", "--home", "--alpha",
-                  "--pmid", "--bigm", "--out"],
+                  "--pmid", "--out"],
 }
 
 
@@ -158,11 +158,12 @@ def test_solve_reports_are_byte_identical(cfg_file, tmp_path):
 
 
 def test_solve_prosumer_with_jobs(cfg_file, tmp_path, capsys):
-    out = tmp_path / "pro"
-    code = main(["solve", "--config", cfg_file, "--scenario", "prosumer",
-                 "--jobs", "2", "--out", str(out)])
-    assert code == 0
-    assert "prosumer: community cost" in capsys.readouterr().out
+    # --jobs 1 and --gap 0 are the smallest values the flags accept
+    for flags in (["--jobs", "1", "--gap", "0"], ["--jobs", "2"]):
+        code = main(["solve", "--config", cfg_file, "--scenario", "prosumer",
+                     *flags, "--out", str(tmp_path / "pro")])
+        assert code == 0
+        assert "prosumer: community cost" in capsys.readouterr().out
 
 
 def test_solver_failure_exit_codes(infeasible_cfg_file, tmp_path, capsys):
@@ -190,17 +191,6 @@ def test_alpha_override_validates(cfg_file, tmp_path, capsys):
     assert "community.alpha" in capsys.readouterr().err
 
 
-def test_bigm_override(cfg_file, tmp_path, capsys):
-    out = tmp_path / "fixed"
-    code = main(["solve", "--config", cfg_file, "--bigm", "fixed:1e9",
-                 "--out", str(out)])
-    assert code == 0
-    code = main(["solve", "--config", cfg_file, "--bigm", "enormous",
-                 "--out", str(tmp_path / "y")])
-    assert code == 1
-    assert "big_m_policy" in capsys.readouterr().err
-
-
 def test_non_finite_config_is_input_error(small_cfg, tmp_path, capsys):
     doc = config_to_dict(small_cfg)
     doc["series"]["t_out"][3] = float("nan")
@@ -217,14 +207,36 @@ def test_non_finite_config_is_input_error(small_cfg, tmp_path, capsys):
     assert captured.out == ""
 
 
+# every subcommand that takes the flag rejects the value before any solve
+_COMMANDS_WITH = {
+    "--alpha": ("solve",),
+    "--gap": ("solve", "compare", "bench"),
+    "--time-limit": ("solve", "compare", "bench"),
+    "--jobs": ("solve", "compare"),
+}
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--alpha", "nan", "community.alpha"),
-    ("--bigm", "fixed:inf", "community.big_m_policy"),
+    ("--gap", "nan", "--gap"),
+    ("--gap", "-1", "--gap"),
+    ("--time-limit", "nan", "--time-limit"),
+    ("--time-limit", "-1", "--time-limit"),
+    ("--jobs", "0", "--jobs"),
+    ("--jobs", "-2", "--jobs"),
 ])
-def test_non_finite_override_is_input_error(cfg_file, tmp_path, capsys, flag, value, field):
-    code = main(["solve", "--config", cfg_file, flag, value, "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert f"{field}: must be a finite number" in capsys.readouterr().err
+def test_non_finite_override_is_input_error(cfg_file, tmp_path, capsys, monkeypatch,
+                                            flag, value, field):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a bad flag")
+
+    monkeypatch.setattr(cems.scenarios, "solve_model", no_solve)
+    for command in _COMMANDS_WITH[flag]:
+        code = main([command, "--config", cfg_file, flag, value, "--out", str(tmp_path / "o")])
+        assert code == 1, command
+        captured = capsys.readouterr()
+        assert f"{field}: must be " in captured.err and f"got {value}" in captured.err, command
+        assert captured.out == ""
 
 
 _LIBC = ctypes.CDLL(None)
@@ -315,6 +327,63 @@ def test_settle_rejects_garbage_schedule(cfg_file, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def solved_schedule(cfg_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("solved")
+    assert main(["solve", "--config", cfg_file, "--out", str(out)]) == 0
+    return json.loads((out / "schedule.json").read_text())
+
+
+def _nan_flow(doc):
+    doc["homes"]["a"]["com_buy"][3] = float("nan")
+    return doc
+
+
+def _missing_temp(doc):
+    del doc["homes"]["a"]["indoor_temp"]
+    return doc
+
+
+def _missing_flow(doc):
+    del doc["homes"]["c"]["com_buy"]
+    return doc
+
+
+def _home_not_object(doc):
+    doc["homes"]["a"] = [1.0, 2.0]
+    return doc
+
+
+def _flow_not_list(doc):
+    doc["homes"]["b"]["com_sell"] = {"slot": 1}
+    return doc
+
+
+def _top_level_list(doc):
+    return [doc]
+
+
+@pytest.mark.parametrize("breaker, message", [
+    (_nan_flow, "home 'a': com_buy[3] must be a finite number"),
+    (_missing_temp, "home 'a': indoor_temp is missing"),
+    (_missing_flow, "home 'c': com_buy is missing"),
+    (_home_not_object, "home 'a': expected an object"),
+    (_flow_not_list, "home 'b': com_sell must be a list of 6 numbers"),
+    (_top_level_list, "schedule document must be an object"),
+])
+def test_settle_rejects_malformed_schedule(cfg_file, solved_schedule, tmp_path, capsys,
+                                           breaker, message):
+    doc = breaker(json.loads(json.dumps(solved_schedule)))
+    bad = tmp_path / "sched.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["settle", "--config", cfg_file, "--schedule", str(bad),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"schedule {bad}: {message}" in captured.err
+    assert captured.out == ""
+
+
 # -- bench ------------------------------------------------------------------
 
 def test_bench_outputs_and_determinism(cfg_file, tmp_path, capsys):
@@ -335,6 +404,14 @@ def test_bench_rejects_bad_sizes(cfg_file, tmp_path, capsys):
                  "--out", str(tmp_path / "b")])
     assert code == 1
     assert "--sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["0", "-5", "2,0"])
+def test_bench_rejects_sizes_without_homes(cfg_file, tmp_path, capsys, sizes):
+    out = tmp_path / "b"
+    assert main(["bench", "--config", cfg_file, "--sizes", sizes, "--out", str(out)]) == 1
+    assert f"--sizes must be home counts >= 1, got {sizes!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- export-lp --------------------------------------------------------------

@@ -22,7 +22,6 @@ from cems.domain import (
     archetype_counts,
     default_peak_limit,
     default_t_in_initial,
-    parse_big_m_policy,
 )
 
 from conftest import make_community, make_ess, make_home, make_hvac, random_small_config
@@ -172,10 +171,9 @@ def test_validate_reports_each_non_finite_field_once(replication):
     home = replace(replication.homes[0], hvac=hvac)
     t_out = replication.t_out.copy()
     t_out[[2, 5]] = np.nan
-    cfg = replace(replication, homes=(home,) + replication.homes[1:], t_out=t_out,
-                  big_m_policy="fixed:inf")
+    cfg = replace(replication, homes=(home,) + replication.homes[1:], t_out=t_out)
     paths = [path for path, _ in validate_config(cfg).errors]
-    assert paths == ["community.big_m_policy", "series.t_out[2]", "series.t_out[5]",
+    assert paths == ["series.t_out[2]", "series.t_out[5]",
                      "homes[0].hvac.epsilon", "homes[0].hvac.t_max"]
 
 
@@ -206,19 +204,6 @@ def test_defaults():
     assert default_t_in_initial(66.2, 75.2) == pytest.approx(70.7)
     ess = make_ess(charge_rate_max=2.0)
     assert default_peak_limit(10.0, [1.0, 3.0], ess, 1.0) == pytest.approx(10.0 + 3.0 + 2.0)
-
-
-def test_big_m_policy_parsing_and_validation(replication):
-    from dataclasses import replace
-
-    assert parse_big_m_policy("derived") is None
-    assert parse_big_m_policy("fixed:1e9") == pytest.approx(1e9)
-    assert parse_big_m_policy("fixed:250") == pytest.approx(250.0)
-    assert parse_big_m_policy("fixed:zzz") is None
-    # an unknown policy string is a validation error, not a parse crash
-    report = validate_config(replace(replication, big_m_policy="loose"))
-    assert not report.ok
-    assert any("big_m_policy" in path for path, _ in report.errors)
 
 
 # -- synthetic generation ---------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from cems import (
     build_home_model,
     build_system_centric_model,
+    config_to_dict,
+    load_community_config,
     relaxed,
     solve_model,
     write_lp,
@@ -85,7 +88,7 @@ def test_ess_level_recursion_coefficients(replication):
 
 def test_slot_cost_envelope_and_hull_rows(replication):
     model = build_system_centric_model(replication)
-    big_m = big_m_value(replication).value
+    big_m = big_m_value(replication)
     price = replication.buy_price[0]
     terms, sense, rhs = _terms(model, "cost_imp_lo_com_1")
     assert sense == ">="
@@ -110,33 +113,17 @@ def test_absent_der_variables_not_created(replication):
     assert "res_sell_home4_1" in names
 
 
-# -- big-M policies ---------------------------------------------------------
+# -- big-M constants --------------------------------------------------------
 
 def test_derived_big_m_value():
     homes = [make_home("a", 2, peak_limit=60.0), make_home("b", 2, peak_limit=90.0)]
     cfg = make_community(homes, [1.5, 2.0], community_peak=50.0)
-    m = big_m_value(cfg)
-    assert m.policy == "derived"
-    assert m.value == pytest.approx(2.0 * 2.0 * (60.0 + 90.0 + 50.0))  # 800
-
-
-def test_fixed_big_m_used_verbatim(replication):
-    from dataclasses import replace
-
-    cfg = replace(replication, big_m_policy="fixed:1e9")
-    assert big_m_value(cfg).value == pytest.approx(1e9)
-    model = build_system_centric_model(cfg)
-    terms, _, rhs = _terms(model, "status_on_com_5")
-    assert terms["status_com_5"] == pytest.approx(-1e9)
-    assert rhs == pytest.approx(-1e9)
-    # per-home exclusivity rows use the same verbatim constant
-    terms, _, _ = _terms(model, "buy_mode_home1_1")
-    assert any(v == pytest.approx(-1e9) for v in terms.values())
+    assert big_m_value(cfg) == pytest.approx(2.0 * 2.0 * (60.0 + 90.0 + 50.0))  # 800
 
 
 def test_exclusivity_big_m_bounds(replication):
     cfg = replication
-    m_policy = big_m_value(cfg).value
+    m_community = big_m_value(cfg)
     for home in cfg.homes:
         m = exclusivity_big_m(home, cfg)
         buy_cap = home.hvac.p_max + float(np.max(home.fixed_load))
@@ -144,18 +131,28 @@ def test_exclusivity_big_m_bounds(replication):
             buy_cap += home.ess.charge_rate_max
         assert m >= buy_cap
         assert m >= home.peak_limit
-        assert m < m_policy  # the point of the tighter bound
+        assert m < m_community  # the point of the tighter bound
 
 
-def test_solutions_agree_across_big_m_policies():
-    from dataclasses import replace
-
+def test_legacy_big_m_policy_key_is_ignored():
     rng = np.random.default_rng(5)
-    cfg = random_small_config(rng, n_homes=2, T=4)
-    sol_a = solve_model(build_system_centric_model(cfg))
-    sol_b = solve_model(build_system_centric_model(replace(cfg, big_m_policy="fixed:1e6")))
-    assert sol_a.status == sol_b.status == "optimal"
-    assert sol_a.objective == pytest.approx(sol_b.objective, abs=1e-5)
+    doc = config_to_dict(random_small_config(rng, n_homes=2, T=4))
+    assert "big_m_policy" not in doc["community"]
+    legacy = json.loads(json.dumps(doc))
+    legacy["community"]["big_m_policy"] = "fixed:1e6"
+    cfg, cfg_legacy = load_community_config(json.dumps(doc)), load_community_config(json.dumps(legacy))
+
+    def lp_text(config):
+        buf = io.StringIO()
+        write_lp(build_system_centric_model(config), buf)
+        return buf.getvalue()
+
+    assert cfg_legacy == cfg
+    assert lp_text(cfg_legacy) == lp_text(cfg)
+    sol = solve_model(build_system_centric_model(cfg))
+    sol_legacy = solve_model(build_system_centric_model(cfg_legacy))
+    assert sol.status == sol_legacy.status == "optimal"
+    assert sol_legacy.objective == sol.objective
 
 
 # -- relaxation -------------------------------------------------------------
