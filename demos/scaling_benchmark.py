@@ -18,7 +18,14 @@ def main():
     ap.add_argument("--gap", type=float, default=1e-3, help="relative MIP gap")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        ap.error(f"--sizes must be comma-separated home counts >= 1, got {args.sizes!r}")
+    if args.seed < 0:
+        ap.error(f"--seed must be an integer >= 0, got {args.seed}")
 
     template = replication_config()
     report = bench_scaling(sizes, args.seed, template,

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -90,6 +90,7 @@ def _checked(convert, ok, rule: str):
 _GAP = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _TIME_LIMIT = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _JOBS = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _build_parser() -> _Parser:
@@ -137,7 +138,7 @@ def _build_parser() -> _Parser:
 
     p = add("bench", "scaling benchmark over synthetic communities")
     p.add_argument("--sizes", default="10,50,100", help="comma-separated home counts")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_SEED, default=1, help="synthetic community seed (default 1)")
     p.add_argument("--gap", type=_GAP, default=1e-3, help="relative MIP gap")
     p.add_argument("--time-limit", type=_TIME_LIMIT, default=None)
     p.add_argument("--out", required=True, help="output directory")
@@ -285,19 +286,7 @@ def _write_csv(path: Path, writer_fn, report) -> None:
 
 
 def _feasibility_to_dict(report: FeasibilityReport) -> dict:
-    def rows(items):
-        return [
-            {"family": v.family, "home": v.home, "slot": v.slot, "magnitude": v.magnitude}
-            for v in items
-        ]
-
-    return {
-        "violations": rows(report.violations),
-        "warnings": rows(report.warnings),
-        "max_violation": report.max_violation,
-        "cost_recomputed": report.cost_recomputed,
-        "cost_matches_solver": report.cost_matches_solver,
-    }
+    return asdict(report)
 
 
 def _print_report(report: ValidationReport) -> None:

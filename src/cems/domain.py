@@ -16,7 +16,7 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, BinaryIO, Sequence, Union
 
 import numpy as np
@@ -56,6 +56,20 @@ def _series(values: Any) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _fields_equal(a, b):
+    """``__eq__`` for configs holding arrays, field by field: arrays compare
+    by value, and an array never equals a non-array."""
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) != isinstance(y, np.ndarray):
+            return False
+        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -107,17 +121,7 @@ class HomeConfig:
     def __post_init__(self):
         object.__setattr__(self, "fixed_load", _series(self.fixed_load))
 
-    def __eq__(self, other):
-        if not isinstance(other, HomeConfig):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.hvac == other.hvac
-            and self.ess == other.ess
-            and self.pv == other.pv
-            and np.array_equal(self.fixed_load, other.fixed_load)
-            and self.peak_limit == other.peak_limit
-        )
+    __eq__ = _fields_equal
 
     @property
     def archetype(self) -> str:
@@ -151,27 +155,7 @@ class CommunityConfig:
         if not isinstance(self.mid_price_policy, str):
             object.__setattr__(self, "mid_price_policy", _series(self.mid_price_policy))
 
-    def __eq__(self, other):
-        if not isinstance(other, CommunityConfig):
-            return NotImplemented
-        if isinstance(self.mid_price_policy, str) != isinstance(other.mid_price_policy, str):
-            return False
-        mid_equal = (
-            self.mid_price_policy == other.mid_price_policy
-            if isinstance(self.mid_price_policy, str)
-            else np.array_equal(self.mid_price_policy, other.mid_price_policy)
-        )
-        return (
-            self.homes == other.homes
-            and self.horizon_slots == other.horizon_slots
-            and self.slot_hours == other.slot_hours
-            and np.array_equal(self.buy_price, other.buy_price)
-            and self.alpha == other.alpha
-            and self.community_peak == other.community_peak
-            and np.array_equal(self.ghi, other.ghi)
-            and np.array_equal(self.t_out, other.t_out)
-            and mid_equal
-        )
+    __eq__ = _fields_equal
 
     def home(self, home_id: str) -> HomeConfig:
         for h in self.homes:
@@ -240,38 +224,19 @@ def _number_list(value: Any, path: str, length: int | None = None) -> list[float
     return out
 
 
-def _parse_hvac(obj: Any, path: str) -> HvacParams:
+def _parse_params(cls, obj: Any, path: str, optional: Sequence[str] = ()):
+    """One parameter group: a number for every field of ``cls``, in
+    declaration order.  A field in ``optional`` may be absent or null and is
+    then ``None``, for the caller to fill in."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    t_min = _number(_require(obj, "t_min", path), f"{path}.t_min")
-    t_max = _number(_require(obj, "t_max", path), f"{path}.t_max")
-    t_init = obj.get("t_in_initial")
-    return HvacParams(
-        p_max=_number(_require(obj, "p_max", path), f"{path}.p_max"),
-        epsilon=_number(_require(obj, "epsilon", path), f"{path}.epsilon"),
-        eta_hvac=_number(_require(obj, "eta_hvac", path), f"{path}.eta_hvac"),
-        conductivity_a=_number(_require(obj, "conductivity_a", path), f"{path}.conductivity_a"),
-        t_min=t_min,
-        t_max=t_max,
-        t_in_initial=default_t_in_initial(t_min, t_max)
-        if t_init is None
-        else _number(t_init, f"{path}.t_in_initial"),
-    )
-
-
-def _parse_ess(obj: Any, path: str) -> EssParams:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    return EssParams(
-        level_min=_number(_require(obj, "level_min", path), f"{path}.level_min"),
-        level_max=_number(_require(obj, "level_max", path), f"{path}.level_max"),
-        level_initial=_number(_require(obj, "level_initial", path), f"{path}.level_initial"),
-        charge_rate_max=_number(_require(obj, "charge_rate_max", path), f"{path}.charge_rate_max"),
-        discharge_rate_max=_number(
-            _require(obj, "discharge_rate_max", path), f"{path}.discharge_rate_max"
-        ),
-        efficiency=_number(_require(obj, "efficiency", path), f"{path}.efficiency"),
-    )
+    values = {}
+    for f in fields(cls):
+        if f.name in optional and obj.get(f.name) is None:
+            values[f.name] = None
+        else:
+            values[f.name] = _number(_require(obj, f.name, path), f"{path}.{f.name}")
+    return cls(**values)
 
 
 def _parse_home(obj: Any, idx: int, horizon: int, slot_hours: float) -> HomeConfig:
@@ -281,17 +246,11 @@ def _parse_home(obj: Any, idx: int, horizon: int, slot_hours: float) -> HomeConf
     home_id = _require(obj, "id", path)
     if not isinstance(home_id, str) or not home_id:
         raise SchemaError(f"{path}.id", "expected a non-empty string")
-    hvac = _parse_hvac(_require(obj, "hvac", path), f"{path}.hvac")
-    ess = _parse_ess(obj["ess"], f"{path}.ess") if obj.get("ess") is not None else None
-    pv = None
-    if obj.get("pv") is not None:
-        pv_obj = obj["pv"]
-        if not isinstance(pv_obj, dict):
-            raise SchemaError(f"{path}.pv", "expected an object")
-        pv = PvParams(
-            panel_area=_number(_require(pv_obj, "panel_area", f"{path}.pv"), f"{path}.pv.panel_area"),
-            efficiency=_number(_require(pv_obj, "efficiency", f"{path}.pv"), f"{path}.pv.efficiency"),
-        )
+    hvac = _parse_params(HvacParams, _require(obj, "hvac", path), f"{path}.hvac", ("t_in_initial",))
+    if hvac.t_in_initial is None:
+        hvac = replace(hvac, t_in_initial=default_t_in_initial(hvac.t_min, hvac.t_max))
+    ess = _parse_params(EssParams, obj["ess"], f"{path}.ess") if obj.get("ess") is not None else None
+    pv = _parse_params(PvParams, obj["pv"], f"{path}.pv") if obj.get("pv") is not None else None
     fixed_load = _number_list(_require(obj, "fixed_load", path), f"{path}.fixed_load", horizon)
     peak = obj.get("peak_limit")
     return HomeConfig(
@@ -468,28 +427,9 @@ def config_to_dict(config: CommunityConfig) -> dict:
         "homes": [
             {
                 "id": h.id,
-                "hvac": {
-                    "p_max": h.hvac.p_max,
-                    "epsilon": h.hvac.epsilon,
-                    "eta_hvac": h.hvac.eta_hvac,
-                    "conductivity_a": h.hvac.conductivity_a,
-                    "t_min": h.hvac.t_min,
-                    "t_max": h.hvac.t_max,
-                    "t_in_initial": h.hvac.t_in_initial,
-                },
-                "ess": None
-                if h.ess is None
-                else {
-                    "level_min": h.ess.level_min,
-                    "level_max": h.ess.level_max,
-                    "level_initial": h.ess.level_initial,
-                    "charge_rate_max": h.ess.charge_rate_max,
-                    "discharge_rate_max": h.ess.discharge_rate_max,
-                    "efficiency": h.ess.efficiency,
-                },
-                "pv": None
-                if h.pv is None
-                else {"panel_area": h.pv.panel_area, "efficiency": h.pv.efficiency},
+                "hvac": asdict(h.hvac),
+                "ess": None if h.ess is None else asdict(h.ess),
+                "pv": None if h.pv is None else asdict(h.pv),
                 "fixed_load": list(h.fixed_load),
                 "peak_limit": h.peak_limit,
             }

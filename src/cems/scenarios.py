@@ -164,18 +164,14 @@ def _settle(
     else:
         settlement = settle_day(step.schedule, config)
         cost = community_cost(step.schedule, config)
+    # shallow on purpose: results settling one step share its schedule
     return ScenarioResult(
         kind=kind,
         config=config,
-        schedule=step.schedule,
         settlement=settlement,
         feasibility=feasibility,
         community_cost=cost,
-        build_time=step.build_time,
-        solve_time=step.solve_time,
-        solver_status=step.solver_status,
-        objective=step.objective,
-        per_home_objective=step.per_home_objective,
+        **vars(step),
     )
 
 

@@ -15,7 +15,7 @@ guards against builder bugs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import IO, Iterable, Mapping, Union
 
 import numpy as np
@@ -127,23 +127,6 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None) -> Solut
 # schedules
 
 
-_FLOW_ROLES = (
-    "hvac_power",
-    "com_load",
-    "com_buy",
-    "com_sell",
-    "mode_home",
-    "ess_level",
-    "ess_load",
-    "ess_sell",
-    "com_charge",
-    "res_charge",
-    "res_load",
-    "res_sell",
-    "mode_ess",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class HomeSchedule:
     """One home's day: per-slot arrays (temperatures have a leading entry
@@ -169,6 +152,10 @@ class HomeSchedule:
     def net(self) -> np.ndarray:
         """Energy drawn from (positive) or pushed to (negative) the pool."""
         return self.com_buy - self.com_sell
+
+
+# the per-slot arrays, all of length T; indoor_temp has T + 1 entries
+_FLOW_ROLES = tuple(f.name for f in fields(HomeSchedule) if f.name not in ("home", "indoor_temp"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -213,6 +213,7 @@ _COMMANDS_WITH = {
     "--gap": ("solve", "compare", "bench"),
     "--time-limit": ("solve", "compare", "bench"),
     "--jobs": ("solve", "compare"),
+    "--seed": ("bench",),
 }
 
 
@@ -224,6 +225,7 @@ _COMMANDS_WITH = {
     ("--time-limit", "-1", "--time-limit"),
     ("--jobs", "0", "--jobs"),
     ("--jobs", "-2", "--jobs"),
+    ("--seed", "-1", "--seed"),
 ])
 def test_non_finite_override_is_input_error(cfg_file, tmp_path, capsys, monkeypatch,
                                             flag, value, field):
@@ -237,6 +239,7 @@ def test_non_finite_override_is_input_error(cfg_file, tmp_path, capsys, monkeypa
         captured = capsys.readouterr()
         assert f"{field}: must be " in captured.err and f"got {value}" in captured.err, command
         assert captured.out == ""
+        assert not (tmp_path / "o").exists(), command
 
 
 _LIBC = ctypes.CDLL(None)

@@ -1,11 +1,14 @@
 import io
 import json
 import zipfile
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cems import (
+    EssParams,
+    HvacParams,
     PvParams,
     config_to_dict,
     config_to_json,
@@ -165,8 +168,6 @@ def test_validate_rejects_non_finite_numbers(keys, value, field):
 
 
 def test_validate_reports_each_non_finite_field_once(replication):
-    from dataclasses import replace
-
     hvac = replace(replication.homes[0].hvac, t_max=float("nan"), epsilon=float("inf"))
     home = replace(replication.homes[0], hvac=hvac)
     t_out = replication.t_out.copy()
@@ -262,3 +263,92 @@ def test_pv_params_round_trip_through_dict():
                      fixed_load=[0.5, 0.5, 0.5])
     cfg = make_community([home], [2.0, 3.0, 4.0], ghi=[0.1, 0.5, 0.2])
     assert load_community_config(config_to_json(cfg)) == cfg
+
+
+# -- config schema ----------------------------------------------------------
+
+_GROUPS = {"hvac": HvacParams, "ess": EssParams, "pv": PvParams}
+
+
+@pytest.mark.parametrize("group, name", [
+    (group, f.name) for group, cls in _GROUPS.items() for f in fields(cls)
+    if (group, f.name) != ("hvac", "t_in_initial")
+])
+def test_each_parameter_is_required(group, name):
+    def mutate(doc):
+        del doc["homes"][0][group][name]
+
+    with pytest.raises(SchemaError) as exc:
+        load_community_config(_doc(mutate))
+    assert str(exc.value) == f"homes[0].{group}.{name}: missing required field"
+
+
+@pytest.mark.parametrize("absent", [True, False])
+def test_t_in_initial_defaults_to_band_midpoint(absent):
+    def mutate(doc):
+        hvac = doc["homes"][0]["hvac"]
+        hvac["t_min"], hvac["t_max"] = 64.0, 72.0
+        if absent:
+            del hvac["t_in_initial"]
+        else:
+            hvac["t_in_initial"] = None
+
+    hvac = load_community_config(_doc(mutate)).homes[0].hvac
+    assert hvac.t_in_initial == default_t_in_initial(64.0, 72.0) == 68.0
+
+
+@pytest.mark.parametrize("idx", [0, 7])  # with and without storage
+@pytest.mark.parametrize("absent", [True, False])
+def test_peak_limit_defaults(idx, absent):
+    def mutate(doc):
+        if absent:
+            del doc["homes"][idx]["peak_limit"]
+        else:
+            doc["homes"][idx]["peak_limit"] = None
+
+    cfg = load_community_config(_doc(mutate))
+    home = cfg.homes[idx]
+    expected = default_peak_limit(home.hvac.p_max, home.fixed_load, home.ess, cfg.slot_hours)
+    assert home.peak_limit == expected
+
+
+@pytest.mark.parametrize("group", list(_GROUPS))
+def test_parameter_groups_reject_wrong_types(group):
+    name = fields(_GROUPS[group])[0].name
+
+    def as_string(doc):
+        doc["homes"][0][group][name] = "3.0"
+
+    with pytest.raises(SchemaError) as exc:
+        load_community_config(_doc(as_string))
+    assert str(exc.value) == f"homes[0].{group}.{name}: expected a number, got str"
+
+    def as_list(doc):
+        doc["homes"][0][group] = [1.0, 2.0]
+
+    with pytest.raises(SchemaError) as exc:
+        load_community_config(_doc(as_list))
+    assert str(exc.value) == f"homes[0].{group}: expected an object"
+
+
+def test_mid_price_policy_equality(replication):
+    prices = replication.buy_price * 0.9
+    as_array = replace(replication, mid_price_policy=prices)
+    as_string = replace(replication, mid_price_policy="case2")
+    assert as_array != as_string
+    assert as_string != as_array
+    assert as_array == replace(replication, mid_price_policy=prices.copy())
+    changed = prices.copy()
+    changed[5] += 0.01
+    assert as_array != replace(replication, mid_price_policy=changed)
+    assert as_string == replace(replication, mid_price_policy="case2")
+    assert as_string != replace(replication, mid_price_policy="case3")
+
+
+def test_homes_differing_only_in_fixed_load_are_unequal(replication):
+    home = replication.homes[0]
+    load = home.fixed_load.copy()
+    assert replace(home, fixed_load=load) == home
+    load[3] += 0.5
+    assert replace(home, fixed_load=load) != home
+    assert replace(replication, homes=(replace(home, fixed_load=load),) + replication.homes[1:]) != replication
