@@ -2,11 +2,13 @@
 
 Communities are generated from the bundled 10-home template by cycling its
 archetypes with jittered loads, so model dimensions grow linearly in the
-home count.
+home count.  Each model is solved LP first; the path column says whether
+the LP was certified optimal or the exact MILP ran.
 
 Usage: python3 demos/scaling_benchmark.py [--sizes 10,50,100] [--gap 1e-3]
 """
 import argparse
+import math
 
 from cems import SolverOptions, bench_scaling, replication_config
 
@@ -26,18 +28,20 @@ def main():
         ap.error(f"--sizes must be comma-separated home counts >= 1, got {args.sizes!r}")
     if args.seed < 0:
         ap.error(f"--seed must be an integer >= 0, got {args.seed}")
+    if not (math.isfinite(args.gap) and args.gap >= 0):
+        ap.error(f"--gap must be a finite number >= 0, got {args.gap}")
 
     template = replication_config()
     report = bench_scaling(sizes, args.seed, template,
                            SolverOptions(relative_mip_gap=args.gap))
 
     print(f"{'homes':>6} {'vars':>8} {'rows':>8} {'binaries':>9} "
-          f"{'build s':>8} {'solve s':>8} {'status':>9} {'objective':>12}")
+          f"{'build s':>8} {'solve s':>8} {'status':>9} {'objective':>12} {'path':>13}")
     for r in report.rows:
         obj = "-" if r.objective is None else f"{r.objective:.2f}"
         print(f"{r.n_homes:>6} {r.n_variables:>8} {r.n_constraints:>8} "
               f"{r.n_binaries:>9} {r.build_time:>8.2f} {r.solve_time:>8.2f} "
-              f"{r.status:>9} {obj:>12}")
+              f"{r.status:>9} {obj:>12} {r.solve_path or '-':>13}")
 
     if len(report.rows) >= 2:
         a, b = report.rows[0], report.rows[-1]

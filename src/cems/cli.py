@@ -6,10 +6,10 @@ schedule), 2 solver failure, 3 I/O failure.
 
 Report files are written atomically (temp file, then rename) and are
 byte-identical across repeated runs on the same inputs; wall-clock timings
-go to a separate ``timings.json`` / ``bench_timings.csv`` so they never
-perturb the deterministic outputs.  Stdout carries only the summary lines:
-whatever the solver's native code prints while ``solve``, ``compare`` or
-``bench`` compute goes to stderr.
+and the solve path go to a separate ``timings.json`` / ``bench_timings.csv``
+so they never perturb the deterministic outputs.  Stdout carries only the
+summary lines: whatever the solver's native code prints while ``solve``,
+``compare`` or ``bench`` compute goes to stderr.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from .milp import ModelBuildError, build_home_model, build_system_centric_model,
 from .scenarios import (
     SCENARIO_KINDS,
     InfeasibleHomeError,
+    ScenarioResult,
     bench_scaling,
     bench_timings_to_csv,
     bench_to_csv,
@@ -105,7 +106,7 @@ def _build_parser() -> _Parser:
         return p
 
     def solver_flags(p: argparse.ArgumentParser):
-        p.add_argument("--gap", type=_GAP, default=None, help="relative MIP gap")
+        p.add_argument("--gap", type=_GAP, default=None, help="relative MIP gap, for a MILP fallback")
         p.add_argument("--time-limit", type=_TIME_LIMIT, default=None, help="solver time limit, seconds")
         p.add_argument("--jobs", type=_JOBS, default=1,
                        help="threads for the selfish per-home solves (default 1)")
@@ -139,7 +140,7 @@ def _build_parser() -> _Parser:
     p = add("bench", "scaling benchmark over synthetic communities")
     p.add_argument("--sizes", default="10,50,100", help="comma-separated home counts")
     p.add_argument("--seed", type=_SEED, default=1, help="synthetic community seed (default 1)")
-    p.add_argument("--gap", type=_GAP, default=1e-3, help="relative MIP gap")
+    p.add_argument("--gap", type=_GAP, default=1e-3, help="relative MIP gap, for a MILP fallback")
     p.add_argument("--time-limit", type=_TIME_LIMIT, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_bench)
@@ -289,6 +290,16 @@ def _feasibility_to_dict(report: FeasibilityReport) -> dict:
     return asdict(report)
 
 
+def _timings(result: ScenarioResult) -> dict:
+    """Wall times and the solve path of one run, for ``timings.json``."""
+    return {
+        "build_time_s": result.build_time,
+        "solve_time_s": result.solve_time,
+        "solve_path": result.solve_path,
+        "fallback_reason": result.fallback_reason,
+    }
+
+
 def _print_report(report: ValidationReport) -> None:
     for path, message in report.errors:
         print(f"error: {path}: {message}", file=sys.stderr)
@@ -320,10 +331,7 @@ def _cmd_solve(args) -> int:
     _write_json(out / "settlement.json", settlement_to_dict(result.settlement))
     _write_csv(out / "settlement.csv", settlement_to_csv, result.settlement)
     _write_json(out / "feasibility.json", _feasibility_to_dict(result.feasibility))
-    _write_json(
-        out / "timings.json",
-        {"build_time_s": result.build_time, "solve_time_s": result.solve_time},
-    )
+    _write_json(out / "timings.json", _timings(result))
     print(
         f"{result.kind}: community cost {result.community_cost:.4f} cents, "
         f"status {result.solver_status}, {len(result.feasibility.violations)} violation(s)"
@@ -341,10 +349,7 @@ def _cmd_compare(args) -> int:
     _write_csv(out / "comparison.csv", comparison_to_csv, report)
     _write_csv(out / "comparison_homes.csv", comparison_homes_to_csv, report)
     _write_csv(out / "comparison_slots.csv", comparison_slots_to_csv, report)
-    _write_json(
-        out / "timings.json",
-        {r.kind: {"build_time_s": r.build_time, "solve_time_s": r.solve_time} for r in results},
-    )
+    _write_json(out / "timings.json", {r.kind: _timings(r) for r in results})
     for kind in report.scenarios:
         print(f"{kind}: community cost {report.community_cost[kind]:.4f} cents")
     return 0

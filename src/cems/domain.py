@@ -218,7 +218,11 @@ def _number(value: Any, path: str) -> float:
 def _number_list(value: Any, path: str, length: int | None = None) -> list[float]:
     if not isinstance(value, list):
         raise SchemaError(path, f"expected a list, got {type(value).__name__}")
-    out = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    out = []
+    for i, v in enumerate(value):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            _number(v, f"{path}[{i}]")  # raises; the entry's path is built only here
+        out.append(float(v))
     if length is not None and len(out) != length:
         raise SchemaError(path, f"expected {length} entries, got {len(out)}")
     return out

@@ -15,6 +15,11 @@ step (the pooled model for ``system``, the per-home selfish stage for
 ``prosumer`` and ``none`` differ only in how they settle, so a run asking
 for both solves and checks the selfish stage once and settles it twice.
 
+Every schedule step solves LP first (:func:`_solve_lp_first`): the LP
+relaxation, its binaries set from its flows, then the checker.  A clean
+check at the LP's cost proves the schedule MILP-optimal; anything else
+falls back to the exact MILP for the models at fault.
+
 Every run returns a :class:`ScenarioResult` carrying the schedule, the
 settlement, an independent feasibility report and the community cost, so
 the scenarios plot and compare uniformly.
@@ -24,17 +29,17 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
 
 from .domain import CommunityConfig, generate_synthetic_community
-from .milp import build_home_model, build_system_centric_model
+from .milp import MilpModel, build_home_model, build_system_centric_model, relaxed
 from .solve import (
     CommunitySchedule,
     FeasibilityReport,
-    HomeSchedule,
+    Solution,
     SolverError,
     SolverOptions,
     check_schedule_feasibility,
@@ -45,6 +50,11 @@ from .solve import (
 from .trading import SettlementReport, settle_day, settle_day_at_external_prices
 
 SCENARIO_KINDS = ("system", "prosumer", "none")
+
+# which solves produced a schedule step: the LP relaxation alone, proven
+# optimal by the checker, or the exact MILP for at least one of its models
+LP_CERTIFIED = "lp-certified"
+MILP_FALLBACK = "milp-fallback"
 
 
 class InfeasibleHomeError(RuntimeError):
@@ -58,6 +68,11 @@ class InfeasibleHomeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """One scenario's day.  ``solve_path`` is :data:`LP_CERTIFIED` or
+    :data:`MILP_FALLBACK`; ``fallback_reason`` says why the MILP ran: the
+    LP's status (``lp_<status>``), the checker's violated families and
+    ``cost_mismatch``, comma-separated."""
+
     kind: str
     config: CommunityConfig
     schedule: CommunitySchedule
@@ -67,36 +82,181 @@ class ScenarioResult:
     build_time: float
     solve_time: float
     solver_status: str
+    solve_path: str
     objective: float | None = None
     per_home_objective: dict[str, float] | None = None
+    fallback_reason: str | None = None
 
 
 @dataclass(frozen=True)
 class _Scheduled:
-    """What a schedule step hands to the check and settle steps."""
+    """What a schedule step hands to the settle step."""
 
     schedule: CommunitySchedule
+    feasibility: FeasibilityReport
     build_time: float
     solve_time: float
     solver_status: str
+    solve_path: str
     objective: float | None = None
     per_home_objective: dict[str, float] | None = None
+    fallback_reason: str | None = None
+
+
+@dataclass(frozen=True)
+class _Solved:
+    """What :func:`_solve_lp_first` makes of a step's models."""
+
+    solutions: tuple[Solution, ...]  # the last solve of each model
+    schedule: CommunitySchedule | None  # None when a model's MILP has no values
+    feasibility: FeasibilityReport | None
+    solve_time: float  # HiGHS time summed over every solve
+    solve_path: str
+    fallback_reason: str | None
+
+
+def _binaries_from_flows(schedule: CommunitySchedule) -> CommunitySchedule:
+    """Set every binary from the flows it gates: a home's storage mode is 1
+    where it charges more than it discharges, its trading mode is 1 where
+    it buys more than it sells, and the community status is 1 where the
+    community imports."""
+    homes = {
+        hid: replace(
+            hs,
+            mode_home=(hs.com_buy > hs.com_sell).astype(float),
+            mode_ess=(hs.res_charge + hs.com_charge > hs.ess_load + hs.ess_sell).astype(float),
+        )
+        for hid, hs in schedule.homes.items()
+    }
+    flags = None if schedule.status_flags is None else (schedule.community_net > 0).astype(float)
+    return replace(schedule, homes=homes, status_flags=flags)
+
+
+def _assemble(schedules: Sequence[CommunitySchedule]) -> CommunitySchedule:
+    if len(schedules) == 1:
+        return schedules[0]
+    homes = {hid: hs for s in schedules for hid, hs in s.homes.items()}
+    net = np.sum([hs.net for hs in homes.values()], axis=0)
+    return CommunitySchedule(homes=homes, community_net=net)
+
+
+def _faulted(
+    report: FeasibilityReport, owner: dict[str, int], candidates: set[int]
+) -> dict[int, set[str]]:
+    """The candidate models the report faults, each with its reasons.  A
+    violation names the model that owns its home; one naming no home, and
+    a cost mismatch, fault every candidate."""
+    reasons: dict[int, set[str]] = {}
+    for v in report.violations:
+        i = owner.get(v.home)
+        for j in candidates if i is None else candidates & {i}:
+            reasons.setdefault(j, set()).add(v.family)
+    if not report.cost_matches_solver:
+        for j in candidates:
+            reasons.setdefault(j, set()).add("cost_mismatch")
+    return reasons
+
+
+def _solve_lp_first(
+    models: Sequence[MilpModel],
+    config: CommunityConfig,
+    options: SolverOptions | None,
+    jobs: int = 1,
+    selfish: bool = False,
+) -> _Solved:
+    """Solve a schedule step's models (the pooled model, or one per home)
+    LP first, and check the schedule they make together once.
+
+    Each model's LP relaxation is solved and its binaries are set from its
+    flows.  The LP value bounds the MILP optimum from below, so a schedule
+    that passes the checker at the LP's cost is an optimal MILP solution.
+    A model whose LP is not ``optimal``, or that the checker faults, is
+    re-solved as the exact MILP, and the schedule is checked again.  The
+    pooled LP objective is the checker's cost reference; a selfish home's
+    bill is linear in its flows, which the binaries do not change, and its
+    models never saw the community band, so a breach of it is a warning.
+    ``jobs`` threads run the solves of one batch.
+    """
+    solutions: dict[int, Solution] = {}
+    schedules: dict[int, CommunitySchedule] = {}
+    exact: dict[int, set[str]] = {}  # models re-solved as the MILP, and why
+    solve_time = 0.0
+
+    def solve(batch: dict[int, MilpModel]) -> None:
+        nonlocal solve_time
+        if jobs > 1 and len(batch) > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                solved = dict(zip(batch, pool.map(lambda m: solve_model(m, options), batch.values())))
+        else:
+            solved = {i: solve_model(m, options) for i, m in batch.items()}
+        solutions.update(solved)
+        solve_time += sum(s.solve_time for s in solved.values())
+
+    def fall_back(reasons: dict[int, set[str]]) -> bool:
+        """Re-solve the faulted models as MILPs; False if one has no values."""
+        exact.update(reasons)
+        solve({i: models[i] for i in reasons})
+        if any(solutions[i].values is None for i in reasons):
+            return False
+        for i in reasons:
+            schedules[i] = extract_schedule(solutions[i], models[i], config)
+        return True
+
+    def result(schedule=None, feasibility=None) -> _Solved:
+        return _Solved(
+            solutions=tuple(solutions[i] for i in range(len(models))),
+            schedule=schedule,
+            feasibility=feasibility,
+            solve_time=solve_time,
+            solve_path=MILP_FALLBACK if exact else LP_CERTIFIED,
+            fallback_reason=",".join(sorted(set().union(*exact.values()))) or None,
+        )
+
+    solve({i: relaxed(m) for i, m in enumerate(models)})
+    for i, solution in solutions.items():
+        if solution.status == "optimal":
+            schedules[i] = _binaries_from_flows(extract_schedule(solution, models[i], config))
+    unsolved = {i: {f"lp_{s.status}"} for i, s in solutions.items() if i not in schedules}
+    if unsolved and not fall_back(unsolved):
+        return result()
+
+    def check() -> tuple[CommunitySchedule, FeasibilityReport]:
+        schedule = _assemble([schedules[i] for i in range(len(models))])
+        return schedule, check_schedule_feasibility(
+            schedule,
+            config,
+            reference_objective=None if selfish else solutions[0].objective,
+            community_peak_as_warning=selfish,
+        )
+
+    schedule, feasibility = check()
+    owner = {hid: i for i, s in schedules.items() for hid in s.homes}
+    faulted = _faulted(feasibility, owner, set(range(len(models))) - set(exact))
+    if faulted:
+        if not fall_back(faulted):
+            return result()
+        schedule, feasibility = check()
+    return result(schedule, feasibility)
 
 
 def _schedule_pooled(config: CommunityConfig, options: SolverOptions | None) -> _Scheduled:
-    """Solve the community MILP."""
+    """Solve the community model."""
     start = time.perf_counter()
     model = build_system_centric_model(config)
     build_time = time.perf_counter() - start
-    solution = solve_model(model, options)
-    if solution.values is None:
+    solved = _solve_lp_first([model], config, options)
+    (solution,) = solved.solutions
+    if solved.schedule is None:
         raise SolverError(f"system-centric model ended {solution.status}")
     return _Scheduled(
-        schedule=extract_schedule(solution, model, config),
+        schedule=solved.schedule,
+        feasibility=solved.feasibility,
         build_time=build_time,
-        solve_time=solution.solve_time,
+        solve_time=solved.solve_time,
         solver_status=solution.status,
+        solve_path=solved.solve_path,
         objective=solution.objective,
+        fallback_reason=solved.fallback_reason,
     )
 
 
@@ -108,48 +268,33 @@ def _schedule_selfish(
     Results merge in config order regardless of completion order.
     """
     build_time = 0.0
-    models = {}
+    models = []
     for home in config.homes:
         start = time.perf_counter()
-        models[home.id] = build_home_model(config, home.id)
+        models.append(build_home_model(config, home.id))
         build_time += time.perf_counter() - start
-
-    def solve_one(home_id: str):
-        return home_id, solve_model(models[home_id], options)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solutions = dict(pool.map(solve_one, models))
-    else:
-        solutions = dict(solve_one(hid) for hid in models)
-
-    homes: dict[str, HomeSchedule] = {}
-    objectives: dict[str, float] = {}
-    solve_time = 0.0
+    solved = _solve_lp_first(models, config, options, jobs, selfish=True)
     worst = "optimal"
-    for home in config.homes:
-        solution = solutions[home.id]
-        solve_time += solution.solve_time
+    for home, solution in zip(config.homes, solved.solutions):
         if solution.values is None:
             raise InfeasibleHomeError(home.id, solution.status)
         if solution.status != "optimal":
             worst = solution.status
-        one = extract_schedule(solution, models[home.id], config)
-        homes[home.id] = one.homes[home.id]
-        objectives[home.id] = float(solution.objective)
-    net = np.sum([homes[h.id].net for h in config.homes], axis=0)
     return _Scheduled(
-        schedule=CommunitySchedule(homes=homes, community_net=net),
+        schedule=solved.schedule,
+        feasibility=solved.feasibility,
         build_time=build_time,
-        solve_time=solve_time,
+        solve_time=solved.solve_time,
         solver_status=worst,
-        per_home_objective=objectives,
+        solve_path=solved.solve_path,
+        per_home_objective={
+            home.id: float(s.objective) for home, s in zip(config.homes, solved.solutions)
+        },
+        fallback_reason=solved.fallback_reason,
     )
 
 
-def _settle(
-    kind: str, config: CommunityConfig, step: _Scheduled, feasibility: FeasibilityReport
-) -> ScenarioResult:
+def _settle(kind: str, config: CommunityConfig, step: _Scheduled) -> ScenarioResult:
     """Settle a checked schedule the way ``kind`` trades.
 
     ``none`` bills every home at the provider's prices, so its community
@@ -169,7 +314,6 @@ def _settle(
         kind=kind,
         config=config,
         settlement=settlement,
-        feasibility=feasibility,
         community_cost=cost,
         **vars(step),
     )
@@ -183,7 +327,7 @@ def run_scenarios(
 ) -> list[ScenarioResult]:
     """Run each scenario in ``kinds`` on ``config``, results in that order.
 
-    Each schedule step and its checker pass run at most once: the selfish
+    Each schedule step runs at most once: the selfish
     stage serves both ``prosumer`` and ``none``, and its schedule and
     feasibility report, arrays included, are shared by the results that
     settle it.  ``jobs`` is the number of threads for the selfish per-home
@@ -194,25 +338,16 @@ def run_scenarios(
     for kind in kinds:
         if kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario {kind!r}")
-    checked: dict[bool, tuple[_Scheduled, FeasibilityReport]] = {}
+    steps: dict[bool, _Scheduled] = {}
     results = []
     for kind in kinds:
         selfish = kind != "system"
-        if selfish not in checked:
+        if selfish not in steps:
             if selfish:
-                step = _schedule_selfish(config, options, jobs)
+                steps[selfish] = _schedule_selfish(config, options, jobs)
             else:
-                step = _schedule_pooled(config, options)
-            # The selfish models never saw the community band, so a breach
-            # of it is reportable but not an extraction bug.
-            feasibility = check_schedule_feasibility(
-                step.schedule,
-                config,
-                reference_objective=step.objective,
-                community_peak_as_warning=selfish,
-            )
-            checked[selfish] = step, feasibility
-        results.append(_settle(kind, config, *checked[selfish]))
+                steps[selfish] = _schedule_pooled(config, options)
+        results.append(_settle(kind, config, steps[selfish]))
     return results
 
 
@@ -328,6 +463,7 @@ class BenchRow:
     n_variables: int
     n_constraints: int
     n_binaries: int
+    solve_path: str | None  # None when the solve raised
 
 
 @dataclass(frozen=True)
@@ -346,8 +482,9 @@ def bench_scaling(
     """Build and solve system-centric models for scaled communities.
 
     Communities come from :func:`generate_synthetic_community`, so model
-    dimensions grow linearly in the home count.  A row that fails records
-    its status and the run continues with the next size.
+    dimensions grow linearly in the home count.  Each model is solved LP
+    first, like a scenario's.  A row that fails records its status and the
+    run continues with the next size.
     """
     options = options or SolverOptions(relative_mip_gap=1e-3)
     rows = []
@@ -357,10 +494,12 @@ def bench_scaling(
         model = build_system_centric_model(config)
         build_time = time.perf_counter() - start
         try:
-            solution = solve_model(model, options)
-            status, objective, solve_time = solution.status, solution.objective, solution.solve_time
+            solved = _solve_lp_first([model], config, options)
+            (solution,) = solved.solutions
+            status, objective, solve_time = solution.status, solution.objective, solved.solve_time
+            solve_path = solved.solve_path
         except SolverError as exc:
-            status, objective, solve_time = f"error: {exc}", None, 0.0
+            status, objective, solve_time, solve_path = f"error: {exc}", None, 0.0, None
         rows.append(
             BenchRow(
                 n_homes=n,
@@ -371,6 +510,7 @@ def bench_scaling(
                 n_variables=model.n_variables,
                 n_constraints=model.n_constraints,
                 n_binaries=model.n_binaries,
+                solve_path=solve_path,
             )
         )
     return BenchReport(rows=tuple(rows), sizes=tuple(sizes), seed=seed)
@@ -389,12 +529,12 @@ def bench_to_csv(report: BenchReport, stream: IO[str]) -> None:
 
 
 def bench_timings_to_csv(report: BenchReport, stream: IO[str]) -> None:
-    """Wall times, kept out of the deterministic report:
-    ``n_homes,build_time_s,solve_time_s``."""
+    """Wall times and the solve path, kept out of the deterministic report:
+    ``n_homes,build_time_s,solve_time_s,solve_path``."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["n_homes", "build_time_s", "solve_time_s"])
+    writer.writerow(["n_homes", "build_time_s", "solve_time_s", "solve_path"])
     for r in report.rows:
-        writer.writerow([r.n_homes, f"{r.build_time:.6f}", f"{r.solve_time:.6f}"])
+        writer.writerow([r.n_homes, f"{r.build_time:.6f}", f"{r.solve_time:.6f}", r.solve_path or ""])
 
 
 def bench_to_dict(report: BenchReport) -> dict:

@@ -157,6 +157,47 @@ def test_solve_reports_are_byte_identical(cfg_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def _count_solves(monkeypatch):
+    calls = []
+    real = cems.scenarios.solve_model
+
+    def counting(model, options=None):
+        calls.append(model.name)
+        return real(model, options)
+
+    monkeypatch.setattr(cems.scenarios, "solve_model", counting)
+    return calls
+
+
+def test_certified_day_solves_each_model_once(cfg_file, small_cfg, tmp_path, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    assert main(["solve", "--config", cfg_file, "--out", str(tmp_path / "s")]) == 0
+    assert calls == ["system_centric_relaxed"]
+    timings = json.loads((tmp_path / "s" / "timings.json").read_text())
+    assert (timings["solve_path"], timings["fallback_reason"]) == ("lp-certified", None)
+
+    calls.clear()
+    assert main(["compare", "--config", cfg_file, "--out", str(tmp_path / "c")]) == 0
+    assert calls == ["system_centric_relaxed"] + [f"home_{h.id}_relaxed" for h in small_cfg.homes]
+    timings = json.loads((tmp_path / "c" / "timings.json").read_text())
+    assert {kind: t["solve_path"] for kind, t in timings.items()} == {
+        "system": "lp-certified", "prosumer": "lp-certified", "none": "lp-certified"}
+
+
+def test_milp_fallback_failure_is_solver_failure(tmp_path, capsys):
+    # PV surplus beyond the pool band: the LP burns it in the battery, the
+    # MILP cannot, so the fallback ends infeasible
+    home = make_home("h", 2, hvac=make_hvac(p_max=0.01), ess=make_ess(),
+                     pv=PvParams(panel_area=13.0, efficiency=0.2), fixed_load=[0.5, 0.5])
+    cfg = make_community([home], [1.0, 1.0], ghi=[1.0, 1.0], community_peak=2.0)
+    path = tmp_path / "surplus.json"
+    path.write_text(config_to_json(cfg))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "solver failure: system-centric model ended infeasible" in captured.err
+    assert captured.out == ""
+
+
 def test_solve_prosumer_with_jobs(cfg_file, tmp_path, capsys):
     # --jobs 1 and --gap 0 are the smallest values the flags accept
     for flags in (["--jobs", "1", "--gap", "0"], ["--jobs", "2"]):
@@ -399,6 +440,9 @@ def test_bench_outputs_and_determinism(cfg_file, tmp_path, capsys):
         assert (out1 / name).exists(), name
     for name in ("bench.csv", "bench.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    timing_rows = (out1 / "bench_timings.csv").read_text().splitlines()
+    assert timing_rows[0] == "n_homes,build_time_s,solve_time_s,solve_path"
+    assert [row.split(",")[-1] for row in timing_rows[1:]] == ["lp-certified"] * 2
     assert "n=2:" in capsys.readouterr().out
 
 

@@ -27,6 +27,8 @@ def _run_demo(name, *args):
     (["--sizes", ""], "--sizes"),
     (["--sizes", "ten"], "--sizes"),
     (["--seed", "-1"], "--seed"),
+    (["--gap", "nan"], "--gap"),
+    (["--gap", "-1"], "--gap"),
 ])
 def test_scaling_benchmark_rejects_bad_flags(args, flag):
     proc = _run_demo("scaling_benchmark.py", *args)

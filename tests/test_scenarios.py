@@ -3,21 +3,29 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cems.scenarios
 from cems import (
     SCENARIO_KINDS,
     InfeasibleHomeError,
+    PvParams,
     bench_scaling,
+    build_home_model,
+    build_system_centric_model,
     compare,
+    extract_schedule,
     replication_config,
     run_no_cems,
     run_prosumer_centric,
     run_scenario,
     run_scenarios,
     run_system_centric,
+    solve_model,
 )
 from cems.scenarios import (
+    LP_CERTIFIED,
+    MILP_FALLBACK,
     bench_timings_to_csv,
     bench_to_csv,
     bench_to_dict,
@@ -26,15 +34,13 @@ from cems.scenarios import (
     comparison_to_csv,
     comparison_to_dict,
 )
-from cems.solve import SolverOptions
+from cems.solve import Solution, SolverError, SolverOptions, Violation
 
-from conftest import make_community, make_ess, make_home, make_hvac
+from conftest import make_community, make_ess, make_home, make_hvac, random_small_config
 
 
 def small_der_config():
     """3 homes, 6 slots, wide price spread so storage actually moves."""
-    from cems import PvParams
-
     prices = [1.0, 1.2, 4.0, 5.0, 4.5, 2.0]
     ghi = [0.2, 0.8, 0.9, 0.3, 0.0, 0.0]
     homes = [
@@ -125,6 +131,7 @@ def _assert_same_result(a, b):
     assert a.settlement.community_daily_cost == b.settlement.community_daily_cost
     assert a.feasibility == b.feasibility
     assert (a.solver_status, a.objective) == (b.solver_status, b.objective)
+    assert (a.solve_path, a.fallback_reason) == (b.solve_path, b.fallback_reason)
     assert a.per_home_objective == b.per_home_objective
     np.testing.assert_array_equal(a.schedule.community_net, b.schedule.community_net)
     for name in ("status_flags", "slot_costs"):
@@ -165,7 +172,9 @@ def test_compare_solves_the_selfish_stage_once(monkeypatch):
     n = len(cfg.homes)
     calls = _count_solves(monkeypatch)
     results = run_scenarios(cfg)
-    assert len(calls) == 1 + n
+    # a certified day solves each model once, as its LP relaxation
+    assert [r.solve_path for r in results] == [LP_CERTIFIED] * 3
+    assert calls == ["system_centric_relaxed"] + [f"home_{h.id}_relaxed" for h in cfg.homes]
     # prosumer and none settle the very same selfish schedule
     assert results[1].schedule is results[2].schedule
     assert results[1].feasibility is results[2].feasibility
@@ -176,6 +185,158 @@ def test_compare_solves_the_selfish_stage_once(monkeypatch):
     calls.clear()
     run_scenario("prosumer", cfg)
     assert len(calls) == n
+
+
+# -- LP-first solve path ------------------------------------------------------
+
+def burning_config():
+    """PV surplus beyond the pool band: the LP stays feasible by charging
+    and discharging the battery at once, which the MILP forbids."""
+    home = make_home("h", 2, hvac=make_hvac(p_max=0.01), ess=make_ess(),
+                     pv=PvParams(panel_area=13.0, efficiency=0.2),  # 2.6 kWh a slot
+                     fixed_load=[0.5, 0.5])
+    return make_community([home], [1.0, 1.0], ghi=[1.0, 1.0], community_peak=2.0)
+
+
+def _record_checks(monkeypatch):
+    reports = []
+    real = cems.scenarios.check_schedule_feasibility
+
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cems.scenarios, "check_schedule_feasibility", recording)
+    return reports
+
+
+def test_lp_that_burns_energy_falls_back_to_the_infeasible_milp(monkeypatch):
+    cfg = burning_config()
+    calls = _count_solves(monkeypatch)
+    reports = _record_checks(monkeypatch)
+    with pytest.raises(SolverError, match="ended infeasible"):
+        run_scenario("system", cfg)
+    assert calls == ["system_centric_relaxed", "system_centric"]
+    (report,) = reports
+    assert ("ess_simultaneity", "h", 1) in {(v.family, v.home, v.slot) for v in report.violations}
+
+
+def _fault_first_check(monkeypatch, home=None, cost=False):
+    """The first checker pass reports a violation at ``home`` (or a cost
+    mismatch); later passes are the real checker's."""
+    real = cems.scenarios.check_schedule_feasibility
+    seen = []
+
+    def faulting(*args, **kwargs):
+        report = real(*args, **kwargs)
+        seen.append(report)
+        if len(seen) > 1:
+            return report
+        if cost:
+            return dataclasses.replace(report, cost_matches_solver=False)
+        fault = Violation("home_balance", home, 1, 1.0)
+        return dataclasses.replace(report, violations=report.violations + (fault,))
+
+    monkeypatch.setattr(cems.scenarios, "check_schedule_feasibility", faulting)
+    return seen
+
+
+@pytest.mark.parametrize("home, cost, reason", [
+    ("home3", False, "home_balance"),
+    (None, False, "home_balance"),
+    (None, True, "cost_mismatch"),
+])
+def test_forced_fallback_returns_the_milp_result(replication, monkeypatch, home, cost, reason):
+    model = build_system_centric_model(replication)
+    milp = solve_model(model)
+    expected = extract_schedule(milp, model, replication)
+    calls = _count_solves(monkeypatch)
+    checks = _fault_first_check(monkeypatch, home, cost)
+    result = run_scenario("system", replication)
+    assert calls == ["system_centric_relaxed", "system_centric"]
+    assert len(checks) == 2
+    assert (result.solve_path, result.fallback_reason) == (MILP_FALLBACK, reason)
+    assert result.objective == milp.objective
+    assert result.feasibility is checks[1] and result.feasibility.ok
+    for hid, hs in expected.homes.items():
+        for f in dataclasses.fields(hs):
+            np.testing.assert_array_equal(getattr(result.schedule.homes[hid], f.name),
+                                          getattr(hs, f.name), err_msg=f"{hid}.{f.name}")
+    np.testing.assert_array_equal(result.schedule.status_flags, expected.status_flags)
+
+
+def test_selfish_fallback_resolves_only_the_named_home(monkeypatch):
+    cfg = small_der_config()
+    exact = solve_model(build_home_model(cfg, "b"))
+    calls = _count_solves(monkeypatch)
+    _fault_first_check(monkeypatch, home="b")
+    result = run_scenario("none", cfg)
+    assert calls == [f"home_{h.id}_relaxed" for h in cfg.homes] + ["home_b"]
+    assert (result.solve_path, result.fallback_reason) == (MILP_FALLBACK, "home_balance")
+    assert result.per_home_objective["b"] == exact.objective
+    assert result.feasibility.ok
+
+
+def test_lp_that_is_not_optimal_falls_back(monkeypatch):
+    cfg = small_der_config()
+    real = cems.scenarios.solve_model
+
+    def lp_runs_out_of_time(model, options=None):
+        if model.name == "home_a_relaxed":
+            return Solution(status="time_limit", objective=None, values=None, solve_time=0.0)
+        return real(model, options)
+
+    monkeypatch.setattr(cems.scenarios, "solve_model", lp_runs_out_of_time)
+    result = run_scenario("prosumer", cfg)
+    assert (result.solve_path, result.fallback_reason) == (MILP_FALLBACK, "lp_time_limit")
+    assert result.per_home_objective["a"] == solve_model(build_home_model(cfg, "a")).objective
+    assert result.feasibility.ok
+
+
+def test_system_run_matches_the_milp_on_the_random_sweep():
+    # the sweep of acceptance criterion 1, run through the scenario pipeline
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        cfg = random_small_config(rng)
+        milp = solve_model(build_system_centric_model(cfg))
+        result = run_scenario("system", cfg)
+        assert result.solve_path == LP_CERTIFIED
+        assert abs(result.objective - milp.objective) <= 1e-6 * (1.0 + abs(milp.objective))
+        assert result.feasibility.ok and result.feasibility.cost_matches_solver
+
+
+def tight_band(seed, peak):
+    """Full sun under a narrow pool band: PV surplus the pooled model may
+    not be able to export, the case where the LP is not always exact."""
+    cfg = random_small_config(np.random.default_rng(seed))
+    return dataclasses.replace(cfg, community_peak=peak, ghi=[1.0] * cfg.horizon_slots)
+
+
+@st.composite
+def community_configs(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return tight_band(seed, draw(st.floats(0.5, 3.0)))
+    return random_small_config(np.random.default_rng(seed))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=community_configs())
+@example(cfg=tight_band(117, 1.0))  # the LP burns energy, the MILP is feasible
+@example(cfg=burning_config())  # the LP burns energy, the MILP is infeasible
+def test_lp_first_cost_equals_the_milp_cost(cfg):
+    milp = solve_model(build_system_centric_model(cfg))
+    if milp.values is None:
+        with pytest.raises(SolverError):
+            run_scenario("system", cfg)
+        return
+    result = run_scenario("system", cfg)
+    assert abs(result.objective - milp.objective) <= 1e-6 * (1.0 + abs(milp.objective))
+    assert result.feasibility.ok and result.feasibility.cost_matches_solver
+    selfish = run_scenario("none", cfg)
+    for home in cfg.homes:
+        exact = solve_model(build_home_model(cfg, home.id)).objective
+        assert selfish.per_home_objective[home.id] == pytest.approx(exact, rel=1e-6, abs=1e-6)
 
 
 def test_unknown_kind_rejected_before_any_solve(monkeypatch):
@@ -283,8 +444,9 @@ def test_bench_serialization(bench_small):
     buf = io.StringIO()
     bench_timings_to_csv(bench_small, buf)
     lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "n_homes,build_time_s,solve_time_s"
+    assert lines[0] == "n_homes,build_time_s,solve_time_s,solve_path"
     assert len(lines) == 4
+    assert [line.split(",")[-1] for line in lines[1:]] == ["lp-certified"] * 3
 
     d = bench_to_dict(bench_small)
     assert d["sizes"] == [10, 20, 30]
