@@ -291,12 +291,24 @@ def _feasibility_to_dict(report: FeasibilityReport) -> dict:
 
 
 def _timings(result: ScenarioResult) -> dict:
-    """Wall times and the solve path of one run, for ``timings.json``."""
+    """Wall times, the solve path and what each backend call reported, for
+    ``timings.json``.  A dual bound that is not finite is written as null."""
     return {
         "build_time_s": result.build_time,
         "solve_time_s": result.solve_time,
         "solve_path": result.solve_path,
         "fallback_reason": result.fallback_reason,
+        "solves": [
+            {
+                "model": r.model,
+                "status": r.status,
+                "solve_time_s": r.solve_time,
+                "mip_node_count": r.mip_node_count,
+                "mip_dual_bound": r.mip_dual_bound
+                if r.mip_dual_bound is not None and math.isfinite(r.mip_dual_bound) else None,
+            }
+            for r in result.solves
+        ],
     }
 
 

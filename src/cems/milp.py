@@ -1,10 +1,16 @@
 """Mixed-integer model construction for day-ahead community scheduling.
 
-Models are built as plain data (:class:`MilpModel`): variables with bounds
-and a kind, linear constraints, and a linear objective.  Nothing in here
-talks to a solver, so models can be handed to the bundled backend in
-:mod:`cems.solve`, exported to LP text for an external solver, or inspected
-directly in tests.
+Models are columnar plain data (:class:`MilpModel`): NumPy arrays for the
+objective vector, the column bounds and integrality, the constraint matrix
+in canonical CSR form (``indptr``/``indices``/``data``) with a lower and an
+upper bound per row, and a :class:`Layout` of integer codes saying which
+home, role and slot each column belongs to and which family each row
+belongs to.  Nothing in here talks to a solver, so models can be handed to
+the bundled backend in :mod:`cems.solve`, exported to LP text for an
+external solver, or inspected directly in tests.  Variable and row names
+are made from the codes only where they are read: :func:`write_lp`,
+name-keyed solution values, and the read-only :attr:`MilpModel.variables`
+and :attr:`MilpModel.constraints` views.
 
 Two builders exist.  :func:`build_system_centric_model` prices the pooled
 net exchange of the whole community: the per-slot cost is ``P * E`` when the
@@ -12,12 +18,18 @@ community imports ``E`` and ``alpha * P * E`` when it exports, made linear
 with one status binary per slot and a four-sided big-M envelope around the
 slot cost.  :func:`build_home_model` is the selfish counterpart used by the
 baselines: one home, priced at the external buy/sell prices directly.
+
+Homes with the same DER mix share one sparsity pattern, made once per mix
+and horizon.  A model tiles the patterns over its homes with NumPy index
+arithmetic, fills in each home's numbers, and appends the community's
+coupling rows as array slices.
 """
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -28,6 +40,24 @@ CONTINUOUS = "continuous"
 BINARY = "binary"
 
 INF = float("inf")
+
+# column roles and row families, by code
+ROLES = (
+    "hvac_power", "temp_in", "com_load", "com_buy", "com_sell", "mode_home",
+    "ess_level", "ess_load", "ess_sell", "com_charge", "mode_ess",
+    "res_load", "res_sell", "res_charge", "status", "slot_cost",
+)
+ROLE = {role: code for code, role in enumerate(ROLES)}
+FAMILIES = (
+    "temp_rec", "balance", "res_split", "ess_level", "ess_charge", "ess_discharge",
+    "ess_terminal", "buy_def", "sell_def", "buy_mode", "sell_mode", "peak_hi", "peak_lo",
+    "status_on", "status_off", "cost_imp_lo", "cost_imp_hi", "cost_exp_lo", "cost_exp_hi",
+    "cost_hull_imp", "cost_hull_exp",
+)
+FAMILY = {family: code for code, family in enumerate(FAMILIES)}
+
+COMMUNITY = -1  # home code of the community-level columns and rows
+COMMUNITY_TAG = "com"
 
 
 class ModelBuildError(Exception):
@@ -52,62 +82,217 @@ class Constraint:
     rhs: float
 
 
-@dataclass(frozen=True)
-class VarMeta:
-    """Where a variable lives: owning home (``None`` for community-level),
-    1-based slot, and its role (``hvac_power``, ``ess_level``, ...)."""
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Who owns each column and row, as codes, and the order LP text writes
+    terms in.
 
-    home: str | None
-    slot: int
-    role: str
+    A home code indexes ``homes`` (and ``tags``, their name tags);
+    :data:`COMMUNITY` marks community-level columns and rows.  Roles index
+    :data:`ROLES` and families :data:`FAMILIES`.  Slots are 1-based; a row
+    slot of 0 means the row has none.  ``term_order`` holds, row by row, the
+    CSR positions of each row's terms in written order, and
+    ``objective_order`` the columns of the written objective.
+    """
+
+    homes: tuple[str, ...]
+    tags: tuple[str, ...]
+    var_home: np.ndarray
+    var_role: np.ndarray
+    var_slot: np.ndarray
+    row_home: np.ndarray
+    row_family: np.ndarray
+    row_slot: np.ndarray
+    term_order: np.ndarray
+    objective_order: np.ndarray
+
+    def variable_names(self) -> list[str]:
+        """``<role>_<home tag>_<slot>`` for every column."""
+        return _labels(ROLES, self.var_role, self.tags, self.var_home, self.var_slot).tolist()
+
+    def row_names(self) -> list[str]:
+        """``<family>_<home tag>_<slot>`` for every row, with no slot part
+        for a row that has none."""
+        return _labels(FAMILIES, self.row_family, self.tags, self.row_home, self.row_slot).tolist()
 
 
-@dataclass
+def _labels(kinds, kind, tags, home, slot, before="", after="") -> np.ndarray:
+    """Labels as an object array, each between ``before`` and ``after``:
+    one string per (kind, owner) pair and one per slot, then a single
+    concatenation per label."""
+    owners = (*tags, COMMUNITY_TAG)
+    heads = np.array([f"{before}{k}_{o}" for k in kinds for o in owners], dtype=object)
+    ends = [after] + [f"_{s}{after}" for s in range(1, int(slot.max(initial=0)) + 1)]
+    return heads[kind * len(owners) + home % len(owners)] + np.array(ends, dtype=object)[slot]
+
+
+def _senses(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row as ``sense rhs``: ``=`` where its bounds agree, ``<=`` under
+    an upper bound alone, ``>=`` over a lower bound alone."""
+    eq = lower == upper
+    le = ~eq & (lower == -INF)
+    return np.where(eq, "=", np.where(le, "<=", ">=")), np.where(le, upper, lower)
+
+
+@dataclass(frozen=True, eq=False)
 class MilpModel:
-    name: str
-    variables: list[Variable]
-    constraints: list[Constraint]
-    objective: list[tuple[str, float]]
-    metadata: dict[str, VarMeta]
+    """``minimize c @ x`` subject to ``row_lower <= A @ x <= row_upper``,
+    ``lb <= x <= ub`` and ``x`` integral where ``integrality`` is 1.
 
-    def variable_index(self) -> dict[str, int]:
-        return {v.name: i for i, v in enumerate(self.variables)}
+    ``A`` is in canonical CSR form: each row's terms sit at
+    ``indptr[i]:indptr[i + 1]`` of ``indices`` and ``data``, in increasing
+    column order.  The builders mark every array read-only, so a model and
+    its :func:`relaxed` copy can share them.
+    """
+
+    name: str
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integrality: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    layout: Layout
 
     @property
     def n_variables(self) -> int:
-        return len(self.variables)
+        return len(self.c)
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.row_lower)
 
     @property
     def n_binaries(self) -> int:
-        return sum(1 for v in self.variables if v.kind == BINARY)
+        return int(np.count_nonzero(self.integrality))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @property
+    def variables(self) -> list[Variable]:
+        """One :class:`Variable` per column, made from the arrays on each access."""
+        kinds = np.where(self.integrality == 1, BINARY, CONTINUOUS).tolist()
+        return [
+            Variable(name, lo, hi, kind)
+            for name, lo, hi, kind in zip(
+                self.layout.variable_names(), self.lb.tolist(), self.ub.tolist(), kinds
+            )
+        ]
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        """One :class:`Constraint` per row, terms in written order, made from
+        the arrays on each access."""
+        names = self.layout.variable_names()
+        order = self.layout.term_order
+        terms = list(zip([names[j] for j in self.indices[order].tolist()], self.data[order].tolist()))
+        senses, rhs = _senses(self.row_lower, self.row_upper)
+        bounds = self.indptr.tolist()
+        return [
+            Constraint(name, tuple(terms[bounds[i]:bounds[i + 1]]), sense, value)
+            for i, (name, sense, value) in enumerate(
+                zip(self.layout.row_names(), senses.tolist(), rhs.tolist())
+            )
+        ]
 
     def validate(self) -> None:
-        """Structural sanity: unique names, known references, sane bounds."""
-        index = self.variable_index()
-        if len(index) != len(self.variables):
-            raise ModelBuildError("duplicate variable names")
-        if set(self.metadata) != set(index):
-            raise ModelBuildError("metadata does not cover the variable set exactly")
-        for v in self.variables:
-            if v.lb > v.ub:
-                raise ModelBuildError(f"{v.name}: lb {v.lb} > ub {v.ub}")
-            if v.kind == BINARY and (v.lb, v.ub) != (0.0, 1.0):
-                raise ModelBuildError(f"{v.name}: binary variables must have bounds [0, 1]")
-            if v.kind not in (CONTINUOUS, BINARY):
-                raise ModelBuildError(f"{v.name}: unknown kind {v.kind!r}")
-        for c in self.constraints:
-            if c.sense not in ("<=", ">=", "="):
-                raise ModelBuildError(f"{c.name}: unknown sense {c.sense!r}")
-            for var, _ in c.terms:
-                if var not in index:
-                    raise ModelBuildError(f"{c.name}: references undeclared variable {var!r}")
-        for var, _ in self.objective:
-            if var not in index:
-                raise ModelBuildError(f"objective references undeclared variable {var!r}")
+        """Structural sanity: consistent shapes, codes that give unique
+        names, a canonical CSR matrix over declared columns, sane bounds."""
+        lay = self.layout
+        n, m, nnz = len(self.c), len(self.row_lower), len(self.data)
+        sizes = {
+            "lb": (self.lb, n), "ub": (self.ub, n), "integrality": (self.integrality, n),
+            "var_home": (lay.var_home, n), "var_role": (lay.var_role, n), "var_slot": (lay.var_slot, n),
+            "row_upper": (self.row_upper, m), "row_home": (lay.row_home, m),
+            "row_family": (lay.row_family, m), "row_slot": (lay.row_slot, m),
+            "indptr": (self.indptr, m + 1), "indices": (self.indices, nnz),
+            "term_order": (lay.term_order, nnz),
+        }
+        for what, (arr, size) in sizes.items():
+            if arr.shape != (size,):
+                raise ModelBuildError(f"{what} has shape {arr.shape}, expected ({size},)")
+        if len(lay.tags) != len(lay.homes) or len(set(lay.tags) | {COMMUNITY_TAG}) != len(lay.tags) + 1:
+            raise ModelBuildError("home tags must be unique, one per home, and not the community's")
+        owners = len(lay.homes) + 1
+        for what, kinds, home, kind, slot, first_slot in (
+            ("variable", ROLES, lay.var_home, lay.var_role, lay.var_slot, 1),
+            ("row", FAMILIES, lay.row_home, lay.row_family, lay.row_slot, 0),
+        ):
+            if home.size == 0:
+                continue
+            last_slot = int(slot.max())
+            if (home.min() < COMMUNITY or home.max() >= len(lay.homes) or kind.min() < 0
+                    or kind.max() >= len(kinds) or slot.min() < first_slot):
+                raise ModelBuildError(f"{what} code out of range")
+            wide = len(kinds) * owners * (last_slot + 1) >= np.iinfo(np.int32).max
+            key = kind.astype(np.int64 if wide else np.int32) * owners + home + 1
+            key = key * (last_slot + 1) + slot
+            if np.bincount(key).max() > 1:
+                raise ModelBuildError(f"duplicate {what} names")
+
+        # the offending entry is looked up only to name it in the error
+        def first(mask: np.ndarray) -> int:
+            return int(np.argmax(mask))
+
+        def row_of(term: int) -> str:
+            return lay.row_names()[int(np.searchsorted(self.indptr, term, side="right")) - 1]
+
+        indptr, indices, order = self.indptr, self.indices, lay.term_order
+        lengths = indptr[1:] - indptr[:-1]
+        if indptr[0] != 0 or indptr[-1] != nnz or (lengths < 0).any():
+            raise ModelBuildError("indptr does not delimit the terms row by row")
+        if nnz and (indices.min() < 0 or indices.max() >= n):
+            term = first((indices < 0) | (indices >= n))
+            raise ModelBuildError(
+                f"{row_of(term)}: references column {indices[term]}, outside the {n} declared"
+            )
+        # columns increase within each row: a drop is allowed only where a row starts
+        rising = indices[1:] > indices[:-1]
+        starts = indptr[1:-1][(indptr[1:-1] > 0) & (indptr[1:-1] < nnz)]
+        rising[starts - 1] = True
+        if not rising.all():
+            raise ModelBuildError(f"{row_of(first(~rising))}: terms not in increasing column order")
+        # term_order permutes the terms, each row's among themselves
+        seen = np.zeros(nnz, dtype=bool)
+        if ((order >= indptr[:-1].repeat(lengths)) & (order < indptr[1:].repeat(lengths))).all():
+            seen[order] = True
+        if not seen.all():
+            raise ModelBuildError("term_order is not a reordering of each row's terms")
+        if not (np.isfinite(self.data).all() and np.isfinite(self.c).all()):
+            raise ModelBuildError("non-finite coefficient")
+        lb, ub, binary = self.lb, self.ub, self.integrality == 1
+        if not (lb <= ub).all():
+            j = first(~(lb <= ub))
+            raise ModelBuildError(f"{lay.variable_names()[j]}: lb {lb[j]} > ub {ub[j]}")
+        if n and self.integrality.max() > 1:
+            j = first(self.integrality > 1)
+            raise ModelBuildError(f"{lay.variable_names()[j]}: integrality must be 0 or 1")
+        if not ((lb[binary] == 0.0).all() and (ub[binary] == 1.0).all()):
+            j = first(binary & ((lb != 0.0) | (ub != 1.0)))
+            raise ModelBuildError(f"{lay.variable_names()[j]}: binary variables must have bounds [0, 1]")
+        lo, hi = self.row_lower, self.row_upper
+        if m and not ((lo <= hi).all() and lo.max() < INF and hi.min() > -INF
+                      and not ((lo == -INF) & (hi == INF)).any()):
+            i = first(~(lo <= hi) | (lo == INF) | (hi == -INF) | ((lo == -INF) & (hi == INF)))
+            raise ModelBuildError(f"{lay.row_names()[i]}: bounds [{lo[i]}, {hi[i]}] bound no row")
+        objective = lay.objective_order
+        if objective.size and (objective.min() < 0 or objective.max() >= n):
+            raise ModelBuildError("objective_order references an undeclared column")
+        written = np.unique(objective)
+        if len(written) < len(objective) or np.count_nonzero(self.c) > np.count_nonzero(self.c[written]):
+            raise ModelBuildError("objective_order must list each column with a nonzero cost once")
+
+
+def relaxed(model: MilpModel) -> MilpModel:
+    """The LP relaxation: the model's own arrays with every column continuous."""
+    integrality = np.zeros_like(model.integrality)
+    integrality.flags.writeable = False
+    return replace(model, name=f"{model.name}_relaxed", integrality=integrality)
 
 
 def big_m_value(config: CommunityConfig) -> float:
@@ -132,181 +317,372 @@ def exclusivity_big_m(home: HomeConfig, config: CommunityConfig) -> float:
     cutting anything.  Much tighter than the community-level constant,
     which keeps the LP relaxation strong.
     """
+    return float(_exclusivity_big_ms([home], config)[0])
+
+
+def _exclusivity_big_ms(homes: Sequence[HomeConfig], config: CommunityConfig) -> np.ndarray:
+    """:func:`exclusivity_big_m` of every home."""
     dt = config.slot_hours
-    buy_cap = home.hvac.p_max * dt + float(np.max(home.fixed_load))
-    sell_cap = 0.0
-    if home.ess is not None:
-        buy_cap += home.ess.charge_rate_max * dt
-        sell_cap += home.ess.discharge_rate_max * dt
-    if home.pv is not None:
-        sell_cap += pv_output_energy(
-            float(np.max(config.ghi)), home.pv.panel_area, home.pv.efficiency, dt
-        )
-    return max(home.peak_limit, buy_cap, sell_cap)
+    p_max, peak, charge, discharge, area, efficiency = np.array([
+        (h.hvac.p_max, h.peak_limit)
+        + ((0.0, 0.0) if h.ess is None else (h.ess.charge_rate_max, h.ess.discharge_rate_max))
+        + ((0.0, 0.0) if h.pv is None else (h.pv.panel_area, h.pv.efficiency))
+        for h in homes
+    ]).reshape(len(homes), 6).T
+    ghi = float(config.ghi.max())
+    # pv_output_energy's checks, then its product at the day's peak
+    # irradiance, one home at a time; zero without PV
+    pv_output_energy(ghi, float(area.min(initial=0.0)), float(efficiency.min(initial=0.0)), dt)
+    buy_cap = p_max * dt + np.array([h.fixed_load for h in homes]).max(axis=1) + charge * dt
+    sell_cap = 0.0 + discharge * dt + ghi * area * efficiency * dt
+    return np.maximum(np.maximum(peak, buy_cap), sell_cap)
 
 
-_SANITIZE = re.compile(r"[^A-Za-z0-9]")
+# ---------------------------------------------------------------------------
+# per-home patterns
+
+# A home's numbers, one row of a table per home: these scalars, then the
+# three per-slot series.  Patterns name their bounds, coefficients and row
+# bounds by table column.
+_SCALARS = (
+    "0", "1", "-1", "inf", "-inf", "-gain", "-eps", "-dt", "1/eta", "-eta", "-charge",
+    "discharge", "-M", "M", "peak", "-peak", "p_max", "t_min", "t_max", "level_min",
+    "level_max", "level0",
+)
+_SERIES = ("temp", "load", "pv")
+_BOUNDS = {
+    "hvac_power": ("0", "p_max"),
+    "temp_in": ("t_min", "t_max"),
+    "ess_level": ("level_min", "level_max"),
+    "mode_home": ("0", "1"),
+    "mode_ess": ("0", "1"),
+}
+_BINARY_ROLES = ("mode_home", "mode_ess")
 
 
-class _Builder:
-    def __init__(self, name: str):
-        self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-        self.objective: list[tuple[str, float]] = []
-        self.metadata: dict[str, VarMeta] = {}
-        self._home_tags: dict[str | None, str] = {}
-
-    def _tag(self, home: str | None) -> str:
-        if home not in self._home_tags:
-            tag = "com" if home is None else _SANITIZE.sub("_", home)
-            if tag in self._home_tags.values():
-                raise ModelBuildError(f"home id {home!r} collides with another id after sanitizing")
-            self._home_tags[home] = tag
-        return self._home_tags[home]
-
-    def var(
-        self,
-        role: str,
-        home: str | None,
-        slot: int,
-        lb: float,
-        ub: float,
-        kind: str = CONTINUOUS,
-    ) -> str:
-        name = f"{role}_{self._tag(home)}_{slot}"
-        if name in self.metadata:
-            raise ModelBuildError(f"duplicate variable {name}")
-        self.variables.append(Variable(name=name, lb=lb, ub=ub, kind=kind))
-        self.metadata[name] = VarMeta(home=home, slot=slot, role=role)
-        return name
-
-    def row(self, name: str, terms: Iterable[tuple[str, float]], sense: str, rhs: float):
-        self.constraints.append(Constraint(name=name, terms=tuple(terms), sense=sense, rhs=rhs))
-
-    def model(self) -> MilpModel:
-        m = MilpModel(
-            name=self.name,
-            variables=self.variables,
-            constraints=self.constraints,
-            objective=self.objective,
-            metadata=self.metadata,
-        )
-        m.validate()
-        return m
+def _value_column(key, T: int) -> int:
+    """Table column of a scalar name or a ``(series, slot)`` pair."""
+    if isinstance(key, str):
+        return _SCALARS.index(key)
+    series, t = key
+    return len(_SCALARS) + _SERIES.index(series) * T + t - 1
 
 
-def _add_home(b: _Builder, home: HomeConfig, config: CommunityConfig, big_m: float) -> dict[str, list[str]]:
-    """Physics and coupling rows of one home; returns its variables by role."""
-    T = config.horizon_slots
-    dt = config.slot_hours
-    hv, ess, pv = home.hvac, home.ess, home.pv
-    tag = b._tag(home.id)
-    cols: dict[str, list[str]] = {}
+def _home_values(
+    homes: Sequence[HomeConfig], config: CommunityConfig, big_m: Sequence[float]
+) -> np.ndarray:
+    """The table of every home's numbers, one row per home: the
+    :data:`_SCALARS`, then the per-slot series.  Storage and PV entries of a
+    home without the device are placeholders no pattern reads."""
+    T, dt = config.horizon_slots, config.slot_hours
+    (eps, eta_hvac, conductivity, p_max, t_min, t_max, t_initial, peak,
+     eta, charge, discharge, level_min, level_max, level0, area, efficiency) = np.array([
+        (h.hvac.epsilon, h.hvac.eta_hvac, h.hvac.conductivity_a, h.hvac.p_max, h.hvac.t_min,
+         h.hvac.t_max, h.hvac.t_in_initial, h.peak_limit)
+        + (_NO_ESS if h.ess is None else (h.ess.efficiency, h.ess.charge_rate_max,
+           h.ess.discharge_rate_max, h.ess.level_min, h.ess.level_max, h.ess.level_initial))
+        + (_NO_PV if h.pv is None else (h.pv.panel_area, h.pv.efficiency))
+        for h in homes
+    ]).reshape(len(homes), 16).T
+    big_m = np.asarray(big_m, dtype=float)
+    scalars = {
+        "0": 0.0, "1": 1.0, "-1": -1.0, "inf": INF, "-inf": -INF,
+        "-gain": -((1.0 - eps) * eta_hvac / conductivity), "-eps": -eps, "-dt": -dt,
+        "1/eta": 1.0 / eta, "-eta": -eta, "-charge": -charge * dt, "discharge": discharge * dt,
+        "-M": -big_m, "M": big_m, "peak": peak, "-peak": -peak, "p_max": p_max,
+        "t_min": t_min, "t_max": t_max, "level_min": level_min, "level_max": level_max,
+        "level0": level0,
+    }
+    table = np.empty((len(homes), len(_SCALARS) + len(_SERIES) * T))
+    for column, name in enumerate(_SCALARS):
+        table[:, column] = scalars[name]
+    series = table[:, len(_SCALARS):].reshape(len(homes), len(_SERIES), T)
+    # the temperature recursion's constant part; slot 1 also carries the
+    # start-of-day temperature
+    series[:, 0] = (1.0 - eps)[:, None] * config.t_out[None, :]
+    series[:, 0, 0] += eps * t_initial
+    series[:, 1] = [h.fixed_load for h in homes]
+    # pv_output_energy, one slot and home at a time
+    series[:, 2] = config.ghi[None, :] * area[:, None] * efficiency[:, None] * dt
+    return table
 
-    def add(role: str, lb: float, ub: float, kind: str = CONTINUOUS) -> list[str]:
-        cols[role] = [b.var(role, home.id, t, lb, ub, kind) for t in range(1, T + 1)]
-        return cols[role]
 
-    p = add("hvac_power", 0.0, hv.p_max)
-    temp = add("temp_in", hv.t_min, hv.t_max)
-    com_load = add("com_load", 0.0, INF)
-    com_buy = add("com_buy", 0.0, INF)
-    com_sell = add("com_sell", 0.0, INF)
-    mode_home = add("mode_home", 0.0, 1.0, BINARY)
-    if ess is not None:
-        level = add("ess_level", ess.level_min, ess.level_max)
-        ess_load = add("ess_load", 0.0, INF)
-        ess_sell = add("ess_sell", 0.0, INF)
-        com_charge = add("com_charge", 0.0, INF)
-        mode_ess = add("mode_ess", 0.0, 1.0, BINARY)
-    if pv is not None:
-        res_load = add("res_load", 0.0, INF)
-        res_sell = add("res_sell", 0.0, INF)
-        if ess is not None:
-            res_charge = add("res_charge", 0.0, INF)
+# placeholder storage and PV parameters of a home without the device
+_NO_ESS = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+_NO_PV = (0.0, 0.0)
 
+
+@dataclass(frozen=True, eq=False)
+class _Pattern:
+    """The block of every home with one DER mix, in local numbering, by
+    model array name.  ``lb``, ``ub``, ``row_lower``, ``row_upper`` and
+    ``data`` hold columns of the home value table (:func:`_home_values`)
+    rather than numbers; ``row_len`` is each row's term count.  Terms are
+    in canonical order; ``term_order`` is the written order.  A home
+    scheduled alone writes its objective over the ``objective`` columns,
+    its purchase and its sale in each slot.  Every array is read-only: a
+    one-home model shares them."""
+
+    var_role: np.ndarray
+    var_slot: np.ndarray
+    integrality: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    row_family: np.ndarray
+    row_slot: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    row_len: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    term_order: np.ndarray
+    objective: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _home_roles(has_ess: bool, has_pv: bool) -> tuple[str, ...]:
+    """A home's column roles in column order; each takes one column per slot."""
+    roles = ("hvac_power", "temp_in", "com_load", "com_buy", "com_sell", "mode_home")
+    if has_ess:
+        roles += ("ess_level", "ess_load", "ess_sell", "com_charge", "mode_ess")
+    if has_pv:
+        roles += ("res_load", "res_sell") + (("res_charge",) if has_ess else ())
+    return roles
+
+
+@functools.lru_cache(maxsize=None)
+def _home_pattern(has_ess: bool, has_pv: bool, T: int, selfish: bool) -> _Pattern:
+    """Physics and coupling rows of one home, plus its own trading band
+    when it is scheduled alone (``selfish``).  Terms are ``(role, slot,
+    coefficient)`` with the coefficient a value-table name."""
+    rows: list[tuple[str, int, list, str, object]] = []
+
+    def row(family: str, slot: int, terms: list, sense: str, rhs) -> None:
+        rows.append((family, slot, terms, sense, rhs))
+
+    slots = range(1, T + 1)
     # indoor temperature recursion; comfort is carried by the temp bounds
-    gain = (1.0 - hv.epsilon) * hv.eta_hvac / hv.conductivity_a
-    for t in range(1, T + 1):
-        terms = [(temp[t - 1], 1.0), (p[t - 1], -gain)]
-        rhs = (1.0 - hv.epsilon) * config.t_out[t - 1]
-        if t == 1:
-            rhs += hv.epsilon * hv.t_in_initial
-        else:
-            terms.append((temp[t - 2], -hv.epsilon))
-        b.row(f"temp_rec_{tag}_{t}", terms, "=", rhs)
+    for t in slots:
+        terms = [("temp_in", t, "1"), ("hvac_power", t, "-gain")]
+        if t > 1:
+            terms.append(("temp_in", t - 1, "-eps"))
+        row("temp_rec", t, terms, "=", ("temp", t))
 
     # home energy balance: fixed + HVAC met from community, storage and PV
-    for t in range(1, T + 1):
-        terms = [(com_load[t - 1], 1.0), (p[t - 1], -dt)]
-        if ess is not None:
-            terms.append((ess_load[t - 1], 1.0))
-        if pv is not None:
-            terms.append((res_load[t - 1], 1.0))
-        b.row(f"balance_{tag}_{t}", terms, "=", float(home.fixed_load[t - 1]))
+    for t in slots:
+        terms = [("com_load", t, "1"), ("hvac_power", t, "-dt")]
+        if has_ess:
+            terms.append(("ess_load", t, "1"))
+        if has_pv:
+            terms.append(("res_load", t, "1"))
+        row("balance", t, terms, "=", ("load", t))
 
     # PV production split
-    if pv is not None:
-        for t in range(1, T + 1):
-            e_res = pv_output_energy(float(config.ghi[t - 1]), pv.panel_area, pv.efficiency, dt)
-            terms = [(res_load[t - 1], 1.0), (res_sell[t - 1], 1.0)]
-            if ess is not None:
-                terms.append((res_charge[t - 1], 1.0))
-            b.row(f"res_split_{tag}_{t}", terms, "=", e_res)
+    if has_pv:
+        for t in slots:
+            terms = [("res_load", t, "1"), ("res_sell", t, "1")]
+            if has_ess:
+                terms.append(("res_charge", t, "1"))
+            row("res_split", t, terms, "=", ("pv", t))
 
     # storage: level recursion (discharge divided by the efficiency, charge
     # multiplied by it), rate caps gated by the charge/discharge mode binary,
     # and the end-of-day level restored
-    if ess is not None:
-        eta = ess.efficiency
-        for t in range(1, T + 1):
-            terms = [
-                (level[t - 1], 1.0),
-                (ess_load[t - 1], 1.0 / eta),
-                (ess_sell[t - 1], 1.0 / eta),
-                (com_charge[t - 1], -eta),
-            ]
-            if pv is not None:
-                terms.append((res_charge[t - 1], -eta))
-            rhs = 0.0
-            if t == 1:
-                rhs = ess.level_initial
-            else:
-                terms.append((level[t - 2], -1.0))
-            b.row(f"ess_level_{tag}_{t}", terms, "=", rhs)
-            charge_terms = [(com_charge[t - 1], 1.0), (mode_ess[t - 1], -ess.charge_rate_max * dt)]
-            if pv is not None:
-                charge_terms.insert(1, (res_charge[t - 1], 1.0))
-            b.row(f"ess_charge_{tag}_{t}", charge_terms, "<=", 0.0)
-            b.row(
-                f"ess_discharge_{tag}_{t}",
-                [
-                    (ess_load[t - 1], 1.0),
-                    (ess_sell[t - 1], 1.0),
-                    (mode_ess[t - 1], ess.discharge_rate_max * dt),
-                ],
-                "<=",
-                ess.discharge_rate_max * dt,
-            )
-        b.row(f"ess_terminal_{tag}", [(level[T - 1], 1.0)], "=", ess.level_initial)
+    if has_ess:
+        for t in slots:
+            terms = [("ess_level", t, "1"), ("ess_load", t, "1/eta"), ("ess_sell", t, "1/eta"),
+                     ("com_charge", t, "-eta")]
+            if has_pv:
+                terms.append(("res_charge", t, "-eta"))
+            if t > 1:
+                terms.append(("ess_level", t - 1, "-1"))
+            row("ess_level", t, terms, "=", "level0" if t == 1 else "0")
+            charge = [("com_charge", t, "1"), ("mode_ess", t, "-charge")]
+            if has_pv:
+                charge.insert(1, ("res_charge", t, "1"))
+            row("ess_charge", t, charge, "<=", "0")
+            row("ess_discharge", t, [("ess_load", t, "1"), ("ess_sell", t, "1"),
+                                     ("mode_ess", t, "discharge")], "<=", "discharge")
+        row("ess_terminal", 0, [("ess_level", T, "1")], "=", "level0")
 
     # net exchanged with the community, one direction at a time
-    for t in range(1, T + 1):
-        buy_terms = [(com_buy[t - 1], 1.0), (com_load[t - 1], -1.0)]
-        if ess is not None:
-            buy_terms.append((com_charge[t - 1], -1.0))
-        b.row(f"buy_def_{tag}_{t}", buy_terms, "=", 0.0)
-        sell_terms = [(com_sell[t - 1], 1.0)]
-        if pv is not None:
-            sell_terms.append((res_sell[t - 1], -1.0))
-        if ess is not None:
-            sell_terms.append((ess_sell[t - 1], -1.0))
-        b.row(f"sell_def_{tag}_{t}", sell_terms, "=", 0.0)
-        b.row(f"buy_mode_{tag}_{t}", [(com_buy[t - 1], 1.0), (mode_home[t - 1], -big_m)], "<=", 0.0)
-        b.row(f"sell_mode_{tag}_{t}", [(com_sell[t - 1], 1.0), (mode_home[t - 1], big_m)], "<=", big_m)
+    for t in slots:
+        buy = [("com_buy", t, "1"), ("com_load", t, "-1")]
+        if has_ess:
+            buy.append(("com_charge", t, "-1"))
+        row("buy_def", t, buy, "=", "0")
+        sell = [("com_sell", t, "1")]
+        if has_pv:
+            sell.append(("res_sell", t, "-1"))
+        if has_ess:
+            sell.append(("ess_sell", t, "-1"))
+        row("sell_def", t, sell, "=", "0")
+        row("buy_mode", t, [("com_buy", t, "1"), ("mode_home", t, "-M")], "<=", "0")
+        row("sell_mode", t, [("com_sell", t, "1"), ("mode_home", t, "M")], "<=", "M")
 
-    return cols
+    # a home scheduled alone keeps its own net within its trading cap
+    if selfish:
+        for t in slots:
+            gap = [("com_buy", t, "1"), ("com_sell", t, "-1")]
+            row("peak_hi", t, gap, "<=", "peak")
+            row("peak_lo", t, gap, ">=", "-peak")
+
+    return _finish_pattern(_home_roles(has_ess, has_pv), T, rows)
+
+
+def _finish_pattern(roles: tuple[str, ...], T: int, rows: list) -> _Pattern:
+    first = {role: i * T for i, role in enumerate(roles)}
+    col = lambda key: _value_column(key, T)  # noqa: E731
+    bounds = {"=": (None, None), "<=": ("-inf", None), ">=": (None, "inf")}
+    indices: list[int] = []
+    coefs: list[int] = []
+    term_order: list[int] = []
+    for _, _, terms, _, _ in rows:
+        cols = [first[role] + t - 1 for role, t, _ in terms]
+        by_col = sorted(range(len(terms)), key=cols.__getitem__)
+        rank = {k: pos for pos, k in enumerate(by_col)}
+        term_order += [len(indices) + rank[k] for k in range(len(terms))]
+        indices += [cols[k] for k in by_col]
+        coefs += [col(terms[k][2]) for k in by_col]
+    lower = [col(bounds[sense][0] or rhs) for _, _, _, sense, rhs in rows]
+    upper = [col(bounds[sense][1] or rhs) for _, _, _, sense, rhs in rows]
+    col_bounds = [_BOUNDS.get(role, ("0", "inf")) for role in roles]
+    # value-table columns in intp, which np.take reads without a copy
+    ints = functools.partial(np.array, dtype=np.int32)
+    positions = functools.partial(np.array, dtype=np.intp)
+    pattern = _Pattern(
+        var_role=ints(np.repeat([ROLE[r] for r in roles], T)),
+        var_slot=ints(np.tile(np.arange(1, T + 1), len(roles))),
+        integrality=np.repeat([r in _BINARY_ROLES for r in roles], T).astype(np.uint8),
+        lb=positions(np.repeat([col(lo) for lo, _ in col_bounds], T)),
+        ub=positions(np.repeat([col(hi) for _, hi in col_bounds], T)),
+        row_family=ints([FAMILY[r[0]] for r in rows]),
+        row_slot=ints([r[1] for r in rows]),
+        row_lower=positions(lower),
+        row_upper=positions(upper),
+        row_len=ints([len(r[2]) for r in rows]),
+        indices=ints(indices),
+        data=positions(coefs),
+        term_order=ints(term_order),
+        objective=positions([first[role] + t for t in range(T) for role in ("com_buy", "com_sell")]),
+    )
+    for value in vars(pattern).values():
+        value.flags.writeable = False
+    return pattern
+
+
+# ---------------------------------------------------------------------------
+# assembly
+
+_SANITIZE = re.compile(r"[^A-Za-z0-9]")
+
+
+def _home_tags(homes: Sequence[HomeConfig], community: bool) -> tuple[str, ...]:
+    """Each home's name tag: its id with every non-alphanumeric character
+    made ``_``.  Tags must be unique, and a pooled model reserves
+    :data:`COMMUNITY_TAG` for itself."""
+    tags: dict[str, None] = {}
+    for home in homes:
+        tag = _SANITIZE.sub("_", home.id)
+        if tag in tags:
+            raise ModelBuildError(f"home id {home.id!r} collides with another id after sanitizing")
+        if community and tag == COMMUNITY_TAG:
+            raise ModelBuildError(
+                f"home id {home.id!r} takes the community's name tag {COMMUNITY_TAG!r}"
+            )
+        tags[tag] = None
+    return tuple(tags)
+
+
+# the arrays a builder fills, by model array name, with their dtypes; the
+# builders fill ``row_len`` with each row's term count, and _model sums
+# it into ``indptr``
+_COLUMN_ARRAYS = {"lb": np.float64, "ub": np.float64, "integrality": np.uint8,
+                  "var_home": np.int32, "var_role": np.int32, "var_slot": np.int32}
+_ROW_ARRAYS = {"row_lower": np.float64, "row_upper": np.float64, "row_len": np.int32,
+               "row_home": np.int32, "row_family": np.int32, "row_slot": np.int32}
+_TERM_ARRAYS = {"indices": np.int32, "data": np.float64, "term_order": np.int32}
+_LAYOUT_ARRAYS = ("var_home", "var_role", "var_slot", "row_home", "row_family", "row_slot",
+                  "term_order")
+# a pattern's arrays that hold structure, and those that name value-table columns
+_STRUCTURE = ("var_role", "var_slot", "integrality", "row_family", "row_slot", "row_len",
+              "indices", "term_order")
+_NUMBERS = {"lb": "cols", "ub": "cols", "row_lower": "rows", "row_upper": "rows", "data": "terms"}
+
+
+def _allocate(n: int, m: int, nnz: int) -> dict[str, np.ndarray]:
+    if max(n, m, nnz) >= np.iinfo(np.int32).max:
+        raise ModelBuildError(f"{n} columns, {m} rows and {nnz} terms do not fit int32 indices")
+    return {name: np.empty(size, dtype)
+            for arrays, size in ((_COLUMN_ARRAYS, n), (_ROW_ARRAYS, m), (_TERM_ARRAYS, nnz))
+            for name, dtype in arrays.items()}
+
+
+def _part(arrays: dict[str, np.ndarray], cols: slice, rows: slice,
+          terms: slice) -> dict[str, np.ndarray]:
+    """Views of ``arrays`` over some of the columns, rows and terms."""
+    return {name: a[cols if name in _COLUMN_ARRAYS else rows if name in _ROW_ARRAYS else terms]
+            for name, a in arrays.items()}
+
+
+def _fill_homes(out: dict[str, np.ndarray], patterns: Sequence[_Pattern], sizes: np.ndarray,
+                homes: Sequence[HomeConfig], config: CommunityConfig,
+                big_m: Sequence[float]) -> np.ndarray:
+    """Write the homes' blocks end to end into ``out``, views of the
+    model's leading columns, rows and terms; ``sizes`` holds each home's
+    column, row and term count.  Returns each home's first column."""
+    n_cols, n_rows, n_terms = sizes.T
+    col0 = np.cumsum(n_cols, dtype=np.int32) - n_cols
+    term0 = np.cumsum(n_terms, dtype=np.int32) - n_terms
+    codes = np.arange(len(homes), dtype=np.intp)
+
+    def joined(name: str, into: np.ndarray | None = None) -> np.ndarray:
+        return np.concatenate([getattr(p, name) for p in patterns], out=into)
+
+    for name in _STRUCTURE:
+        joined(name, out[name])
+    out["indices"] += col0.repeat(n_terms)
+    out["term_order"] += term0.repeat(n_terms)
+    out["var_home"][:] = codes.repeat(n_cols)
+    out["row_home"][:] = codes.repeat(n_rows)
+    # the numbers: each entry reads its own home's row of the value table
+    values = _home_values(homes, config, big_m)
+    flat, width = values.ravel(), values.shape[1]
+    row_start = {kind: (codes * width).repeat(counts)
+                 for kind, counts in (("cols", n_cols), ("rows", n_rows), ("terms", n_terms))}
+    for name, kind in _NUMBERS.items():
+        np.take(flat, row_start[kind] + joined(name), out=out[name])
+    return col0
+
+
+def _model(name: str, homes: Sequence[HomeConfig], selfish: bool, arrays: dict[str, np.ndarray],
+           objective: tuple[np.ndarray, np.ndarray]) -> MilpModel:
+    """The model made of the filled ``arrays`` and the written objective
+    terms ``(columns, coefficients)``, read-only and validated."""
+    row_len = arrays.pop("row_len")
+    indptr = np.zeros(len(row_len) + 1, dtype=np.int32)
+    np.cumsum(row_len, out=indptr[1:])
+    columns, coefs = objective
+    c = np.zeros(len(arrays["lb"]))
+    c[columns] = coefs
+    layout = Layout(
+        homes=tuple(h.id for h in homes),
+        tags=_home_tags(homes, community=not selfish),
+        objective_order=columns,
+        **{key: arrays.pop(key) for key in _LAYOUT_ARRAYS},
+    )
+    model = MilpModel(name=name, c=c, indptr=indptr, layout=layout, **arrays)
+    for value in (*vars(model).values(), *vars(layout).values()):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    model.validate()
+    return model
+
+
+def _role_columns(homes: Sequence[HomeConfig], col0: np.ndarray, role: str, T: int) -> np.ndarray:
+    """``(homes, T)`` global columns of ``role`` in each home."""
+    first = np.array([_home_roles(h.ess is not None, h.pv is not None).index(role) * T for h in homes])
+    return (col0 + first)[:, None] + np.arange(T)
 
 
 def build_system_centric_model(config: CommunityConfig) -> MilpModel:
@@ -322,40 +698,90 @@ def build_system_centric_model(config: CommunityConfig) -> MilpModel:
     :func:`exclusivity_big_m` for each home's exclusivity rows.
     """
     T = config.horizon_slots
+    homes = config.homes
+    n = len(homes)
     big_m = big_m_value(config)
-    b = _Builder("system_centric")
-    per_home = [_add_home(b, home, config, exclusivity_big_m(home, config)) for home in config.homes]
-
-    status = [b.var("status", None, t, 0.0, 1.0, BINARY) for t in range(1, T + 1)]
-    slot_cost = [b.var("slot_cost", None, t, -INF, INF) for t in range(1, T + 1)]
-
-    for t in range(1, T + 1):
-        gap_terms = [(cols["com_buy"][t - 1], 1.0) for cols in per_home]
-        gap_terms += [(cols["com_sell"][t - 1], -1.0) for cols in per_home]
-        b.row(f"peak_hi_com_{t}", gap_terms, "<=", config.community_peak)
-        b.row(f"peak_lo_com_{t}", gap_terms, ">=", -config.community_peak)
+    price = config.buy_price
+    sell_price = config.alpha * price
+    peak = config.community_peak
+    ones = np.ones(T)
+    # per slot, in this order: family, factor on the community gap
+    # (purchases minus sales), status coefficient, whether the slot cost
+    # leads the row, lower and upper bound
+    kinds = (
+        ("peak_hi", ones, None, False, -INF, peak),
+        ("peak_lo", ones, None, False, -peak, INF),
         # status forced to 1 when net importing, 0 when net exporting
-        b.row(f"status_on_com_{t}", gap_terms + [(status[t - 1], -big_m)], ">=", -big_m)
-        b.row(f"status_off_com_{t}", gap_terms + [(status[t - 1], -big_m)], "<=", 0.0)
-        price = float(config.buy_price[t - 1])
-        sell_price = config.alpha * price
+        ("status_on", ones, -big_m, False, -big_m, INF),
+        ("status_off", ones, -big_m, False, -INF, 0.0),
         # slot cost pinned to P * gap when importing, alpha * P * gap when exporting
-        buy_gap = [(name, -price * coef) for name, coef in gap_terms]
-        sell_gap = [(name, -sell_price * coef) for name, coef in gap_terms]
-        c = slot_cost[t - 1]
-        s = status[t - 1]
-        b.row(f"cost_imp_lo_com_{t}", [(c, 1.0)] + buy_gap + [(s, -big_m)], ">=", -big_m)
-        b.row(f"cost_imp_hi_com_{t}", [(c, 1.0)] + buy_gap + [(s, big_m)], "<=", big_m)
-        b.row(f"cost_exp_lo_com_{t}", [(c, 1.0)] + sell_gap + [(s, big_m)], ">=", 0.0)
-        b.row(f"cost_exp_hi_com_{t}", [(c, 1.0)] + sell_gap + [(s, -big_m)], "<=", 0.0)
+        ("cost_imp_lo", -price, -big_m, True, -big_m, INF),
+        ("cost_imp_hi", -price, big_m, True, -INF, big_m),
+        ("cost_exp_lo", -sell_price, big_m, True, 0.0, INF),
+        ("cost_exp_hi", -sell_price, -big_m, True, -INF, 0.0),
         # redundant at integer points but they make the relaxation exact on
         # the cost side: the slot cost is convex in the gap, so both linear
         # pieces are global lower bounds
-        b.row(f"cost_hull_imp_com_{t}", [(c, 1.0)] + buy_gap, ">=", 0.0)
-        b.row(f"cost_hull_exp_com_{t}", [(c, 1.0)] + sell_gap, ">=", 0.0)
+        ("cost_hull_imp", -price, None, True, 0.0, INF),
+        ("cost_hull_exp", -sell_price, None, True, 0.0, INF),
+    )
+    lengths = [2 * n + (s is not None) + lead for _, _, s, lead, _, _ in kinds]
+    per_slot = sum(lengths)
+    patterns = [_home_pattern(h.ess is not None, h.pv is not None, T, False) for h in homes]
+    sizes = np.array([(len(p.var_role), len(p.row_family), len(p.indices)) for p in patterns],
+                     dtype=np.int32).reshape(-1, 3)
+    n0, m0, nnz0 = (int(x) for x in sizes.sum(axis=0))
+    arrays = _allocate(n0 + 2 * T, m0 + len(kinds) * T, nnz0 + per_slot * T)
+    col0 = _fill_homes(_part(arrays, slice(0, n0), slice(0, m0), slice(0, nnz0)), patterns, sizes,
+                       homes, config, _exclusivity_big_ms(homes, config))
+    com = _part(arrays, slice(n0, None), slice(m0, None), slice(nnz0, None))
 
-    b.objective = [(c, 1.0) for c in slot_cost]
-    return b.model()
+    # community columns: one status binary and one free slot cost per slot
+    slots = np.arange(1, T + 1)
+    status = n0 + slots - 1
+    cost = n0 + T + slots - 1
+    com["lb"][:] = np.repeat([0.0, -INF], T)
+    com["ub"][:] = np.repeat([1.0, INF], T)
+    com["integrality"][:] = np.repeat([1, 0], T)
+    com["var_home"][:] = COMMUNITY
+    com["var_role"][:] = np.repeat([ROLE["status"], ROLE["slot_cost"]], T)
+    com["var_slot"][:] = np.tile(slots, 2)
+
+    # the gap's terms are written purchases first, then sales, home by home
+    gap = np.concatenate([_role_columns(homes, col0, "com_buy", T),
+                          _role_columns(homes, col0, "com_sell", T)])
+    sign = np.repeat([1.0, -1.0], n)
+    by_col = np.argsort(gap[:, 0], kind="stable")  # the same order in every slot
+    gap, sign = gap[by_col].T, sign[by_col]
+    gap_rank = np.empty(2 * n, dtype=np.int64)
+    gap_rank[by_col] = np.arange(2 * n)
+
+    # each row's terms sit in canonical order: the gap, then the status,
+    # then the slot cost, which is the last column of all; one line of
+    # these views per slot
+    indices, data, order = (com[name].reshape(T, per_slot)
+                            for name in ("indices", "data", "term_order"))
+    offset = 0
+    for (_, factor, s, lead, _, _), length in zip(kinds, lengths):
+        at = offset + 2 * n
+        indices[:, offset:at] = gap
+        data[:, offset:at] = factor[:, None] * sign
+        if s is not None:
+            indices[:, at], data[:, at] = status, s
+            at += 1
+        if lead:
+            indices[:, at], data[:, at] = cost, 1.0
+        written = [[length - 1]] * lead + [gap_rank] + [[2 * n]] * (s is not None)
+        order[:, offset:offset + length] = offset + np.concatenate(written)
+        offset += length
+    order += (nnz0 + per_slot * np.arange(T))[:, None]
+    com["row_lower"][:] = np.tile([k[4] for k in kinds], T)
+    com["row_upper"][:] = np.tile([k[5] for k in kinds], T)
+    com["row_len"][:] = np.tile(lengths, T)
+    com["row_home"][:] = COMMUNITY
+    com["row_family"][:] = np.tile([FAMILY[k[0]] for k in kinds], T)
+    com["row_slot"][:] = np.repeat(slots, len(kinds))
+    return _model("system_centric", homes, False, arrays, (cost, np.ones(T)))
 
 
 def build_home_model(config: CommunityConfig, home_id: str) -> MilpModel:
@@ -368,82 +794,114 @@ def build_home_model(config: CommunityConfig, home_id: str) -> MilpModel:
     """
     home = config.home(home_id)
     T = config.horizon_slots
-    b = _Builder(f"home_{home_id}")
-    cols = _add_home(b, home, config, home.peak_limit)
-    tag = b._tag(home_id)
-    for t in range(1, T + 1):
-        gap = [(cols["com_buy"][t - 1], 1.0), (cols["com_sell"][t - 1], -1.0)]
-        b.row(f"peak_hi_{tag}_{t}", gap, "<=", home.peak_limit)
-        b.row(f"peak_lo_{tag}_{t}", gap, ">=", -home.peak_limit)
-    b.objective = []
-    for t in range(T):
-        price = float(config.buy_price[t])
-        b.objective.append((cols["com_buy"][t], price))
-        b.objective.append((cols["com_sell"][t], -config.alpha * price))
-    return b.model()
-
-
-def relaxed(model: MilpModel) -> MilpModel:
-    """The LP relaxation: binaries become continuous on [0, 1]."""
-    return MilpModel(
-        name=f"{model.name}_relaxed",
-        variables=[
-            Variable(v.name, v.lb, v.ub, CONTINUOUS) if v.kind == BINARY else v
-            for v in model.variables
-        ],
-        constraints=model.constraints,
-        objective=model.objective,
-        metadata=model.metadata,
-    )
+    # one home from column 0: its pattern's structure is the model's
+    pattern = _home_pattern(home.ess is not None, home.pv is not None, T, True)
+    (values,) = _home_values([home], config, [home.peak_limit])
+    arrays = {name: getattr(pattern, name) for name in _STRUCTURE}
+    arrays.update({name: values[getattr(pattern, name)] for name in _NUMBERS})
+    arrays.update(var_home=np.zeros(len(pattern.var_role), dtype=np.int32),
+                  row_home=np.zeros(len(pattern.row_family), dtype=np.int32))
+    prices = np.column_stack([config.buy_price, -config.alpha * config.buy_price]).ravel()
+    return _model(f"home_{home_id}", [home], True, arrays, (pattern.objective, prices))
 
 
 # ---------------------------------------------------------------------------
 # LP text export
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _expr(terms: Sequence[tuple[str, float]]) -> list[str]:
-    parts = []
-    for name, coef in terms:
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(coef))} {name}")
-    return parts
+_PER_LINE = 8  # terms per line of LP text
+_CHUNK_TERMS = 1 << 17  # constraint terms rendered per write
 
 
-def _wrap(prefix: str, parts: list[str], per_line: int = 8) -> str:
-    lines = []
-    for i in range(0, len(parts), per_line):
-        chunk = " ".join(parts[i : i + per_line])
-        lines.append(f"{prefix}{chunk}" if i == 0 else f"      {chunk}")
-    return "\n".join(lines) if lines else f"{prefix}0"
+def _fmt_all(values: np.ndarray, before: str = "", after: str = "") -> np.ndarray:
+    """Every entry in ``%.17g`` form between ``before`` and ``after``, as an
+    object array; each distinct value is formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    text = np.array([f"{before}{v:.17g}{after}" for v in distinct.tolist()], dtype=object)[inverse]
+    zero = np.flatnonzero(values == 0.0)  # np.unique does not tell -0.0 from 0.0
+    signed = np.array([f"{before}0{after}", f"{before}-0{after}"], dtype=object)
+    text[zero] = signed[np.signbit(values[zero]).astype(np.intp)]
+    return text
+
+
+def _rows_text(heads: np.ndarray, tails: np.ndarray, indptr: np.ndarray,
+               cols: np.ndarray, coefs: np.ndarray, names: np.ndarray) -> str:
+    """LP text of rows of terms: each row's head, its terms ``± coef name``
+    eight to a line, then its tail.  ``indptr`` (starting at 0) delimits
+    the rows' terms in ``cols``/``coefs``, which are in written order."""
+    n_rows, nnz = len(heads), len(cols)
+    lengths = np.diff(indptr)
+    row_of = np.repeat(np.arange(n_rows), lengths)
+    rank = np.arange(nnz) - indptr[:-1][row_of]
+    magnitudes, which = np.unique(np.abs(coefs), return_inverse=True)
+    # a term's text up to its variable name, by separator, sign and magnitude
+    prefixes = np.array([
+        f"{sep}{sign} {value:.17g} "
+        for sep in ("", " ", "\n      ") for sign in "+-" for value in magnitudes.tolist()
+    ], dtype=object)
+    sep = np.where(rank == 0, 0, np.where(rank % _PER_LINE == 0, 2, 1))
+    key = (sep * 2 + (coefs < 0)) * len(magnitudes) + which
+    empty = lengths == 0
+    if empty.any():
+        heads = np.where(empty, heads + "0", heads)
+    # row by row: the head, each term's prefix and name, the tail
+    pieces = np.empty(2 * (nnz + n_rows), dtype=object)
+    at = 2 * (np.arange(nnz) + row_of) + 1
+    pieces[at] = prefixes[key]
+    pieces[at + 1] = names[cols]
+    row_at = 2 * np.arange(n_rows)
+    pieces[2 * indptr[:-1] + row_at] = heads
+    pieces[2 * indptr[1:] + row_at + 1] = tails
+    return "".join(pieces.tolist())
 
 
 def write_lp(model: MilpModel, stream: IO[str]) -> None:
-    """Write the model in CPLEX LP text format for out-of-process solving."""
+    """Write the model in CPLEX LP text format for out-of-process solving.
+
+    Constraint rows are rendered and written a chunk of terms at a time."""
+    lay = model.layout
+    names = _labels(ROLES, lay.var_role, lay.tags, lay.var_home, lay.var_slot)
     stream.write(f"\\ {model.name}\n")
     stream.write("Minimize\n")
-    stream.write(_wrap(" obj: ", _expr(model.objective)) + "\n")
+    objective = lay.objective_order
+    stream.write(_rows_text(np.array([" obj: "], dtype=object), np.array(["\n"], dtype=object),
+                            np.array([0, len(objective)]), objective, model.c[objective], names))
     stream.write("Subject To\n")
-    sense_txt = {"<=": "<=", ">=": ">=", "=": "="}
-    for c in model.constraints:
-        body = _wrap(f" {c.name}: ", _expr(c.terms))
-        stream.write(f"{body} {sense_txt[c.sense]} {_fmt(c.rhs)}\n")
+    senses, rhs = _senses(model.row_lower, model.row_upper)
+    heads = _labels(FAMILIES, lay.row_family, lay.tags, lay.row_home, lay.row_slot, " ", ": ")
+    tails = (" " + senses.astype(object)) + _fmt_all(rhs, " ", "\n")
+    indptr = model.indptr.astype(np.int64)
+    cuts = np.unique(np.concatenate([
+        [0], np.searchsorted(indptr, np.arange(_CHUNK_TERMS, model.nnz, _CHUNK_TERMS)),
+        [model.n_constraints],
+    ]))
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        p0, p1 = indptr[r0], indptr[r1]
+        written = lay.term_order[p0:p1]
+        stream.write(_rows_text(heads[r0:r1], tails[r0:r1], indptr[r0:r1 + 1] - p0,
+                                model.indices[written], model.data[written], names))
     stream.write("Bounds\n")
-    for v in model.variables:
-        if v.kind == BINARY:
-            continue
-        if v.lb == -INF and v.ub == INF:
-            stream.write(f" {v.name} free\n")
-        elif v.ub == INF:
-            stream.write(f" {v.name} >= {_fmt(v.lb)}\n")
-        else:
-            stream.write(f" {_fmt(v.lb)} <= {v.name} <= {_fmt(v.ub)}\n")
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
+    # one line per continuous column, in five pieces (unused ones empty):
+    # " name free", " name >= lb" or " lb <= name <= ub"
+    continuous = np.flatnonzero(model.integrality == 0)
+    lb, ub, bounded = model.lb[continuous], model.ub[continuous], names[continuous]
+    free = (lb == -INF) & (ub == INF)
+    lower = ~free & (ub == INF)
+    both = ~free & ~lower
+    lines = np.full((len(continuous), 5), "", dtype=object)
+    lines[:, 0] = " "
+    lines[free, 1] = bounded[free]
+    lines[free, 2] = " free\n"
+    lines[lower, 1] = bounded[lower]
+    lines[lower, 2] = " >= "
+    lines[lower, 3] = _fmt_all(lb[lower], after="\n")
+    lines[both, 1] = _fmt_all(lb[both])
+    lines[both, 2] = " <= "
+    lines[both, 3] = bounded[both]
+    lines[both, 4] = _fmt_all(ub[both], " <= ", "\n")
+    stream.write("".join(lines.ravel().tolist()))
+    binaries = names[model.integrality == 1].tolist()
     if binaries:
         stream.write("Binary\n")
-        for i in range(0, len(binaries), 8):
-            stream.write(" " + " ".join(binaries[i : i + 8]) + "\n")
+        for i in range(0, len(binaries), _PER_LINE):
+            stream.write(" " + " ".join(binaries[i : i + _PER_LINE]) + "\n")
     stream.write("End\n")

@@ -57,6 +57,18 @@ LP_CERTIFIED = "lp-certified"
 MILP_FALLBACK = "milp-fallback"
 
 
+@dataclass(frozen=True)
+class SolveRecord:
+    """What one backend call reported, for ``timings.json``: the branch-and-bound
+    node count and dual bound are ``None`` for an LP."""
+
+    model: str
+    status: str
+    solve_time: float
+    mip_node_count: int | None
+    mip_dual_bound: float | None
+
+
 class InfeasibleHomeError(RuntimeError):
     """A home's own scheduling problem has no feasible day."""
 
@@ -71,7 +83,8 @@ class ScenarioResult:
     """One scenario's day.  ``solve_path`` is :data:`LP_CERTIFIED` or
     :data:`MILP_FALLBACK`; ``fallback_reason`` says why the MILP ran: the
     LP's status (``lp_<status>``), the checker's violated families and
-    ``cost_mismatch``, comma-separated."""
+    ``cost_mismatch``, comma-separated.  ``solves`` records every backend
+    call of the schedule step, in order."""
 
     kind: str
     config: CommunityConfig
@@ -86,6 +99,7 @@ class ScenarioResult:
     objective: float | None = None
     per_home_objective: dict[str, float] | None = None
     fallback_reason: str | None = None
+    solves: tuple[SolveRecord, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -101,6 +115,7 @@ class _Scheduled:
     objective: float | None = None
     per_home_objective: dict[str, float] | None = None
     fallback_reason: str | None = None
+    solves: tuple[SolveRecord, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -113,6 +128,7 @@ class _Solved:
     solve_time: float  # HiGHS time summed over every solve
     solve_path: str
     fallback_reason: str | None
+    solves: tuple[SolveRecord, ...]  # every solve, in order
 
 
 def _binaries_from_flows(schedule: CommunitySchedule) -> CommunitySchedule:
@@ -180,17 +196,19 @@ def _solve_lp_first(
     solutions: dict[int, Solution] = {}
     schedules: dict[int, CommunitySchedule] = {}
     exact: dict[int, set[str]] = {}  # models re-solved as the MILP, and why
-    solve_time = 0.0
+    records: list[SolveRecord] = []
 
     def solve(batch: dict[int, MilpModel]) -> None:
-        nonlocal solve_time
         if jobs > 1 and len(batch) > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 solved = dict(zip(batch, pool.map(lambda m: solve_model(m, options), batch.values())))
         else:
             solved = {i: solve_model(m, options) for i, m in batch.items()}
         solutions.update(solved)
-        solve_time += sum(s.solve_time for s in solved.values())
+        records.extend(
+            SolveRecord(batch[i].name, s.status, s.solve_time, s.mip_node_count, s.mip_dual_bound)
+            for i, s in solved.items()
+        )
 
     def fall_back(reasons: dict[int, set[str]]) -> bool:
         """Re-solve the faulted models as MILPs; False if one has no values."""
@@ -207,9 +225,10 @@ def _solve_lp_first(
             solutions=tuple(solutions[i] for i in range(len(models))),
             schedule=schedule,
             feasibility=feasibility,
-            solve_time=solve_time,
+            solve_time=sum(r.solve_time for r in records),
             solve_path=MILP_FALLBACK if exact else LP_CERTIFIED,
             fallback_reason=",".join(sorted(set().union(*exact.values()))) or None,
+            solves=tuple(records),
         )
 
     solve({i: relaxed(m) for i, m in enumerate(models)})
@@ -257,6 +276,7 @@ def _schedule_pooled(config: CommunityConfig, options: SolverOptions | None) -> 
         solve_path=solved.solve_path,
         objective=solution.objective,
         fallback_reason=solved.fallback_reason,
+        solves=solved.solves,
     )
 
 
@@ -291,6 +311,7 @@ def _schedule_selfish(
             home.id: float(s.objective) for home, s in zip(config.homes, solved.solutions)
         },
         fallback_reason=solved.fallback_reason,
+        solves=solved.solves,
     )
 
 

@@ -1,11 +1,13 @@
 """Solving, schedule extraction and independent feasibility checking.
 
-The solver boundary is deliberately narrow: :func:`solve_model` takes the
-solver-neutral model from :mod:`cems.milp` and returns a plain
-:class:`Solution` (status, objective, variable values).  The bundled backend
-is HiGHS through :func:`scipy.optimize.milp`; a solution produced by any
-external solver against the exported LP file can be read back with
-:func:`read_solution` and fed through the same extraction path.
+The solver boundary is deliberately narrow: :func:`solve_model` hands the
+arrays of a solver-neutral model from :mod:`cems.milp` to the backend and
+returns a plain :class:`Solution` (status, objective, the value vector, and
+for a MILP the node count and dual bound).  The bundled backend is HiGHS
+through :func:`scipy.optimize.milp`; a solution produced by any external
+solver against the exported LP file can be read back with
+:func:`read_solution` and fed through the same extraction path, which
+matches its values to the model's columns by name.
 
 :func:`check_schedule_feasibility` re-derives every physical constraint from
 the raw config (temperatures through :mod:`cems.thermal`, storage books
@@ -15,15 +17,16 @@ guards against builder bugs.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import IO, Iterable, Mapping, Union
+from typing import IO, Union
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp as _highs_milp
 from scipy.sparse import csr_array
 
 from .domain import CommunityConfig, HomeConfig
-from .milp import BINARY, MilpModel
+from .milp import COMMUNITY, ROLE, ROLES, Layout, MilpModel
 from .thermal import pv_output_energy, simulate_indoor_trajectory
 
 MODE_ROUND_TOL = 1e-6
@@ -51,53 +54,62 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class Solution:
+    """What a solve reported.  ``values`` maps variable names to values:
+    a :class:`ColumnValues` for a bundled solve, a plain dict for a
+    solution file.  The branch-and-bound node count and dual bound are
+    ``None`` for an LP."""
+
     status: str
     objective: float | None
-    values: dict[str, float] | None
+    values: Mapping[str, float] | None
     solve_time: float
     mip_gap: float | None = None
     message: str = ""
+    mip_node_count: int | None = None
+    mip_dual_bound: float | None = None
+
+
+class ColumnValues(Mapping):
+    """A solve's variable values in column order, keyed by variable name on
+    demand: the names are made only when something looks one up."""
+
+    def __init__(self, layout: Layout, array: np.ndarray):
+        self.layout = layout
+        self.array = array
+        self._by_name: dict[str, float] | None = None
+
+    def _named(self) -> dict[str, float]:
+        if self._by_name is None:
+            self._by_name = dict(zip(self.layout.variable_names(), self.array.tolist()))
+        return self._by_name
+
+    def __getitem__(self, name: str) -> float:
+        return self._named()[name]
+
+    def __iter__(self):
+        return iter(self._named())
+
+    def __len__(self) -> int:
+        return len(self.array)
 
 
 def solve_model(model: MilpModel, options: SolverOptions | None = None) -> Solution:
-    """Solve a model with the bundled HiGHS backend."""
+    """Solve a model with the bundled HiGHS backend.
+
+    The model's arrays go to HiGHS as they are; the builders validated them.
+    """
     options = options or SolverOptions()
-    model.validate()
-    n = model.n_variables
-    index = model.variable_index()
-    c = np.zeros(n)
-    for name, coef in model.objective:
-        c[index[name]] += coef
-    integrality = np.array([1 if v.kind == BINARY else 0 for v in model.variables])
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([v.ub for v in model.variables])
-
-    rows, cols, data = [], [], []
-    c_lo = np.empty(len(model.constraints))
-    c_hi = np.empty(len(model.constraints))
-    for i, con in enumerate(model.constraints):
-        for name, coef in con.terms:
-            rows.append(i)
-            cols.append(index[name])
-            data.append(coef)
-        if con.sense == "<=":
-            c_lo[i], c_hi[i] = -np.inf, con.rhs
-        elif con.sense == ">=":
-            c_lo[i], c_hi[i] = con.rhs, np.inf
-        else:
-            c_lo[i] = c_hi[i] = con.rhs
-    a = csr_array((data, (rows, cols)), shape=(len(model.constraints), n))
-
+    a = csr_array((model.data, model.indices, model.indptr), shape=(model.n_constraints, model.n_variables))
     opts: dict = {"presolve": True, "disp": False, "mip_rel_gap": options.relative_mip_gap}
     if options.time_limit is not None:
         opts["time_limit"] = options.time_limit
 
     start = time.perf_counter()
     res = _highs_milp(
-        c=c,
-        constraints=LinearConstraint(a, c_lo, c_hi),
-        integrality=integrality,
-        bounds=Bounds(lb, ub),
+        c=model.c,
+        constraints=LinearConstraint(a, model.row_lower, model.row_upper),
+        integrality=model.integrality,
+        bounds=Bounds(model.lb, model.ub),
         options=opts,
     )
     elapsed = time.perf_counter() - start
@@ -113,13 +125,16 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None) -> Solut
         status = "infeasible"
     else:
         status = "unbounded"
+    nodes, dual_bound = res.get("mip_node_count"), res.get("mip_dual_bound")
     return Solution(
         status=status,
         objective=float(res.fun) if has_x else None,
-        values={v.name: float(x) for v, x in zip(model.variables, res.x)} if has_x else None,
+        values=ColumnValues(model.layout, res.x) if has_x else None,
         solve_time=elapsed,
-        mip_gap=float(res.mip_gap) if has_x and getattr(res, "mip_gap", None) is not None else None,
+        mip_gap=float(res.mip_gap) if has_x and res.get("mip_gap") is not None else None,
         message=str(res.message),
+        mip_node_count=None if nodes is None else int(nodes),
+        mip_dual_bound=None if dual_bound is None else float(dual_bound),
     )
 
 
@@ -179,57 +194,59 @@ def _round_mode(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_values(solution: Solution, model: MilpModel) -> np.ndarray:
+    """The solution's values in ``model``'s column order."""
+    values = solution.values
+    if values is None:
+        raise ValueError(f"solution has status {solution.status!r} and carries no values")
+    if isinstance(values, ColumnValues) and values.layout is model.layout:
+        return values.array
+    names = model.layout.variable_names()
+    missing = next((name for name in names if name not in values), None)
+    if missing is not None:
+        raise ValueError(f"solution is missing variable {missing!r}")
+    return np.array([values[name] for name in names], dtype=float)
+
+
 def extract_schedule(solution: Solution, model: MilpModel, config: CommunityConfig) -> CommunitySchedule:
     """Turn raw variable values into per-home arrays keyed by role.
 
     Works for both model kinds; a home model yields a one-home schedule.
-    Mode and status values within ``1e-6`` of an integer are rounded to it;
-    values farther away are left as-is for the checker to flag.
+    The values are scattered into a (home, role, slot) grid through the
+    model's column codes.  Mode and status values within ``1e-6`` of an
+    integer are rounded to it; values farther away are left as-is for the
+    checker to flag.
     """
-    if solution.values is None:
-        raise ValueError(f"solution has status {solution.status!r} and carries no values")
+    x = _column_values(solution, model)
     T = config.horizon_slots
-    values = solution.values
-    present: dict[str, dict[str, np.ndarray]] = {}
-    status = np.zeros(T)
-    slot_costs = np.zeros(T)
-    has_community = False
-    for name, meta in model.metadata.items():
-        if name not in values:
-            raise ValueError(f"solution is missing variable {name!r}")
-        if meta.home is None:
-            has_community = True
-            if meta.role == "status":
-                status[meta.slot - 1] = values[name]
-            elif meta.role == "slot_cost":
-                slot_costs[meta.slot - 1] = values[name]
-            continue
-        arrays = present.setdefault(meta.home, {})
-        if meta.role not in arrays:
-            arrays[meta.role] = np.zeros(T)
-        arrays[meta.role][meta.slot - 1] = values[name]
+    layout = model.layout
+    # the community's entries land in the last home position
+    grid = np.zeros((len(layout.homes) + 1, len(ROLES), T))
+    grid[layout.var_home, layout.var_role, layout.var_slot - 1] = x
+    position = {hid: code for code, hid in enumerate(layout.homes)}
 
     homes: dict[str, HomeSchedule] = {}
     for home in config.homes:
-        if home.id not in present:
+        code = position.get(home.id)
+        if code is None:
             continue
-        arrays = present[home.id]
         temp = np.empty(T + 1)
         temp[0] = home.hvac.t_in_initial
-        temp[1:] = arrays.get("temp_in", np.full(T, np.nan))
-        fields_by_role = {role: arrays.get(role, np.zeros(T)) for role in _FLOW_ROLES}
+        temp[1:] = grid[code, ROLE["temp_in"]]
+        fields_by_role = {role: grid[code, ROLE[role]] for role in _FLOW_ROLES}
         for mode_role in ("mode_home", "mode_ess"):
             fields_by_role[mode_role] = _round_mode(fields_by_role[mode_role])
         homes[home.id] = HomeSchedule(home=home.id, indoor_temp=temp, **fields_by_role)
     if not homes:
-        raise ValueError("model metadata names no home of this config")
+        raise ValueError("model names no home of this config")
 
     community_net = np.sum([h.net for h in homes.values()], axis=0)
+    has_community = bool(np.any(layout.var_home == COMMUNITY))
     return CommunitySchedule(
         homes=homes,
         community_net=community_net,
-        status_flags=_round_mode(status) if has_community else None,
-        slot_costs=slot_costs if has_community else None,
+        status_flags=_round_mode(grid[COMMUNITY, ROLE["status"]]) if has_community else None,
+        slot_costs=grid[COMMUNITY, ROLE["slot_cost"]] if has_community else None,
     )
 
 
@@ -242,7 +259,7 @@ def community_cost(schedule: CommunitySchedule, config: CommunityConfig) -> floa
             cost += float(config.buy_price[t]) * net
         elif net < 0:
             cost += config.alpha * float(config.buy_price[t]) * net
-    return cost
+    return float(cost)
 
 
 # ---------------------------------------------------------------------------

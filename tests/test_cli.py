@@ -1,6 +1,10 @@
+import csv
 import ctypes
 import io
 import json
+import os
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -45,6 +49,24 @@ def infeasible_cfg_file(tmp_path_factory):
 
 
 # -- argument handling ------------------------------------------------------
+
+def _python_m_cems(*args):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run([sys.executable, "-m", "cems", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_m_cems_runs_the_cli():
+    shown = _python_m_cems("--help")
+    assert shown.returncode == 0
+    assert "export-lp" in shown.stdout
+    missing = _python_m_cems("solve")
+    assert missing.returncode == 1
+    assert "--config" in missing.stderr
+    assert "Traceback" not in missing.stderr
+
 
 def test_no_command_prints_help_and_fails(capsys):
     assert main([]) == 1
@@ -333,6 +355,36 @@ def test_compare_outputs(cfg_file, tmp_path, capsys):
     assert cost["system"] <= cost["prosumer"] + 1e-6
     assert cost["prosumer"] <= cost["none"] + 1e-6
     assert capsys.readouterr().out.count("community cost") == 3
+
+
+def test_comparison_csv_costs_are_plain_numbers(cfg_file, tmp_path):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg_file, "--out", str(out)]) == 0
+    costs = json.loads((out / "comparison.json").read_text())["community_cost"]
+    header, *rows = csv.reader((out / "comparison.csv").read_text().splitlines())
+    assert header == ["scenario", "community_cost"]
+    assert {kind: float(cell) for kind, cell in rows} == costs
+
+
+def test_timings_carry_solver_telemetry(cfg_file, small_cfg, tmp_path):
+    out = tmp_path / "s"
+    assert main(["solve", "--config", cfg_file, "--out", str(out)]) == 0
+    (record,) = json.loads((out / "timings.json").read_text())["solves"]
+    assert (record["model"], record["status"]) == ("system_centric_relaxed", "optimal")
+    # an LP has no branch-and-bound tree
+    assert (record["mip_node_count"], record["mip_dual_bound"]) == (None, None)
+    assert record["solve_time_s"] > 0.0
+    for name in SOLVE_REPORTS:
+        if name != "timings.json":
+            assert "mip_" not in (out / name).read_text(), name
+
+    out = tmp_path / "c"
+    assert main(["compare", "--config", cfg_file, "--out", str(out)]) == 0
+    timings = json.loads((out / "timings.json").read_text())
+    assert [r["model"] for r in timings["none"]["solves"]] == [
+        f"home_{h.id}_relaxed" for h in small_cfg.homes]
+    for name in ("comparison.json", "comparison.csv", "comparison_homes.csv", "comparison_slots.csv"):
+        assert "mip_" not in (out / name).read_text(), name
 
 
 # -- settle -----------------------------------------------------------------

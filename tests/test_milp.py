@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -17,10 +19,7 @@ from cems import (
 from cems.milp import (
     BINARY,
     CONTINUOUS,
-    Constraint,
-    MilpModel,
     ModelBuildError,
-    Variable,
     big_m_value,
     exclusivity_big_m,
 )
@@ -55,7 +54,8 @@ def test_build_is_reproducible(replication):
     for ca, cb in zip(a.constraints, b.constraints):
         assert ca.terms == cb.terms
         assert ca.rhs == cb.rhs
-    assert a.objective == b.objective
+    np.testing.assert_array_equal(a.c, b.c)
+    np.testing.assert_array_equal(a.layout.objective_order, b.layout.objective_order)
 
 
 def test_temperature_recursion_coefficients(replication):
@@ -181,7 +181,7 @@ def test_home_model_scope(replication):
     assert not any(n.startswith("slot_cost") for n in names)
     assert all("home1" in n for n in names)
     # objective prices purchases at P and sales at alpha * P
-    obj = dict(model.objective)
+    obj = dict(zip((v.name for v in model.variables), model.c))
     assert obj["com_buy_home1_1"] == pytest.approx(replication.buy_price[0])
     assert obj["com_sell_home1_1"] == pytest.approx(-replication.alpha * replication.buy_price[0])
 
@@ -206,16 +206,83 @@ def test_reserved_community_tag():
         build_system_centric_model(cfg)
 
 
-def test_validate_rejects_unknown_reference():
-    model = MilpModel(
-        name="broken",
-        variables=(Variable("x", 0.0, 1.0, CONTINUOUS),),
-        constraints=(Constraint("c", (("y", 1.0),), "<=", 1.0),),
-        objective=(("x", 1.0),),
-        metadata={"x": None},
-    )
-    with pytest.raises(ModelBuildError):
-        model.validate()
+def _broken(model, **arrays):
+    """``model`` with some arrays replaced; the layout's by a ``layout_`` prefix."""
+    layout = {k[len("layout_"):]: v for k, v in arrays.items() if k.startswith("layout_")}
+    arrays = {k: v for k, v in arrays.items() if not k.startswith("layout_")}
+    return dataclasses.replace(model, layout=dataclasses.replace(model.layout, **layout), **arrays)
+
+
+def test_validate_rejects_broken_arrays(replication):
+    model = build_home_model(replication, "home1")
+    model.validate()
+
+    # a term referencing a column past the last one
+    indices = model.indices.copy()
+    indices[-1] = model.n_variables
+    with pytest.raises(ModelBuildError, match="references column"):
+        _broken(model, indices=indices).validate()
+
+    # a column whose lower bound exceeds its upper bound
+    lb = model.lb.copy()
+    j = next(i for i, v in enumerate(model.variables) if v.name == "temp_in_home1_3")
+    lb[j] = model.ub[j] + 1.0
+    with pytest.raises(ModelBuildError, match="temp_in_home1_3: lb"):
+        _broken(model, lb=lb).validate()
+
+    # a binary allowed outside [0, 1]
+    ub = model.ub.copy()
+    j = int(np.flatnonzero(model.integrality == 1)[0])
+    ub[j] = 2.0
+    with pytest.raises(ModelBuildError, match="binary variables must have bounds"):
+        _broken(model, ub=ub).validate()
+    integrality = model.integrality.copy()
+    integrality[0] = 2
+    with pytest.raises(ModelBuildError, match="integrality must be 0 or 1"):
+        _broken(model, integrality=integrality).validate()
+
+    # terms out of column order, and a name given twice
+    indices = model.indices.copy()
+    indices[:2] = indices[1::-1]
+    with pytest.raises(ModelBuildError, match="increasing column order"):
+        _broken(model, indices=indices).validate()
+    order = model.layout.term_order.copy()
+    order[[0, -1]] = order[[-1, 0]]  # the first row's term written in the last row
+    with pytest.raises(ModelBuildError, match="term_order"):
+        _broken(model, layout_term_order=order).validate()
+    slots = model.layout.var_slot.copy()
+    slots[1] = slots[0]
+    with pytest.raises(ModelBuildError, match="duplicate variable names"):
+        _broken(model, layout_var_slot=slots).validate()
+
+
+def test_views_agree_with_the_arrays(replication):
+    model = build_system_centric_model(replication)
+    variables, constraints = model.variables, model.constraints
+    assert len(variables) == model.n_variables == len(model.c)
+    assert len(constraints) == model.n_constraints == len(model.indptr) - 1
+    assert sum(len(c.terms) for c in constraints) == model.nnz == 10214
+    assert sum(v.kind == BINARY for v in variables) == model.n_binaries == 384
+    column = {v.name: j for j, v in enumerate(variables)}
+    np.testing.assert_array_equal([v.lb for v in variables], model.lb)
+    np.testing.assert_array_equal([v.ub for v in variables], model.ub)
+
+    i = next(i for i, c in enumerate(constraints) if c.name == "temp_rec_home1_2")
+    row = constraints[i]
+    span = slice(model.indptr[i], model.indptr[i + 1])
+    from_arrays = dict(zip(model.indices[span].tolist(), model.data[span].tolist()))
+    assert {column[name]: coef for name, coef in row.terms} == from_arrays
+    assert [name for name, _ in row.terms] == ["temp_in_home1_2", "hvac_power_home1_2", "temp_in_home1_1"]
+    assert (row.sense, row.rhs) == ("=", model.row_lower[i]) and model.row_upper[i] == row.rhs
+
+
+def test_relaxed_shares_the_arrays(replication):
+    model = build_system_centric_model(replication)
+    lp = relaxed(model)
+    assert lp.n_binaries == 0 and model.n_binaries == 384
+    for name in ("c", "lb", "ub", "indptr", "indices", "data", "row_lower", "row_upper", "layout"):
+        assert getattr(lp, name) is getattr(model, name)
+    assert not model.data.flags.writeable
 
 
 # -- LP export --------------------------------------------------------------
@@ -239,3 +306,25 @@ def test_write_lp_home_model_has_no_binary_gap(replication):
     text = buf.getvalue()
     assert "Minimize" in text and "End" in text
     assert "mode_home_home8_1" in text
+
+
+# -- LP text pins -------------------------------------------------------------
+
+# sha256 of the exported LP text; any change to a name, a term's order, a
+# coefficient's digits or a bound moves these
+SYSTEM_LP_SHA256 = "cd6595425ebf8d5d70b11d00fa0174880fd0f649467aa75fe56a7e542607b5d7"
+HOME1_LP_SHA256 = "f935eca5d9b743cd71a6d1275054e005bf0ea19be3aeeeae32f07e2eabd85084"
+
+
+def _lp_sha256(model):
+    buf = io.StringIO()
+    write_lp(model, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def test_system_lp_text_is_pinned(replication):
+    assert _lp_sha256(build_system_centric_model(replication)) == SYSTEM_LP_SHA256
+
+
+def test_home_lp_text_is_pinned(replication):
+    assert _lp_sha256(build_home_model(replication, "home1")) == HOME1_LP_SHA256

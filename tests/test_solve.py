@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -10,6 +11,7 @@ from cems import (
     community_cost,
     extract_schedule,
     read_solution,
+    relaxed,
     solve_model,
     write_solution,
 )
@@ -239,7 +241,39 @@ def test_solution_file_without_values():
     assert back.values is None
 
 
+def test_extract_from_a_solution_file_matches_the_solve():
+    cfg = random_small_config(np.random.default_rng(3), n_homes=2, T=3)
+    model, sol = _solve(cfg)
+    buf = io.StringIO()
+    write_solution(sol, buf)
+    buf.seek(0)
+    back = read_solution(buf)
+    assert isinstance(back.values, dict)
+    direct, from_file = extract_schedule(sol, model, cfg), extract_schedule(back, model, cfg)
+    for hid, hs in direct.homes.items():
+        for f in dataclasses.fields(hs):
+            np.testing.assert_array_equal(getattr(from_file.homes[hid], f.name), getattr(hs, f.name))
+    np.testing.assert_array_equal(from_file.slot_costs, direct.slot_costs)
+    name = next(iter(back.values))
+    del back.values[name]
+    with pytest.raises(ValueError, match=f"missing variable {name!r}"):
+        extract_schedule(back, model, cfg)
+
+
 # -- options ----------------------------------------------------------------
+
+def test_solution_reports_mip_telemetry():
+    cfg = random_small_config(np.random.default_rng(8), n_homes=2, T=4)
+    model = build_system_centric_model(cfg)
+    lp = solve_model(relaxed(model))
+    assert lp.status == "optimal"
+    assert (lp.mip_node_count, lp.mip_dual_bound) == (None, None)
+    exact = solve_model(model)
+    assert exact.status == "optimal"
+    assert isinstance(exact.mip_node_count, int) and exact.mip_node_count >= 0
+    assert exact.mip_dual_bound <= exact.objective + 1e-6 * (1.0 + abs(exact.objective))
+    assert exact.mip_dual_bound >= lp.objective - 1e-6 * (1.0 + abs(lp.objective))
+
 
 def test_gap_and_time_limit_options(replication):
     model = build_system_centric_model(replication)
