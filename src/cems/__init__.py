@@ -37,11 +37,8 @@ from .scenarios import (
     ScenarioResult,
     bench_scaling,
     compare,
-    run_no_cems,
-    run_prosumer_centric,
     run_scenario,
     run_scenarios,
-    run_system_centric,
 )
 from .solve import (
     CommunitySchedule,

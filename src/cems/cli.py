@@ -422,7 +422,8 @@ def _cmd_export_lp(args) -> int:
         except KeyError:
             raise _UsageError(f"no home with id {args.home!r}") from None
         model = build_home_model(config, args.home)
-        name = f"home_{args.home}.lp"
+        # the LP text's own tag for the home: ids need not be file names
+        name = f"home_{model.layout.tags[0]}.lp"
     buf = io.StringIO()
     write_lp(model, buf)
     _write_atomic(out / name, buf.getvalue())

@@ -15,14 +15,18 @@ step (the pooled model for ``system``, the per-home selfish stage for
 ``prosumer`` and ``none`` differ only in how they settle, so a run asking
 for both solves and checks the selfish stage once and settles it twice.
 
-Every schedule step solves LP first (:func:`_solve_lp_first`): the LP
+:func:`run_scenarios` builds each step's models and hands them to one step
+function, :func:`_solve_lp_first`, which solves them LP first: the LP
 relaxation, its binaries set from its flows, then the checker.  A clean
 check at the LP's cost proves the schedule MILP-optimal; anything else
-falls back to the exact MILP for the models at fault.
+falls back to the exact MILP for the models at fault.  The step reports
+every backend call as the :class:`~cems.solve.Solution` it returned, with
+the values in column order; names are matched to values only when a
+solution file is read.
 
-Every run returns a :class:`ScenarioResult` carrying the schedule, the
-settlement, an independent feasibility report and the community cost, so
-the scenarios plot and compare uniformly.
+Every run returns a :class:`ScenarioResult`: the checked step plus the
+settlement and the community cost, so the scenarios plot and compare
+uniformly.
 """
 from __future__ import annotations
 
@@ -57,18 +61,6 @@ LP_CERTIFIED = "lp-certified"
 MILP_FALLBACK = "milp-fallback"
 
 
-@dataclass(frozen=True)
-class SolveRecord:
-    """What one backend call reported, for ``timings.json``: the branch-and-bound
-    node count and dual bound are ``None`` for an LP."""
-
-    model: str
-    status: str
-    solve_time: float
-    mip_node_count: int | None
-    mip_dual_bound: float | None
-
-
 class InfeasibleHomeError(RuntimeError):
     """A home's own scheduling problem has no feasible day."""
 
@@ -79,56 +71,35 @@ class InfeasibleHomeError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
-    """One scenario's day.  ``solve_path`` is :data:`LP_CERTIFIED` or
+class _Scheduled:
+    """A checked schedule step.  ``solve_path`` is :data:`LP_CERTIFIED` or
     :data:`MILP_FALLBACK`; ``fallback_reason`` says why the MILP ran: the
     LP's status (``lp_<status>``), the checker's violated families and
-    ``cost_mismatch``, comma-separated.  ``solves`` records every backend
-    call of the schedule step, in order."""
+    ``cost_mismatch``, comma-separated.  ``solves`` holds every backend
+    call of the step, in order.  A pooled step has an ``objective``, a
+    selfish one a ``per_home_objective``."""
+
+    schedule: CommunitySchedule
+    feasibility: FeasibilityReport
+    build_time: float
+    solve_time: float
+    solver_status: str
+    solve_path: str
+    objective: float | None = None
+    per_home_objective: dict[str, float] | None = None
+    fallback_reason: str | None = None
+    solves: tuple[Solution, ...] = ()
+
+
+@dataclass(frozen=True, kw_only=True)
+class ScenarioResult(_Scheduled):
+    """One scenario's day: its schedule step, settled the way ``kind``
+    trades, at ``community_cost``."""
 
     kind: str
     config: CommunityConfig
-    schedule: CommunitySchedule
     settlement: SettlementReport
-    feasibility: FeasibilityReport
     community_cost: float
-    build_time: float
-    solve_time: float
-    solver_status: str
-    solve_path: str
-    objective: float | None = None
-    per_home_objective: dict[str, float] | None = None
-    fallback_reason: str | None = None
-    solves: tuple[SolveRecord, ...] = ()
-
-
-@dataclass(frozen=True)
-class _Scheduled:
-    """What a schedule step hands to the settle step."""
-
-    schedule: CommunitySchedule
-    feasibility: FeasibilityReport
-    build_time: float
-    solve_time: float
-    solver_status: str
-    solve_path: str
-    objective: float | None = None
-    per_home_objective: dict[str, float] | None = None
-    fallback_reason: str | None = None
-    solves: tuple[SolveRecord, ...] = ()
-
-
-@dataclass(frozen=True)
-class _Solved:
-    """What :func:`_solve_lp_first` makes of a step's models."""
-
-    solutions: tuple[Solution, ...]  # the last solve of each model
-    schedule: CommunitySchedule | None  # None when a model's MILP has no values
-    feasibility: FeasibilityReport | None
-    solve_time: float  # HiGHS time summed over every solve
-    solve_path: str
-    fallback_reason: str | None
-    solves: tuple[SolveRecord, ...]  # every solve, in order
 
 
 def _binaries_from_flows(schedule: CommunitySchedule) -> CommunitySchedule:
@@ -177,11 +148,12 @@ def _solve_lp_first(
     models: Sequence[MilpModel],
     config: CommunityConfig,
     options: SolverOptions | None,
+    build_time: float = 0.0,
     jobs: int = 1,
     selfish: bool = False,
-) -> _Solved:
-    """Solve a schedule step's models (the pooled model, or one per home)
-    LP first, and check the schedule they make together once.
+) -> _Scheduled:
+    """The schedule step: solve its built models (the pooled model, or one
+    per home) LP first, and check the schedule they make together once.
 
     Each model's LP relaxation is solved and its binaries are set from its
     flows.  The LP value bounds the MILP optimum from below, so a schedule
@@ -192,11 +164,14 @@ def _solve_lp_first(
     bill is linear in its flows, which the binaries do not change, and its
     models never saw the community band, so a breach of it is a warning.
     ``jobs`` threads run the solves of one batch.
+
+    A MILP left without values raises :class:`SolverError` for the pooled
+    model and :class:`InfeasibleHomeError` for a home.
     """
-    solutions: dict[int, Solution] = {}
+    solutions: dict[int, Solution] = {}  # the last solve of each model
     schedules: dict[int, CommunitySchedule] = {}
     exact: dict[int, set[str]] = {}  # models re-solved as the MILP, and why
-    records: list[SolveRecord] = []
+    solves: list[Solution] = []
 
     def solve(batch: dict[int, MilpModel]) -> None:
         if jobs > 1 and len(batch) > 1:
@@ -205,39 +180,19 @@ def _solve_lp_first(
         else:
             solved = {i: solve_model(m, options) for i, m in batch.items()}
         solutions.update(solved)
-        records.extend(
-            SolveRecord(batch[i].name, s.status, s.solve_time, s.mip_node_count, s.mip_dual_bound)
-            for i, s in solved.items()
-        )
+        solves.extend(solved.values())
 
-    def fall_back(reasons: dict[int, set[str]]) -> bool:
-        """Re-solve the faulted models as MILPs; False if one has no values."""
+    def fall_back(reasons: dict[int, set[str]]) -> None:
+        """Re-solve the faulted models as MILPs."""
         exact.update(reasons)
         solve({i: models[i] for i in reasons})
-        if any(solutions[i].values is None for i in reasons):
-            return False
-        for i in reasons:
-            schedules[i] = extract_schedule(solutions[i], models[i], config)
-        return True
-
-    def result(schedule=None, feasibility=None) -> _Solved:
-        return _Solved(
-            solutions=tuple(solutions[i] for i in range(len(models))),
-            schedule=schedule,
-            feasibility=feasibility,
-            solve_time=sum(r.solve_time for r in records),
-            solve_path=MILP_FALLBACK if exact else LP_CERTIFIED,
-            fallback_reason=",".join(sorted(set().union(*exact.values()))) or None,
-            solves=tuple(records),
-        )
-
-    solve({i: relaxed(m) for i, m in enumerate(models)})
-    for i, solution in solutions.items():
-        if solution.status == "optimal":
-            schedules[i] = _binaries_from_flows(extract_schedule(solution, models[i], config))
-    unsolved = {i: {f"lp_{s.status}"} for i, s in solutions.items() if i not in schedules}
-    if unsolved and not fall_back(unsolved):
-        return result()
+        for i in sorted(reasons):
+            solution = solutions[i]
+            if solution.x is None:
+                if selfish:
+                    raise InfeasibleHomeError(models[i].layout.homes[0], solution.status)
+                raise SolverError(f"system-centric model ended {solution.status}", solution.status)
+            schedules[i] = extract_schedule(solution, models[i], config)
 
     def check() -> tuple[CommunitySchedule, FeasibilityReport]:
         schedule = _assemble([schedules[i] for i in range(len(models))])
@@ -248,70 +203,33 @@ def _solve_lp_first(
             community_peak_as_warning=selfish,
         )
 
+    solve({i: relaxed(m) for i, m in enumerate(models)})
+    for i, solution in solutions.items():
+        if solution.status == "optimal":
+            schedules[i] = _binaries_from_flows(extract_schedule(solution, models[i], config))
+    unsolved = {i: {f"lp_{s.status}"} for i, s in solutions.items() if i not in schedules}
+    if unsolved:
+        fall_back(unsolved)
     schedule, feasibility = check()
     owner = {hid: i for i, s in schedules.items() for hid in s.homes}
     faulted = _faulted(feasibility, owner, set(range(len(models))) - set(exact))
     if faulted:
-        if not fall_back(faulted):
-            return result()
+        fall_back(faulted)
         schedule, feasibility = check()
-    return result(schedule, feasibility)
 
-
-def _schedule_pooled(config: CommunityConfig, options: SolverOptions | None) -> _Scheduled:
-    """Solve the community model."""
-    start = time.perf_counter()
-    model = build_system_centric_model(config)
-    build_time = time.perf_counter() - start
-    solved = _solve_lp_first([model], config, options)
-    (solution,) = solved.solutions
-    if solved.schedule is None:
-        raise SolverError(f"system-centric model ended {solution.status}")
+    final = [solutions[i] for i in range(len(models))]
     return _Scheduled(
-        schedule=solved.schedule,
-        feasibility=solved.feasibility,
+        schedule=schedule,
+        feasibility=feasibility,
         build_time=build_time,
-        solve_time=solved.solve_time,
-        solver_status=solution.status,
-        solve_path=solved.solve_path,
-        objective=solution.objective,
-        fallback_reason=solved.fallback_reason,
-        solves=solved.solves,
-    )
-
-
-def _schedule_selfish(
-    config: CommunityConfig, options: SolverOptions | None, jobs: int
-) -> _Scheduled:
-    """Selfish per-home solves; independent, so optionally run in parallel.
-
-    Results merge in config order regardless of completion order.
-    """
-    build_time = 0.0
-    models = []
-    for home in config.homes:
-        start = time.perf_counter()
-        models.append(build_home_model(config, home.id))
-        build_time += time.perf_counter() - start
-    solved = _solve_lp_first(models, config, options, jobs, selfish=True)
-    worst = "optimal"
-    for home, solution in zip(config.homes, solved.solutions):
-        if solution.values is None:
-            raise InfeasibleHomeError(home.id, solution.status)
-        if solution.status != "optimal":
-            worst = solution.status
-    return _Scheduled(
-        schedule=solved.schedule,
-        feasibility=solved.feasibility,
-        build_time=build_time,
-        solve_time=solved.solve_time,
-        solver_status=worst,
-        solve_path=solved.solve_path,
-        per_home_objective={
-            home.id: float(s.objective) for home, s in zip(config.homes, solved.solutions)
-        },
-        fallback_reason=solved.fallback_reason,
-        solves=solved.solves,
+        solve_time=sum(s.solve_time for s in solves),
+        solver_status=next((s.status for s in reversed(final) if s.status != "optimal"), "optimal"),
+        solve_path=MILP_FALLBACK if exact else LP_CERTIFIED,
+        objective=None if selfish else final[0].objective,
+        per_home_objective={m.layout.homes[0]: float(s.objective) for m, s in zip(models, final)}
+        if selfish else None,
+        fallback_reason=",".join(sorted(set().union(*exact.values()))) or None,
+        solves=tuple(solves),
     )
 
 
@@ -364,10 +282,13 @@ def run_scenarios(
     for kind in kinds:
         selfish = kind != "system"
         if selfish not in steps:
+            start = time.perf_counter()
             if selfish:
-                steps[selfish] = _schedule_selfish(config, options, jobs)
+                models = [build_home_model(config, home.id) for home in config.homes]
             else:
-                steps[selfish] = _schedule_pooled(config, options)
+                models = [build_system_centric_model(config)]
+            build_time = time.perf_counter() - start
+            steps[selfish] = _solve_lp_first(models, config, options, build_time, jobs, selfish)
         results.append(_settle(kind, config, steps[selfish]))
     return results
 
@@ -375,29 +296,8 @@ def run_scenarios(
 def run_scenario(
     kind: str, config: CommunityConfig, options: SolverOptions | None = None, jobs: int = 1
 ) -> ScenarioResult:
+    """Run one scenario: ``system``, ``prosumer`` or ``none``."""
     return run_scenarios(config, (kind,), options, jobs)[0]
-
-
-def run_system_centric(config: CommunityConfig, options: SolverOptions | None = None) -> ScenarioResult:
-    """Pooled scheduling: solve the community MILP, verify, settle."""
-    return run_scenario("system", config, options)
-
-
-def run_prosumer_centric(
-    config: CommunityConfig, options: SolverOptions | None = None, jobs: int = 1
-) -> ScenarioResult:
-    """Selfish schedules pooled and settled at the mid-market rate.
-
-    Settlement is financial only: the selfish schedules are not re-solved.
-    """
-    return run_scenario("prosumer", config, options, jobs)
-
-
-def run_no_cems(
-    config: CommunityConfig, options: SolverOptions | None = None, jobs: int = 1
-) -> ScenarioResult:
-    """Selfish schedules, each home billed by the external provider alone."""
-    return run_scenario("none", config, options, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +384,7 @@ class BenchRow:
     n_variables: int
     n_constraints: int
     n_binaries: int
-    solve_path: str | None  # None when the solve raised
+    solve_path: str | None  # None when the backend failed
 
 
 @dataclass(frozen=True)
@@ -515,12 +415,13 @@ def bench_scaling(
         model = build_system_centric_model(config)
         build_time = time.perf_counter() - start
         try:
-            solved = _solve_lp_first([model], config, options)
-            (solution,) = solved.solutions
-            status, objective, solve_time = solution.status, solution.objective, solved.solve_time
-            solve_path = solved.solve_path
+            step = _solve_lp_first([model], config, options, build_time)
+            status, objective, solve_time = step.solver_status, step.objective, step.solve_time
+            solve_path = step.solve_path
         except SolverError as exc:
-            status, objective, solve_time, solve_path = f"error: {exc}", None, 0.0, None
+            # a model the step left without values has been through the MILP
+            status, objective, solve_time = exc.status or f"error: {exc}", None, 0.0
+            solve_path = None if exc.status is None else MILP_FALLBACK
         rows.append(
             BenchRow(
                 n_homes=n,

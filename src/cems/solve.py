@@ -2,12 +2,13 @@
 
 The solver boundary is deliberately narrow: :func:`solve_model` hands the
 arrays of a solver-neutral model from :mod:`cems.milp` to the backend and
-returns a plain :class:`Solution` (status, objective, the value vector, and
-for a MILP the node count and dual bound).  The bundled backend is HiGHS
-through :func:`scipy.optimize.milp`; a solution produced by any external
-solver against the exported LP file can be read back with
-:func:`read_solution` and fed through the same extraction path, which
-matches its values to the model's columns by name.
+returns a plain :class:`Solution` (status, objective, the values in column
+order, and for a MILP the node count and dual bound).  The bundled backend
+is HiGHS through :func:`scipy.optimize.milp`.  Variable names appear only
+in solution files: :func:`write_solution` names each value, and
+:func:`read_solution` matches a file's names to a model's columns when it
+reads it, so a solution from any external solver run against the exported
+LP file goes through the same extraction path, which reads values by column.
 
 :func:`check_schedule_feasibility` re-derives every physical constraint from
 the raw config (temperatures through :mod:`cems.thermal`, storage books
@@ -26,7 +27,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp as _highs_milp
 from scipy.sparse import csr_array
 
 from .domain import CommunityConfig, HomeConfig
-from .milp import COMMUNITY, ROLE, ROLES, Layout, MilpModel
+from .milp import COMMUNITY, ROLE, ROLES, MilpModel
 from .thermal import pv_output_energy, simulate_indoor_trajectory
 
 MODE_ROUND_TOL = 1e-6
@@ -35,7 +36,13 @@ _STATUS_TOKENS = ("optimal", "feasible", "infeasible", "unbounded", "time_limit"
 
 
 class SolverError(Exception):
-    """The backend failed for a reason other than infeasible/unbounded."""
+    """The backend failed for a reason other than infeasible/unbounded
+    (``status`` is then ``None``), or a schedule step's model ended without
+    values (``status`` is that model's)."""
+
+    def __init__(self, message: str, status: str | None = None):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -54,43 +61,19 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class Solution:
-    """What a solve reported.  ``values`` maps variable names to values:
-    a :class:`ColumnValues` for a bundled solve, a plain dict for a
-    solution file.  The branch-and-bound node count and dual bound are
-    ``None`` for an LP."""
+    """What one solve of the model named ``model`` reported.  ``x`` holds
+    the values in the model's column order, ``None`` when there are none.
+    The branch-and-bound node count and dual bound are ``None`` for an LP."""
 
+    model: str
     status: str
     objective: float | None
-    values: Mapping[str, float] | None
+    x: np.ndarray | None
     solve_time: float
     mip_gap: float | None = None
     message: str = ""
     mip_node_count: int | None = None
     mip_dual_bound: float | None = None
-
-
-class ColumnValues(Mapping):
-    """A solve's variable values in column order, keyed by variable name on
-    demand: the names are made only when something looks one up."""
-
-    def __init__(self, layout: Layout, array: np.ndarray):
-        self.layout = layout
-        self.array = array
-        self._by_name: dict[str, float] | None = None
-
-    def _named(self) -> dict[str, float]:
-        if self._by_name is None:
-            self._by_name = dict(zip(self.layout.variable_names(), self.array.tolist()))
-        return self._by_name
-
-    def __getitem__(self, name: str) -> float:
-        return self._named()[name]
-
-    def __iter__(self):
-        return iter(self._named())
-
-    def __len__(self) -> int:
-        return len(self.array)
 
 
 def solve_model(model: MilpModel, options: SolverOptions | None = None) -> Solution:
@@ -127,9 +110,10 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None) -> Solut
         status = "unbounded"
     nodes, dual_bound = res.get("mip_node_count"), res.get("mip_dual_bound")
     return Solution(
+        model=model.name,
         status=status,
         objective=float(res.fun) if has_x else None,
-        values=ColumnValues(model.layout, res.x) if has_x else None,
+        x=res.x if has_x else None,
         solve_time=elapsed,
         mip_gap=float(res.mip_gap) if has_x and res.get("mip_gap") is not None else None,
         message=str(res.message),
@@ -194,20 +178,6 @@ def _round_mode(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_values(solution: Solution, model: MilpModel) -> np.ndarray:
-    """The solution's values in ``model``'s column order."""
-    values = solution.values
-    if values is None:
-        raise ValueError(f"solution has status {solution.status!r} and carries no values")
-    if isinstance(values, ColumnValues) and values.layout is model.layout:
-        return values.array
-    names = model.layout.variable_names()
-    missing = next((name for name in names if name not in values), None)
-    if missing is not None:
-        raise ValueError(f"solution is missing variable {missing!r}")
-    return np.array([values[name] for name in names], dtype=float)
-
-
 def extract_schedule(solution: Solution, model: MilpModel, config: CommunityConfig) -> CommunitySchedule:
     """Turn raw variable values into per-home arrays keyed by role.
 
@@ -217,7 +187,9 @@ def extract_schedule(solution: Solution, model: MilpModel, config: CommunityConf
     integer are rounded to it; values farther away are left as-is for the
     checker to flag.
     """
-    x = _column_values(solution, model)
+    x = solution.x
+    if x is None:
+        raise ValueError(f"solution has status {solution.status!r} and carries no values")
     T = config.horizon_slots
     layout = model.layout
     # the community's entries land in the last home position
@@ -498,21 +470,24 @@ def schedule_from_dict(doc: Mapping, config: CommunityConfig) -> CommunitySchedu
     )
 
 
-def write_solution(solution: Solution, stream: IO[str]) -> None:
+def write_solution(solution: Solution, model: MilpModel, stream: IO[str]) -> None:
     """Plain-text solution dump: header lines then one ``name value`` pair
-    per variable, the format expected back by :func:`read_solution`."""
+    per column of ``model``, the format expected back by
+    :func:`read_solution`."""
     stream.write(f"objective {'none' if solution.objective is None else repr(solution.objective)}\n")
     stream.write(f"status {solution.status}\n")
     if solution.mip_gap is not None:
         stream.write(f"gap {solution.mip_gap!r}\n")
-    if solution.values is not None:
-        for name, value in solution.values.items():
+    if solution.x is not None:
+        for name, value in zip(model.layout.variable_names(), solution.x.tolist()):
             stream.write(f"{name} {value!r}\n")
 
 
-def read_solution(stream: Union[IO[str], str]) -> Solution:
-    """Parse a solution file, e.g. one produced by an external solver run
-    against the exported LP model."""
+def read_solution(stream: Union[IO[str], str], model: MilpModel) -> Solution:
+    """Parse a solution file for ``model``, e.g. one produced by an external
+    solver run against the exported LP model.  The file's values are put in
+    the model's column order by name; names the model lacks are ignored, and
+    a model column the file does not name raises ``ValueError``."""
     text = stream if isinstance(stream, str) else stream.read()
     objective: float | None = None
     status: str | None = None
@@ -541,12 +516,11 @@ def read_solution(stream: Union[IO[str], str]) -> Solution:
                 raise ValueError(f"line {lineno}: bad value for {key!r}") from None
     if status is None:
         raise ValueError("solution file has no status line")
-    if status in ("optimal", "feasible") and not values:
-        raise ValueError(f"status {status!r} requires variable values")
-    return Solution(
-        status=status,
-        objective=objective,
-        values=values if status in ("optimal", "feasible") else None,
-        solve_time=0.0,
-        mip_gap=gap,
-    )
+    x = None
+    if status in ("optimal", "feasible"):
+        names = model.layout.variable_names()
+        missing = next((name for name in names if name not in values), None)
+        if missing is not None:
+            raise ValueError(f"solution is missing variable {missing!r}")
+        x = np.array([values[name] for name in names], dtype=float)
+    return Solution(model=model.name, status=status, objective=objective, x=x, solve_time=0.0, mip_gap=gap)

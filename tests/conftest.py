@@ -15,9 +15,7 @@ from cems import (
     HvacParams,
     PvParams,
     replication_config,
-    run_no_cems,
-    run_prosumer_centric,
-    run_system_centric,
+    run_scenario,
 )
 from cems.domain import default_peak_limit, default_t_in_initial
 
@@ -112,14 +110,14 @@ def replication():
 
 @pytest.fixture(scope="session")
 def system_result(replication):
-    return run_system_centric(replication)
+    return run_scenario("system", replication)
 
 
 @pytest.fixture(scope="session")
 def prosumer_result(replication):
-    return run_prosumer_centric(replication)
+    return run_scenario("prosumer", replication)
 
 
 @pytest.fixture(scope="session")
 def no_cems_result(replication):
-    return run_no_cems(replication)
+    return run_scenario("none", replication)

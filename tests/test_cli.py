@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cems.scenarios
-from cems import PvParams, config_to_dict, config_to_json
+from cems import PvParams, build_home_model, config_to_dict, config_to_json, write_lp
 from cems.cli import _native_stdout_to_stderr, main
 
 from conftest import make_community, make_ess, make_home, make_hvac
@@ -537,3 +538,20 @@ def test_export_lp_single_home(cfg_file, tmp_path, capsys):
                  "--home", "zzz", "--out", str(out)])
     assert code == 1
     assert "zzz" in capsys.readouterr().err
+
+
+def test_export_lp_names_the_file_after_the_home_tag(small_cfg, tmp_path, capsys):
+    # "a/b" is a valid home id but not a file name
+    homes = (dataclasses.replace(small_cfg.homes[0], id="a/b"), *small_cfg.homes[1:])
+    cfg = dataclasses.replace(small_cfg, homes=homes)
+    path = tmp_path / "slash.json"
+    path.write_text(config_to_json(cfg))
+    assert main(["validate", "--config", str(path)]) == 0
+    out = tmp_path / "lp"
+    code = main(["export-lp", "--config", str(path), "--scenario", "prosumer",
+                 "--home", "a/b", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["home_a_b.lp"]
+    buf = io.StringIO()
+    write_lp(build_home_model(cfg, "a/b"), buf)
+    assert (out / "home_a_b.lp").read_text() == buf.getvalue()

@@ -16,11 +16,8 @@ from cems import (
     compare,
     extract_schedule,
     replication_config,
-    run_no_cems,
-    run_prosumer_centric,
     run_scenario,
     run_scenarios,
-    run_system_centric,
     solve_model,
 )
 from cems.scenarios import (
@@ -73,9 +70,9 @@ def test_scenarios_coincide_without_ders():
 
 def test_cost_ordering_on_small_config():
     cfg = small_der_config()
-    sys_r = run_system_centric(cfg)
-    pro_r = run_prosumer_centric(cfg)
-    non_r = run_no_cems(cfg)
+    sys_r = run_scenario("system", cfg)
+    pro_r = run_scenario("prosumer", cfg)
+    non_r = run_scenario("none", cfg)
     assert sys_r.community_cost <= pro_r.community_cost + 1e-6
     assert pro_r.community_cost <= non_r.community_cost + 1e-6
 
@@ -107,17 +104,17 @@ def test_infeasible_home_surfaces_with_id():
              make_home("b", 3, hvac=make_hvac(p_max=0.0))]
     cfg = make_community(homes, [2.0, 2.0, 2.0], t_out=[30.0, 30.0, 30.0])
     with pytest.raises(InfeasibleHomeError) as err:
-        run_prosumer_centric(cfg)
+        run_scenario("prosumer", cfg)
     assert err.value.home_id == "b"
     assert err.value.status == "infeasible"
     with pytest.raises(InfeasibleHomeError):
-        run_no_cems(cfg)
+        run_scenario("none", cfg)
 
 
 def test_parallel_stage_one_matches_serial():
     cfg = small_der_config()
-    serial = run_prosumer_centric(cfg, jobs=1)
-    parallel = run_prosumer_centric(cfg, jobs=2)
+    serial = run_scenario("prosumer", cfg, jobs=1)
+    parallel = run_scenario("prosumer", cfg, jobs=2)
     assert parallel.community_cost == pytest.approx(serial.community_cost, abs=1e-9)
     for hid, hs in serial.schedule.homes.items():
         np.testing.assert_allclose(parallel.schedule.homes[hid].net, hs.net,
@@ -254,6 +251,7 @@ def test_forced_fallback_returns_the_milp_result(replication, monkeypatch, home,
     checks = _fault_first_check(monkeypatch, home, cost)
     result = run_scenario("system", replication)
     assert calls == ["system_centric_relaxed", "system_centric"]
+    assert [s.model for s in result.solves] == ["system_centric_relaxed", "system_centric"]
     assert len(checks) == 2
     assert (result.solve_path, result.fallback_reason) == (MILP_FALLBACK, reason)
     assert result.objective == milp.objective
@@ -283,7 +281,8 @@ def test_lp_that_is_not_optimal_falls_back(monkeypatch):
 
     def lp_runs_out_of_time(model, options=None):
         if model.name == "home_a_relaxed":
-            return Solution(status="time_limit", objective=None, values=None, solve_time=0.0)
+            return Solution(model=model.name, status="time_limit", objective=None, x=None,
+                            solve_time=0.0)
         return real(model, options)
 
     monkeypatch.setattr(cems.scenarios, "solve_model", lp_runs_out_of_time)
@@ -326,7 +325,7 @@ def community_configs(draw):
 @example(cfg=burning_config())  # the LP burns energy, the MILP is infeasible
 def test_lp_first_cost_equals_the_milp_cost(cfg):
     milp = solve_model(build_system_centric_model(cfg))
-    if milp.values is None:
+    if milp.x is None:
         with pytest.raises(SolverError):
             run_scenario("system", cfg)
         return
@@ -348,8 +347,8 @@ def test_unknown_kind_rejected_before_any_solve(monkeypatch):
 
 def test_solver_is_deterministic():
     cfg = small_der_config()
-    a = run_system_centric(cfg)
-    b = run_system_centric(cfg)
+    a = run_scenario("system", cfg)
+    b = run_scenario("system", cfg)
     assert a.objective == b.objective
     for hid, hs in a.schedule.homes.items():
         np.testing.assert_array_equal(hs.com_buy, b.schedule.homes[hid].com_buy)
@@ -375,7 +374,7 @@ def test_compare_contents(replication, system_result, prosumer_result,
 
 def test_compare_rejects_mixed_configs(system_result):
     other_cfg = dataclasses.replace(replication_config(), alpha=0.7)
-    other = run_no_cems(other_cfg)
+    other = run_scenario("none", other_cfg)
     with pytest.raises(ValueError):
         compare([system_result, other])
     with pytest.raises(ValueError):
@@ -431,6 +430,18 @@ def test_bench_model_dimensions_scale_linearly(bench_small):
     for field in ("n_variables", "n_constraints", "n_binaries"):
         v10, v20, v30 = (getattr(r, field) for r in bench_small.rows)
         assert v30 - v20 == v20 - v10
+
+
+def test_bench_records_a_failing_size_and_goes_on():
+    # a one-home day of the burning template has no feasible schedule
+    report = bench_scaling([1, 2], 1, burning_config())
+    failed, after = report.rows
+    assert (failed.n_homes, failed.status, failed.objective) == (1, "infeasible", None)
+    assert failed.solve_path == MILP_FALLBACK
+    assert after.n_homes == 2
+    buf = io.StringIO()
+    bench_to_csv(report, buf)
+    assert buf.getvalue().splitlines()[1].startswith("1,infeasible,,")
 
 
 def test_bench_serialization(bench_small):

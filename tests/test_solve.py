@@ -76,19 +76,19 @@ def test_infeasible_comfort_band():
     cfg = make_community([home], [2.0, 2.0], t_out=[30.0, 30.0])
     model, sol = _solve(cfg)
     assert sol.status == "infeasible"
-    assert sol.values is None
+    assert sol.x is None
     with pytest.raises(ValueError):
         extract_schedule(sol, model, cfg)
 
 
 def test_scenario_runner_raises_on_infeasible():
-    from cems import run_system_centric
+    from cems import run_scenario
 
     home = make_home("cold", 2, hvac=make_hvac(p_max=0.0),
                      fixed_load=[0.5, 0.5], peak_limit=5.0)
     cfg = make_community([home], [2.0, 2.0], t_out=[30.0, 30.0])
     with pytest.raises(SolverError):
-        run_system_centric(cfg)
+        run_scenario("system", cfg)
 
 
 # -- extraction -------------------------------------------------------------
@@ -218,46 +218,59 @@ def test_solution_file_round_trip(system_result):
     model, sol = _solve(cfg)
     assert sol.status == "optimal"
     buf = io.StringIO()
-    write_solution(sol, buf)
+    write_solution(sol, model, buf)
     buf.seek(0)
-    back = read_solution(buf)
-    assert back.status == sol.status
+    back = read_solution(buf, model)
+    assert (back.model, back.status) == (sol.model, sol.status)
     assert back.objective == pytest.approx(sol.objective, abs=1e-12)
-    assert set(back.values) == set(sol.values)
-    for k, v in sol.values.items():
-        assert back.values[k] == pytest.approx(v, abs=1e-12)
+    np.testing.assert_array_equal(back.x, sol.x)
 
 
 def test_solution_file_without_values():
     home = make_home("cold", 2, hvac=make_hvac(p_max=0.0), fixed_load=[0.5, 0.5],
                      peak_limit=5.0)
     cfg = make_community([home], [2.0, 2.0], t_out=[30.0, 30.0])
-    _, sol = _solve(cfg)
+    model, sol = _solve(cfg)
     buf = io.StringIO()
-    write_solution(sol, buf)
+    write_solution(sol, model, buf)
     buf.seek(0)
-    back = read_solution(buf)
+    back = read_solution(buf, model)
     assert back.status == "infeasible"
-    assert back.values is None
+    assert back.x is None
 
 
 def test_extract_from_a_solution_file_matches_the_solve():
     cfg = random_small_config(np.random.default_rng(3), n_homes=2, T=3)
     model, sol = _solve(cfg)
     buf = io.StringIO()
-    write_solution(sol, buf)
-    buf.seek(0)
-    back = read_solution(buf)
-    assert isinstance(back.values, dict)
+    write_solution(sol, model, buf)
+    text = buf.getvalue()
+    back = read_solution(text, model)
     direct, from_file = extract_schedule(sol, model, cfg), extract_schedule(back, model, cfg)
     for hid, hs in direct.homes.items():
         for f in dataclasses.fields(hs):
             np.testing.assert_array_equal(getattr(from_file.homes[hid], f.name), getattr(hs, f.name))
     np.testing.assert_array_equal(from_file.slot_costs, direct.slot_costs)
-    name = next(iter(back.values))
-    del back.values[name]
+    name = model.layout.variable_names()[0]
+    damaged = "".join(line for line in text.splitlines(keepends=True) if line.split()[0] != name)
+    assert len(damaged.splitlines()) == len(text.splitlines()) - 1
     with pytest.raises(ValueError, match=f"missing variable {name!r}"):
-        extract_schedule(back, model, cfg)
+        read_solution(damaged, model)
+
+
+def test_solution_file_read_against_another_model_names_the_first_missing_variable():
+    cfg = random_small_config(np.random.default_rng(3), n_homes=2, T=3)
+    model, sol = _solve(cfg)
+    buf = io.StringIO()
+    write_solution(sol, model, buf)
+    # the same homes under other ids: none of the other model's names match
+    other_cfg = dataclasses.replace(
+        cfg, homes=tuple(dataclasses.replace(h, id=f"x{h.id}") for h in cfg.homes))
+    other = build_system_centric_model(other_cfg)
+    first = other.layout.variable_names()[0]
+    assert first not in buf.getvalue()
+    with pytest.raises(ValueError, match=f"missing variable {first!r}"):
+        read_solution(buf.getvalue(), other)
 
 
 # -- options ----------------------------------------------------------------
