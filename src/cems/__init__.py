@@ -48,7 +48,6 @@ from .solve import (
     SolverError,
     SolverOptions,
     check_schedule_feasibility,
-    community_cost,
     extract_schedule,
     read_solution,
     solve_model,
@@ -63,6 +62,7 @@ from .thermal import (
 from .trading import (
     SettlementReport,
     SlotSettlement,
+    community_cost,
     mid_price,
     mid_price_series,
     settle_day,

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .domain import (
+    MID_PRICE_CASES,
     CommunityConfig,
     ConfigError,
     InvalidConfigError,
@@ -58,8 +59,6 @@ from .solve import (
     schedule_to_dict,
 )
 from .trading import settlement_to_csv, settlement_to_dict, settle_day
-
-_PMID_CASES = ("case1", "case2", "case3")
 
 
 class _UsageError(Exception):
@@ -113,7 +112,7 @@ def _build_parser() -> _Parser:
 
     def override_flags(p: argparse.ArgumentParser):
         p.add_argument("--alpha", type=float, default=None, help="override sell price factor")
-        p.add_argument("--pmid", choices=_PMID_CASES, default=None, help="override mid price policy")
+        p.add_argument("--pmid", choices=MID_PRICE_CASES, default=None, help="override mid price policy")
 
     p = add("validate", "check a config and report every problem")
     p.set_defaults(func=_cmd_validate)

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, BinaryIO, Sequence, Union
@@ -22,6 +23,10 @@ from typing import Any, BinaryIO, Sequence, Union
 import numpy as np
 
 MID_PRICE_CASES = ("case1", "case2", "case3")
+
+# the community's own tag in LP names, which no home's tag may take
+COMMUNITY_TAG = "com"
+_NOT_TAG = re.compile(r"[^A-Za-z0-9]")
 
 _ARCHETYPES = ("pv+ess", "pv", "ess", "bare")
 
@@ -50,6 +55,12 @@ class InvalidConfigError(ConfigError):
         path, message = report.errors[0]
         super().__init__(path, message)
         self.report = report
+
+
+def lp_tag(home_id: str) -> str:
+    """A home's tag in LP variable and row names: its id with every
+    character other than an ASCII letter or digit made ``_``."""
+    return _NOT_TAG.sub("_", home_id)
 
 
 def _series(values: Any) -> np.ndarray:
@@ -456,8 +467,10 @@ def validate_config(config: CommunityConfig) -> ValidationReport:
     Every number must be finite (``NaN`` and infinities are reported with
     their field path); a range check runs only on numbers that passed that
     test, and a check relating several fields only when all of them did.
-    Errors and warnings are ordered by (home index, field path) with
-    community-level entries first, so output is deterministic.
+    Home ids must also stay distinct, and apart from the community's tag,
+    once made LP name tags (:func:`lp_tag`).  Errors and warnings are
+    ordered by (home index, field path) with community-level entries
+    first, so output is deterministic.
     """
     errors: list[tuple[int, str, str]] = []
     warnings: list[tuple[int, str, str]] = []
@@ -514,22 +527,25 @@ def validate_config(config: CommunityConfig) -> ValidationReport:
         if len(mid) != T:
             err(-1, "community.mid_price_policy", f"expected {T} entries, got {len(mid)}")
         elif len(config.buy_price) == T and not errors:
-            lo = config.alpha * config.buy_price
-            for t, v in enumerate(mid):
-                if not (lo[t] <= v <= config.buy_price[t]):
-                    err(
-                        -1,
-                        f"community.mid_price_policy[{t}]",
-                        f"{v} outside [alpha*P, P] = [{lo[t]}, {config.buy_price[t]}]",
-                    )
+            lo, hi = config.alpha * config.buy_price, config.buy_price
+            for t in np.flatnonzero(~((lo <= mid) & (mid <= hi))):
+                err(-1, f"community.mid_price_policy[{t}]", f"{mid[t]} outside [alpha*P, P] = [{lo[t]}, {hi[t]}]")
 
     seen: dict[str, int] = {}
+    tags = {COMMUNITY_TAG: -1}
     for i, home in enumerate(config.homes):
         base = f"homes[{i}]"
         if home.id in seen:
             err(i, f"{base}.id", f"duplicate home id {home.id!r} (first at homes[{seen[home.id]}])")
         else:
             seen[home.id] = i
+            tag = lp_tag(home.id)
+            first = tags.setdefault(tag, i)
+            if first == -1:
+                err(i, f"{base}.id", f"home id {home.id!r} takes the community's LP name tag {tag!r}")
+            elif first != i:
+                err(i, f"{base}.id", f"home id {home.id!r} and homes[{first}].id "
+                    f"{config.homes[first].id!r} are both {tag!r} in LP names")
         hv = home.hvac
         if finite_fields(i, f"{base}.hvac", hv):
             if not hv.p_max > 0:

@@ -27,13 +27,12 @@ coupling rows as array slices.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
 
-from .domain import CommunityConfig, HomeConfig
+from .domain import COMMUNITY_TAG, CommunityConfig, HomeConfig, lp_tag
 from .thermal import pv_output_energy
 
 CONTINUOUS = "continuous"
@@ -57,7 +56,6 @@ FAMILIES = (
 FAMILY = {family: code for code, family in enumerate(FAMILIES)}
 
 COMMUNITY = -1  # home code of the community-level columns and rows
-COMMUNITY_TAG = "com"
 
 
 class ModelBuildError(Exception):
@@ -329,12 +327,9 @@ def _exclusivity_big_ms(homes: Sequence[HomeConfig], config: CommunityConfig) ->
         + ((0.0, 0.0) if h.pv is None else (h.pv.panel_area, h.pv.efficiency))
         for h in homes
     ]).reshape(len(homes), 6).T
-    ghi = float(config.ghi.max())
-    # pv_output_energy's checks, then its product at the day's peak
-    # irradiance, one home at a time; zero without PV
-    pv_output_energy(ghi, float(area.min(initial=0.0)), float(efficiency.min(initial=0.0)), dt)
     buy_cap = p_max * dt + np.array([h.fixed_load for h in homes]).max(axis=1) + charge * dt
-    sell_cap = 0.0 + discharge * dt + ghi * area * efficiency * dt
+    # PV output at the day's peak irradiance; zero without PV
+    sell_cap = 0.0 + discharge * dt + pv_output_energy(float(config.ghi.max()), area, efficiency, dt)
     return np.maximum(np.maximum(peak, buy_cap), sell_cap)
 
 
@@ -402,8 +397,7 @@ def _home_values(
     series[:, 0] = (1.0 - eps)[:, None] * config.t_out[None, :]
     series[:, 0, 0] += eps * t_initial
     series[:, 1] = [h.fixed_load for h in homes]
-    # pv_output_energy, one slot and home at a time
-    series[:, 2] = config.ghi[None, :] * area[:, None] * efficiency[:, None] * dt
+    series[:, 2] = pv_output_energy(config.ghi[None, :], area[:, None], efficiency[:, None], dt)
     return table
 
 
@@ -574,26 +568,6 @@ def _finish_pattern(roles: tuple[str, ...], T: int, rows: list) -> _Pattern:
 # ---------------------------------------------------------------------------
 # assembly
 
-_SANITIZE = re.compile(r"[^A-Za-z0-9]")
-
-
-def _home_tags(homes: Sequence[HomeConfig], community: bool) -> tuple[str, ...]:
-    """Each home's name tag: its id with every non-alphanumeric character
-    made ``_``.  Tags must be unique, and a pooled model reserves
-    :data:`COMMUNITY_TAG` for itself."""
-    tags: dict[str, None] = {}
-    for home in homes:
-        tag = _SANITIZE.sub("_", home.id)
-        if tag in tags:
-            raise ModelBuildError(f"home id {home.id!r} collides with another id after sanitizing")
-        if community and tag == COMMUNITY_TAG:
-            raise ModelBuildError(
-                f"home id {home.id!r} takes the community's name tag {COMMUNITY_TAG!r}"
-            )
-        tags[tag] = None
-    return tuple(tags)
-
-
 # the arrays a builder fills, by model array name, with their dtypes; the
 # builders fill ``row_len`` with each row's term count, and _model sums
 # it into ``indptr``
@@ -655,7 +629,7 @@ def _fill_homes(out: dict[str, np.ndarray], patterns: Sequence[_Pattern], sizes:
     return col0
 
 
-def _model(name: str, homes: Sequence[HomeConfig], selfish: bool, arrays: dict[str, np.ndarray],
+def _model(name: str, homes: Sequence[HomeConfig], arrays: dict[str, np.ndarray],
            objective: tuple[np.ndarray, np.ndarray]) -> MilpModel:
     """The model made of the filled ``arrays`` and the written objective
     terms ``(columns, coefficients)``, read-only and validated."""
@@ -667,7 +641,7 @@ def _model(name: str, homes: Sequence[HomeConfig], selfish: bool, arrays: dict[s
     c[columns] = coefs
     layout = Layout(
         homes=tuple(h.id for h in homes),
-        tags=_home_tags(homes, community=not selfish),
+        tags=tuple(lp_tag(h.id) for h in homes),
         objective_order=columns,
         **{key: arrays.pop(key) for key in _LAYOUT_ARRAYS},
     )
@@ -781,7 +755,7 @@ def build_system_centric_model(config: CommunityConfig) -> MilpModel:
     com["row_home"][:] = COMMUNITY
     com["row_family"][:] = np.tile([FAMILY[k[0]] for k in kinds], T)
     com["row_slot"][:] = np.repeat(slots, len(kinds))
-    return _model("system_centric", homes, False, arrays, (cost, np.ones(T)))
+    return _model("system_centric", homes, arrays, (cost, np.ones(T)))
 
 
 def build_home_model(config: CommunityConfig, home_id: str) -> MilpModel:
@@ -802,7 +776,7 @@ def build_home_model(config: CommunityConfig, home_id: str) -> MilpModel:
     arrays.update(var_home=np.zeros(len(pattern.var_role), dtype=np.int32),
                   row_home=np.zeros(len(pattern.row_family), dtype=np.int32))
     prices = np.column_stack([config.buy_price, -config.alpha * config.buy_price]).ravel()
-    return _model(f"home_{home_id}", [home], True, arrays, (pattern.objective, prices))
+    return _model(f"home_{home_id}", [home], arrays, (pattern.objective, prices))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .solve import (
     SolverError,
     SolverOptions,
     check_schedule_feasibility,
-    community_cost,
     extract_schedule,
     solve_model,
 )
@@ -240,20 +239,19 @@ def _settle(kind: str, config: CommunityConfig, step: _Scheduled) -> ScenarioRes
     cost is the sum of the individual bills, which double-pays the buy/sell
     spread on any energy that crosses between neighbors.  The other kinds
     settle at the mid-market rate, which is budget balanced against the
-    pooled exchange.
+    pooled exchange's bill.  Either way the settlement's daily total is the
+    community cost.
     """
     if kind == "none":
         settlement = settle_day_at_external_prices(step.schedule, config)
-        cost = settlement.community_daily_cost
     else:
         settlement = settle_day(step.schedule, config)
-        cost = community_cost(step.schedule, config)
     # shallow on purpose: results settling one step share its schedule
     return ScenarioResult(
         kind=kind,
         config=config,
         settlement=settlement,
-        community_cost=cost,
+        community_cost=settlement.community_daily_cost,
         **vars(step),
     )
 

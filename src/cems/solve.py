@@ -29,6 +29,7 @@ from scipy.sparse import csr_array
 from .domain import CommunityConfig, HomeConfig
 from .milp import COMMUNITY, ROLE, ROLES, MilpModel
 from .thermal import pv_output_energy, simulate_indoor_trajectory
+from .trading import community_cost
 
 MODE_ROUND_TOL = 1e-6
 
@@ -222,18 +223,6 @@ def extract_schedule(solution: Solution, model: MilpModel, config: CommunityConf
     )
 
 
-def community_cost(schedule: CommunitySchedule, config: CommunityConfig) -> float:
-    """Day cost of the pooled exchange: imports at ``P``, exports at
-    ``alpha * P``, slots with zero net exchange contribute nothing."""
-    cost = 0.0
-    for t, net in enumerate(schedule.community_net):
-        if net > 0:
-            cost += float(config.buy_price[t]) * net
-        elif net < 0:
-            cost += config.alpha * float(config.buy_price[t]) * net
-    return float(cost)
-
-
 # ---------------------------------------------------------------------------
 # independent feasibility checking
 
@@ -259,6 +248,18 @@ class FeasibilityReport:
         return not self.violations
 
 
+def _storage_levels(initial: float, outflow: np.ndarray, inflow: np.ndarray) -> np.ndarray:
+    """Each slot's closing storage level under ``level = level - outflow +
+    inflow``, rounded exactly as that loop rounds: ``a - b`` is ``a + (-b)``
+    in floating point, and ``np.add.accumulate`` adds strictly left to
+    right."""
+    steps = np.empty(2 * len(outflow) + 1)
+    steps[0] = initial
+    steps[1::2] = -outflow
+    steps[2::2] = inflow
+    return np.add.accumulate(steps)[2::2]
+
+
 def check_schedule_feasibility(
     schedule: CommunitySchedule,
     config: CommunityConfig,
@@ -274,117 +275,96 @@ def check_schedule_feasibility(
     variables.  ``community_peak_as_warning`` downgrades pool-band breaches
     to warnings; the selfish baselines never constrained that band, so a
     breach there is reportable but not an extraction bug.
+
+    Each constraint family is one array expression over a home's slots.
+    Breaches are reported home by home in config order, then community-wide;
+    within a home, block by block in the order written below, and within a
+    block slot by slot, each slot's families in the block's order.
     """
     T = config.horizon_slots
     dt = config.slot_hours
     violations: list[Violation] = []
     warnings: list[Violation] = []
 
-    def bad(family: str, home: str | None, slot: int | None, magnitude: float):
-        violations.append(Violation(family, home, slot, float(magnitude)))
+    def emit(out: list[Violation], home: str | None, *block: tuple, first_slot: int = 1) -> None:
+        """Append to ``out`` the breaches of ``block``: ``(family, magnitude)``
+        pairs over the same slots, breached where the magnitude exceeds the
+        tolerance unless a third entry says where."""
+        magnitude = np.array([e[1] for e in block])
+        breached = magnitude > tolerance
+        for f, entry in enumerate(block):
+            if len(entry) > 2:
+                breached[f] = entry[2]
+        if breached.any():
+            for t, f in zip(*np.nonzero(breached.T)):
+                out.append(Violation(block[f][0], home, first_slot + int(t), float(magnitude[f, t])))
 
     for home in config.homes:
         hs = schedule.homes.get(home.id)
         if hs is None:
-            bad("missing_home", home.id, None, np.inf)
+            violations.append(Violation("missing_home", home.id, None, np.inf))
             continue
-        hv, ess, pv = home.hvac, home.ess, home.pv
+        hid, hv, ess, pv = home.id, home.hvac, home.ess, home.pv
 
-        for t in range(T):
-            p = hs.hvac_power[t]
-            excess = max(-p, p - hv.p_max)
-            if excess > tolerance:
-                bad("hvac_power_range", home.id, t + 1, excess)
+        p = hs.hvac_power
+        emit(violations, hid, ("hvac_power_range", np.maximum(-p, p - hv.p_max)))
 
-        clipped_p = np.clip(hs.hvac_power, 0.0, hv.p_max)
-        traj = simulate_indoor_trajectory(hv.t_in_initial, config.t_out, clipped_p, hv, dt)
-        for t in range(1, T + 1):
-            drift = abs(traj.indoor_temp[t] - hs.indoor_temp[t])
-            if drift > tolerance:
-                bad("temperature_recursion", home.id, t, drift)
-            outside = max(hv.t_min - traj.indoor_temp[t], traj.indoor_temp[t] - hv.t_max)
-            if outside > tolerance:
-                bad("comfort_band", home.id, t, outside)
+        temp = simulate_indoor_trajectory(hv.t_in_initial, config.t_out, np.clip(p, 0.0, hv.p_max), hv, dt)
+        temp = temp.indoor_temp[1:]
+        emit(violations, hid,
+             ("temperature_recursion", np.abs(temp - hs.indoor_temp[1:])),
+             ("comfort_band", np.maximum(hv.t_min - temp, temp - hv.t_max)))
 
         for role in ("com_load", "com_buy", "com_sell", "ess_load", "ess_sell",
                      "com_charge", "res_charge", "res_load", "res_sell"):
-            arr = getattr(hs, role)
-            for t in range(T):
-                if arr[t] < -tolerance:
-                    bad("nonnegative_flow", home.id, t + 1, -arr[t])
+            emit(violations, hid, ("nonnegative_flow", -getattr(hs, role)))
 
         for role in ("mode_home", "mode_ess"):
-            arr = getattr(hs, role)
-            for t in range(T):
-                drift = abs(arr[t] - round(arr[t]))
-                if drift > tolerance or not -tolerance <= arr[t] <= 1 + tolerance:
-                    bad("mode_integrality", home.id, t + 1, max(drift, -arr[t], arr[t] - 1))
+            mode = getattr(hs, role)
+            drift = np.abs(mode - np.round(mode))
+            outside = ~((-tolerance <= mode) & (mode <= 1 + tolerance))
+            emit(violations, hid, ("mode_integrality", np.maximum(np.maximum(drift, -mode), mode - 1),
+                                   (drift > tolerance) | outside))
 
         if pv is not None:
-            for t in range(T):
-                produced = pv_output_energy(float(config.ghi[t]), pv.panel_area, pv.efficiency, dt)
-                gap = abs(hs.res_load[t] + hs.res_sell[t] + hs.res_charge[t] - produced)
-                if gap > tolerance:
-                    bad("pv_split", home.id, t + 1, gap)
+            produced = pv_output_energy(config.ghi, pv.panel_area, pv.efficiency, dt)
+            emit(violations, hid, ("pv_split", np.abs(hs.res_load + hs.res_sell + hs.res_charge - produced)))
         else:
-            for t in range(T):
-                stray = abs(hs.res_load[t]) + abs(hs.res_sell[t]) + abs(hs.res_charge[t])
-                if stray > tolerance:
-                    bad("absent_der_flow", home.id, t + 1, stray)
+            stray = np.abs(hs.res_load) + np.abs(hs.res_sell) + np.abs(hs.res_charge)
+            emit(violations, hid, ("absent_der_flow", stray))
 
         if ess is not None:
-            eta = ess.efficiency
-            level = ess.level_initial
-            for t in range(T):
-                discharge = hs.ess_load[t] + hs.ess_sell[t]
-                charge = hs.res_charge[t] + hs.com_charge[t]
-                level = level - discharge / eta + charge * eta
-                drift = abs(level - hs.ess_level[t])
-                if drift > tolerance:
-                    bad("ess_level_recursion", home.id, t + 1, drift)
-                outside = max(ess.level_min - level, level - ess.level_max)
-                if outside > tolerance:
-                    bad("ess_level_range", home.id, t + 1, outside)
-                mode = hs.mode_ess[t]
-                over_charge = charge - ess.charge_rate_max * dt * mode
-                if over_charge > tolerance:
-                    bad("ess_charge_rate", home.id, t + 1, over_charge)
-                over_discharge = discharge - ess.discharge_rate_max * dt * (1.0 - mode)
-                if over_discharge > tolerance:
-                    bad("ess_discharge_rate", home.id, t + 1, over_discharge)
-                if min(charge, discharge) > tolerance:
-                    bad("ess_simultaneity", home.id, t + 1, min(charge, discharge))
-            terminal = abs(level - ess.level_initial)
-            if terminal > tolerance:
-                bad("ess_terminal_level", home.id, T, terminal)
+            discharge = hs.ess_load + hs.ess_sell
+            charge = hs.res_charge + hs.com_charge
+            level = _storage_levels(ess.level_initial, discharge / ess.efficiency, charge * ess.efficiency)
+            emit(violations, hid,
+                 ("ess_level_recursion", np.abs(level - hs.ess_level)),
+                 ("ess_level_range", np.maximum(ess.level_min - level, level - ess.level_max)),
+                 ("ess_charge_rate", charge - ess.charge_rate_max * dt * hs.mode_ess),
+                 ("ess_discharge_rate", discharge - ess.discharge_rate_max * dt * (1.0 - hs.mode_ess)),
+                 ("ess_simultaneity", np.minimum(charge, discharge)))
+            emit(violations, hid, ("ess_terminal_level", np.abs(level[-1:] - ess.level_initial)),
+                 first_slot=T)
         else:
-            for t in range(T):
-                stray = abs(hs.ess_load[t]) + abs(hs.ess_sell[t]) + abs(hs.com_charge[t])
-                if stray > tolerance:
-                    bad("absent_der_flow", home.id, t + 1, stray)
+            stray = np.abs(hs.ess_load) + np.abs(hs.ess_sell) + np.abs(hs.com_charge)
+            emit(violations, hid, ("absent_der_flow", stray))
 
-        for t in range(T):
-            supplied = hs.com_load[t] + hs.ess_load[t] + hs.res_load[t]
-            gap = abs(home.fixed_load[t] + hs.hvac_power[t] * dt - supplied)
-            if gap > tolerance:
-                bad("home_balance", home.id, t + 1, gap)
-            buy_gap = abs(hs.com_buy[t] - hs.com_load[t] - hs.com_charge[t])
-            sell_gap = abs(hs.com_sell[t] - hs.res_sell[t] - hs.ess_sell[t])
-            if max(buy_gap, sell_gap) > tolerance:
-                bad("buy_sell_definition", home.id, t + 1, max(buy_gap, sell_gap))
-            overlap = min(hs.com_buy[t], hs.com_sell[t])
-            if overlap > tolerance:
-                bad("buy_sell_exclusivity", home.id, t + 1, overlap)
+        supplied = hs.com_load + hs.ess_load + hs.res_load
+        buy_gap = np.abs(hs.com_buy - hs.com_load - hs.com_charge)
+        sell_gap = np.abs(hs.com_sell - hs.res_sell - hs.ess_sell)
+        emit(violations, hid,
+             ("home_balance", np.abs(home.fixed_load + hs.hvac_power * dt - supplied)),
+             ("buy_sell_definition", np.maximum(buy_gap, sell_gap)),
+             ("buy_sell_exclusivity", np.minimum(hs.com_buy, hs.com_sell)))
 
     net_sum = np.sum([hs.net for hs in schedule.homes.values()], axis=0)
-    for t in range(T):
-        drift = abs(net_sum[t] - schedule.community_net[t])
-        if drift > tolerance:
-            bad("community_net", None, t + 1, drift)
-        breach = abs(schedule.community_net[t]) - config.community_peak
-        if breach > tolerance:
-            v = Violation("community_peak", None, t + 1, float(breach))
-            (warnings if community_peak_as_warning else violations).append(v)
+    net_drift = ("community_net", np.abs(net_sum - schedule.community_net))
+    peak = ("community_peak", np.abs(schedule.community_net) - config.community_peak)
+    if community_peak_as_warning:
+        emit(violations, None, net_drift)
+        emit(warnings, None, peak)
+    else:
+        emit(violations, None, net_drift, peak)
 
     cost = community_cost(schedule, config)
     matches = True

@@ -1,9 +1,10 @@
 """Building thermal response and PV production.
 
 The indoor temperature of a home follows a first-order lag driven by the
-outdoor temperature and the HVAC heat input.  All functions here are pure;
-the MILP builders and the feasibility checker both call into this module so
-that the physics is written down exactly once.
+outdoor temperature and the HVAC heat input.  All functions here are pure.
+The feasibility checker simulates temperatures here, while the MILP
+builders write the same update as one linear row per slot.  PV energy is
+computed only by :func:`pv_output_energy`, for the builders and the checker.
 """
 from __future__ import annotations
 
@@ -66,10 +67,12 @@ def simulate_indoor_trajectory(
     return ThermalTrajectory(indoor_temp=temps, hvac_energy=p * slot_hours)
 
 
-def pv_output_energy(ghi: float, panel_area: float, efficiency: float, slot_hours: float) -> float:
-    """PV energy harvested in one slot (kWh) from irradiance ``ghi`` (kW/m^2)."""
-    if ghi < 0.0:
-        raise ValueError(f"irradiance must be nonnegative, got {ghi}")
-    if panel_area < 0.0 or efficiency < 0.0 or slot_hours < 0.0:
+def pv_output_energy(ghi, panel_area, efficiency, slot_hours):
+    """PV energy harvested per slot (kWh) from irradiance ``ghi`` (kW/m^2):
+    ``ghi * panel_area * efficiency * slot_hours``, for numbers or for NumPy
+    arrays that broadcast (e.g. a day of irradiance against a column of panels)."""
+    if np.any(np.less(ghi, 0.0)):
+        raise ValueError(f"irradiance must be nonnegative, got {np.min(ghi)}")
+    if np.any(np.less(panel_area, 0.0)) or np.any(np.less(efficiency, 0.0)) or slot_hours < 0.0:
         raise ValueError("panel_area, efficiency and slot_hours must be nonnegative")
     return ghi * panel_area * efficiency * slot_hours

@@ -8,18 +8,23 @@ mid price with ``P`` so that buyers exactly fund both the sellers and the
 external bill; symmetrically when the community exports.  Settlement is
 therefore budget balanced by construction: the per-home costs of a slot sum
 to exactly what the community pays the external provider for that slot.
+
+Every bill is priced by :func:`price_nets`; the pooled exchange's bill, the
+bills without a local market and the local settlement differ only in the
+buy and sell prices they hand it.
 """
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence, Union
+from typing import IO, TYPE_CHECKING, Mapping, Sequence, Union
 
 import numpy as np
 
-from .domain import MID_PRICE_CASES, CommunityConfig
-from .solve import CommunitySchedule, community_cost
+from .domain import CommunityConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .solve import CommunitySchedule
 
 ZERO_NET_TOL = 1e-9
 
@@ -41,12 +46,37 @@ class SettlementReport:
     budget_residual: float
 
 
-def mid_price(p_mg: float, alpha: float, policy: Union[str, float]) -> float:
+def price_nets(nets: np.ndarray, buy: np.ndarray, sell: np.ndarray) -> np.ndarray:
+    """The cost of each net at its slot's prices: ``buy * net`` for a
+    purchase (a positive net), ``sell * net`` for a sale (a negative net)
+    and 0.0 for a zero net.  ``nets`` holds one net per slot, or is a
+    (home, slot) matrix; ``buy`` and ``sell`` hold one price per slot."""
+    return np.where(nets > 0, buy * nets, np.where(nets < 0, sell * nets, 0.0))
+
+
+def _sum_in_order(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sums along ``axis`` added left to right from 0.0, as a Python loop
+    adds them; NumPy's ``sum`` adds pairwise, which rounds differently."""
+    shape = list(values.shape)
+    shape[axis] = 1
+    padded = np.concatenate([np.zeros(shape), values], axis=axis)
+    return np.add.accumulate(padded, axis=axis).take(-1, axis=axis)
+
+
+def community_cost(schedule: CommunitySchedule, config: CommunityConfig) -> float:
+    """Day cost of the pooled exchange: imports at ``P``, exports at
+    ``alpha * P``, slots with zero net exchange contribute nothing."""
+    prices = config.buy_price
+    return float(_sum_in_order(price_nets(schedule.community_net, prices, config.alpha * prices)))
+
+
+def mid_price(p_mg, alpha: float, policy):
     """Mid price between the external sell price ``alpha * p_mg`` and ``p_mg``.
 
     ``case1`` sits a quarter of the way up from the sell price, ``case2``
     halfway, ``case3`` three quarters up.  A number is taken as an explicit
-    mid price and must lie inside the band.
+    mid price and must lie inside the band.  Prices and explicit mids may
+    be arrays, one entry per slot.
     """
     if isinstance(policy, str):
         if policy == "case1":
@@ -56,22 +86,68 @@ def mid_price(p_mg: float, alpha: float, policy: Union[str, float]) -> float:
         if policy == "case3":
             return (3.0 + alpha) / 4.0 * p_mg
         raise ValueError(f"unknown mid price policy {policy!r}")
-    value = float(policy)
-    if not alpha * p_mg <= value <= p_mg:
-        raise ValueError(f"explicit mid price {value} outside [{alpha * p_mg}, {p_mg}]")
-    return value
+    value, high = np.asarray(policy, dtype=float), np.asarray(p_mg, dtype=float)
+    low = alpha * high
+    outside = ~((low <= value) & (value <= high))
+    if outside.any():
+        raise ValueError(
+            f"explicit mid price {value[outside][0]} outside [{low[outside][0]}, {high[outside][0]}]"
+        )
+    return value if value.ndim else float(value)
 
 
 def mid_price_series(config: CommunityConfig, policy: Union[str, Sequence[float], None] = None) -> np.ndarray:
     """Per-slot mid prices under ``policy`` (default: the config's policy)."""
     if policy is None:
         policy = config.mid_price_policy
-    if isinstance(policy, str):
-        return np.array([mid_price(float(p), config.alpha, policy) for p in config.buy_price])
-    series = np.asarray(policy, dtype=float)
-    if series.shape != (config.horizon_slots,):
-        raise ValueError(f"explicit mid price series must have {config.horizon_slots} entries")
-    return np.array([mid_price(float(p), config.alpha, float(v)) for p, v in zip(config.buy_price, series)])
+    if not isinstance(policy, str):
+        policy = np.asarray(policy, dtype=float)
+        if policy.shape != (config.horizon_slots,):
+            raise ValueError(f"explicit mid price series must have {config.horizon_slots} entries")
+    return mid_price(config.buy_price, config.alpha, policy)
+
+
+def _local_prices(nets: np.ndarray, buy: np.ndarray, alpha: float, mid: np.ndarray):
+    """Each slot's local buy price, local sell price and pooled net for a
+    (home, slot) matrix of nets, as :func:`settle_timeslot` sets them."""
+    sell = alpha * buy
+    outside = np.flatnonzero(~((sell - 1e-12 <= mid) & (mid <= buy + 1e-12)))
+    if outside.size:
+        t = outside[0]
+        raise ValueError(f"mid price {mid[t]} outside [{sell[t]}, {buy[t]}]")
+    buys = _sum_in_order(np.maximum(nets, 0.0), axis=0)
+    sells = _sum_in_order(np.maximum(-nets, 0.0), axis=0)
+    net = buys - sells
+    # the one place a slot is classed as balanced, importing or exporting
+    balanced = np.abs(net) <= ZERO_NET_TOL
+    # each blend is computed for every slot but kept only where it applies
+    with np.errstate(all="ignore"):
+        p_lb = np.where(balanced | (net < 0), mid, (mid * sells + buy * net) / buys)
+        p_ls = np.where(balanced | (net > 0), mid, (mid * buys + sell * -net) / sells)
+    return p_lb, p_ls, net
+
+
+def _report(homes, nets, buy, sell, net, total: float | None = None, first_slot: int = 1) -> SettlementReport:
+    """The settlement of a (home, slot) matrix of ``nets`` at per-slot
+    ``buy`` and ``sell`` prices, given each slot's pooled ``net`` and what
+    the community pays outside (``total``, by default the sum of the bills)."""
+    costs = price_nets(nets, buy, sell)
+    daily = _sum_in_order(costs, axis=1)
+    billed = float(_sum_in_order(daily))
+    total = billed if total is None else total
+    slots = zip(buy.tolist(), sell.tolist(), costs.T.tolist(), net.tolist())
+    return SettlementReport(
+        slots=tuple(SlotSettlement(slot=first_slot + t, p_local_buy=b, p_local_sell=s,
+                                   per_home_cost=dict(zip(homes, c)), net_community=n)
+                    for t, (b, s, c, n) in enumerate(slots)),
+        per_home_daily_cost=dict(zip(homes, daily.tolist())),
+        community_daily_cost=total,
+        budget_residual=total - billed,
+    )
+
+
+def _nets(schedule: CommunitySchedule, T: int) -> np.ndarray:
+    return np.array([hs.net for hs in schedule.homes.values()], dtype=float).reshape(len(schedule.homes), T)
 
 
 def settle_timeslot(
@@ -88,30 +164,9 @@ def settle_timeslot(
     purchases``; net-exporting is the mirror image built on the external
     sell price; a balanced slot settles both sides at ``p_mid``.
     """
-    if not alpha * p_mg - 1e-12 <= p_mid <= p_mg + 1e-12:
-        raise ValueError(f"mid price {p_mid} outside [{alpha * p_mg}, {p_mg}]")
-    buys = sum(max(v, 0.0) for v in net_by_home.values())
-    sells = sum(max(-v, 0.0) for v in net_by_home.values())
-    net = buys - sells
-    if abs(net) <= ZERO_NET_TOL:
-        p_lb = p_ls = p_mid
-    elif net > 0:
-        p_ls = p_mid
-        p_lb = (p_mid * sells + p_mg * net) / buys
-    else:
-        p_lb = p_mid
-        p_ls = (p_mid * buys + alpha * p_mg * (-net)) / sells
-    costs = {
-        home: (p_lb * v if v > 0 else p_ls * v if v < 0 else 0.0)
-        for home, v in net_by_home.items()
-    }
-    return SlotSettlement(
-        slot=slot,
-        p_local_buy=p_lb,
-        p_local_sell=p_ls,
-        per_home_cost=costs,
-        net_community=net,
-    )
+    nets = np.array(list(net_by_home.values()), dtype=float).reshape(-1, 1)
+    prices = _local_prices(nets, np.array([p_mg], dtype=float), alpha, np.array([p_mid], dtype=float))
+    return _report(list(net_by_home), nets, *prices, first_slot=slot).slots[0]
 
 
 def settle_day(
@@ -120,54 +175,18 @@ def settle_day(
     policy: Union[str, Sequence[float], None] = None,
 ) -> SettlementReport:
     """Settle a whole scheduled day at the mid-market rate."""
-    mids = mid_price_series(config, policy)
-    slots = []
-    daily = {hid: 0.0 for hid in schedule.homes}
-    for t in range(config.horizon_slots):
-        nets = {hid: float(hs.net[t]) for hid, hs in schedule.homes.items()}
-        slot = settle_timeslot(nets, float(config.buy_price[t]), config.alpha, float(mids[t]), slot=t + 1)
-        slots.append(slot)
-        for hid, cost in slot.per_home_cost.items():
-            daily[hid] += cost
-    total = community_cost(schedule, config)
-    return SettlementReport(
-        slots=tuple(slots),
-        per_home_daily_cost=daily,
-        community_daily_cost=total,
-        budget_residual=total - sum(daily.values()),
-    )
+    nets = _nets(schedule, config.horizon_slots)
+    prices = _local_prices(nets, config.buy_price, config.alpha, mid_price_series(config, policy))
+    return _report(list(schedule.homes), nets, *prices, total=community_cost(schedule, config))
 
 
 def settle_day_at_external_prices(schedule: CommunitySchedule, config: CommunityConfig) -> SettlementReport:
     """Settlement without any local market: every home buys at ``P`` and
     sells at ``alpha * P`` on its own.  The community cost is then by
     definition the sum of the individual bills."""
-    slots = []
-    daily = {hid: 0.0 for hid in schedule.homes}
-    for t in range(config.horizon_slots):
-        p = float(config.buy_price[t])
-        costs = {}
-        net_total = 0.0
-        for hid, hs in schedule.homes.items():
-            v = float(hs.net[t])
-            costs[hid] = p * v if v > 0 else config.alpha * p * v if v < 0 else 0.0
-            daily[hid] += costs[hid]
-            net_total += v
-        slots.append(
-            SlotSettlement(
-                slot=t + 1,
-                p_local_buy=p,
-                p_local_sell=config.alpha * p,
-                per_home_cost=costs,
-                net_community=net_total,
-            )
-        )
-    return SettlementReport(
-        slots=tuple(slots),
-        per_home_daily_cost=daily,
-        community_daily_cost=sum(daily.values()),
-        budget_residual=0.0,
-    )
+    nets = _nets(schedule, config.horizon_slots)
+    buy = config.buy_price
+    return _report(list(schedule.homes), nets, buy, config.alpha * buy, _sum_in_order(nets, axis=0))
 
 
 # ---------------------------------------------------------------------------

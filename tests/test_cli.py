@@ -555,3 +555,19 @@ def test_export_lp_names_the_file_after_the_home_tag(small_cfg, tmp_path, capsys
     buf = io.StringIO()
     write_lp(build_home_model(cfg, "a/b"), buf)
     assert (out / "home_a_b.lp").read_text() == buf.getvalue()
+
+
+def test_ids_colliding_as_lp_tags_exit_1_before_any_command(small_cfg, tmp_path, capsys):
+    # "a/b" and "a_b" would both be written "a_b" in LP names and file names
+    homes = (dataclasses.replace(small_cfg.homes[0], id="a/b"),
+             dataclasses.replace(small_cfg.homes[1], id="a_b"), *small_cfg.homes[2:])
+    path = tmp_path / "collide.json"
+    path.write_text(config_to_json(dataclasses.replace(small_cfg, homes=homes)))
+    out = tmp_path / "out"
+    for argv in (["validate"], ["export-lp", "--out", str(out)],
+                 ["export-lp", "--scenario", "prosumer", "--home", "a_b", "--out", str(out)],
+                 ["solve", "--scenario", "none", "--out", str(out)]):
+        assert main([*argv, "--config", str(path)]) == 1, argv
+        err = capsys.readouterr().err
+        assert "homes[1].id" in err and "'a_b' and homes[0].id 'a/b' are both 'a_b'" in err
+    assert not out.exists()

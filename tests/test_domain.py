@@ -125,6 +125,22 @@ def test_validate_rejects_duplicate_ids():
     assert any("duplicate" in msg for _, msg in exc.value.report.errors)
 
 
+def test_validate_rejects_ids_that_collide_as_lp_tags(replication):
+    homes = list(replication.homes)
+    homes[2] = replace(homes[2], id="a/b")
+    homes[5] = replace(homes[5], id="a_b")
+    homes[7] = replace(homes[7], id="com")
+    report = validate_config(replace(replication, homes=tuple(homes)))
+    assert [path for path, _ in report.errors] == ["homes[5].id", "homes[7].id"]
+    assert "'a_b' and homes[2].id 'a/b' are both 'a_b'" in report.errors[0][1]
+    assert "community's LP name tag 'com'" in report.errors[1][1]
+
+
+@pytest.mark.parametrize("n_homes,seed", [(10, 1), (200, 1), (1000, 1)])
+def test_bundled_and_synthetic_ids_pass_the_tag_check(replication, n_homes, seed):
+    assert validate_config(generate_synthetic_community(n_homes, seed, replication)).ok
+
+
 def test_wrong_series_length_rejected_at_parse():
     def mutate(doc):
         doc["series"]["ghi"] = doc["series"]["ghi"][:-1]

@@ -199,6 +199,141 @@ def test_checker_missing_home(replication, system_result):
     assert "missing_home" in _families(check_schedule_feasibility(sched, replication))
 
 
+# -- the checker's report, pinned byte for byte -----------------------------
+
+_CHECK_FAMILIES = (
+    "missing_home", "hvac_power_range", "temperature_recursion", "comfort_band",
+    "nonnegative_flow", "mode_integrality", "pv_split", "absent_der_flow",
+    "ess_level_recursion", "ess_level_range", "ess_charge_rate", "ess_discharge_rate",
+    "ess_simultaneity", "ess_terminal_level", "home_balance", "buy_sell_definition",
+    "buy_sell_exclusivity", "community_net", "community_peak",
+)
+
+
+def _seeded_schedule(config, rng):
+    """A clean day for ``config`` made without a solver: each home's HVAC
+    holds a random indoor target, PV feeds the home first and sells the
+    rest, and each storage unit charges from the pool in one slot and
+    discharges into the home in a later one, ending where it began."""
+    from cems.solve import CommunitySchedule, HomeSchedule
+    from cems.thermal import simulate_indoor_trajectory
+
+    T, dt = config.horizon_slots, config.slot_hours
+    homes = {}
+    for home in config.homes:
+        hv = home.hvac
+        target = rng.uniform(68.5, 72.5) + rng.uniform(-0.5, 0.5, T)
+        p = np.clip(hv.conductivity_a * (target - config.t_out) / hv.eta_hvac, 0.0, hv.p_max)
+        temp = simulate_indoor_trajectory(hv.t_in_initial, config.t_out, p, hv, dt).indoor_temp
+        demand = home.fixed_load + p * dt
+        zeros = np.zeros(T)
+        produced = zeros if home.pv is None else config.ghi * home.pv.panel_area * home.pv.efficiency * dt
+        res_load = np.minimum(produced, demand)
+        res_sell = produced - res_load
+        com_charge, ess_load, mode_ess = zeros.copy(), zeros.copy(), zeros.copy()
+        level = zeros.copy()
+        if home.ess is not None:
+            ess = home.ess
+            # charge in a slot with no PV surplus, so the home never buys and sells at once
+            charge_at = int(rng.choice(np.flatnonzero(res_sell[:-1] == 0.0)))
+            discharge_at = int(rng.integers(charge_at + 1, T))
+            charge = rng.uniform(0.2, 0.9) * min(ess.charge_rate_max * dt,
+                                                  (ess.level_max - ess.level_initial) / ess.efficiency,
+                                                  demand[discharge_at] / ess.efficiency ** 2)
+            com_charge[charge_at] = charge
+            mode_ess[charge_at] = 1.0
+            ess_load[discharge_at] = charge * ess.efficiency ** 2
+            res_load[discharge_at] = min(res_load[discharge_at], demand[discharge_at] - ess_load[discharge_at])
+            res_sell = produced - res_load
+            level = ess.level_initial + np.cumsum(com_charge * ess.efficiency - ess_load / ess.efficiency)
+        com_load = demand - res_load - ess_load
+        com_buy = com_load + com_charge
+        homes[home.id] = HomeSchedule(
+            home=home.id, hvac_power=p, indoor_temp=temp, com_load=com_load, com_buy=com_buy,
+            com_sell=res_sell, mode_home=(com_buy > 0).astype(float), ess_level=level,
+            ess_load=ess_load, ess_sell=zeros.copy(), com_charge=com_charge,
+            res_charge=zeros.copy(), res_load=res_load, res_sell=res_sell, mode_ess=mode_ess,
+        )
+    net = np.sum([hs.net for hs in homes.values()], axis=0)
+    return CommunitySchedule(homes=homes, community_net=net)
+
+
+def _tampered(base, config, rng):
+    """One seeded tampering of ``base`` and the checker's arguments for it."""
+    import copy
+    from dataclasses import replace
+
+    sched = copy.deepcopy(base)
+    hid = str(rng.choice(list(sched.homes)))
+    T = config.horizon_slots
+    action = rng.choice(["shift", "shift", "shift", "hvac", "mode", "drop", "net", "peak"])
+    if action == "shift":
+        role = str(rng.choice(["hvac_power", "indoor_temp", "com_load", "com_buy", "com_sell",
+                               "ess_level", "ess_load", "ess_sell", "com_charge", "res_charge",
+                               "res_load", "res_sell"]))
+        arr = getattr(sched.homes[hid], role)
+        slots = rng.choice(np.arange(1, T) if role == "indoor_temp" else T,
+                           size=int(rng.integers(1, 4)), replace=False)
+        arr[slots] += rng.choice([-1e-7, 1e-7, -2e-6, 2e-6, -0.3, 0.3, -4.0, 4.0])
+    elif action == "hvac":
+        p_max = config.home(hid).hvac.p_max
+        sched.homes[hid].hvac_power[int(rng.integers(T))] = rng.choice([-0.5, 0.0, p_max, p_max + 1.0])
+    elif action == "mode":
+        role = str(rng.choice(["mode_home", "mode_ess"]))
+        getattr(sched.homes[hid], role)[int(rng.integers(T))] = rng.choice([0.5, 1.0 - 5e-7, 1.2, -0.3])
+    elif action == "drop":
+        del sched.homes[hid]
+    elif action == "net":
+        sched.community_net[int(rng.integers(T))] += rng.choice([-1e-7, 1e-3, -2.0])
+    else:
+        peak = float(np.max(np.abs(sched.community_net))) * rng.uniform(0.5, 0.99)
+        config = replace(config, community_peak=peak)
+    cost = community_cost(base, config)
+    reference = rng.choice([None, cost, cost + 1e-3])
+    return sched, config, {
+        "reference_objective": reference,
+        "community_peak_as_warning": bool(rng.random() < 0.5),
+    }
+
+
+def test_storage_levels_round_as_the_slot_loop():
+    from cems.solve import _storage_levels
+
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        out, inflow = rng.uniform(0.0, 3.0, (2, 24)) * (rng.random((2, 24)) < 0.6)
+        level, expected = float(rng.uniform(0.0, 10.0)), []
+        start = level
+        for d, c in zip(out, inflow):
+            level = level - d + c
+            expected.append(level)
+        assert _storage_levels(start, out, inflow).tolist() == expected
+
+
+def test_checker_reports_are_pinned(replication):
+    """The whole report on 300 seeded tamperings of a solver-free day,
+    pinned by sha256, so a rewrite of the checker keeps every family's
+    verdict, magnitude, reporting order and the recomputed cost."""
+    import hashlib
+
+    base = _seeded_schedule(replication, np.random.default_rng(2024))
+    clean = check_schedule_feasibility(base, replication)
+    assert not clean.violations and not clean.warnings
+    digest = hashlib.sha256()
+    fired, silent, warned = set(), set(), set()
+    for seed in range(300):
+        sched, config, kwargs = _tampered(base, replication, np.random.default_rng(seed))
+        report = check_schedule_feasibility(sched, config, **kwargs)
+        digest.update(repr(dataclasses.asdict(report)).encode() + b"\n")
+        families = _families(report)
+        fired |= families
+        silent |= set(_CHECK_FAMILIES) - families
+        warned |= {w.family for w in report.warnings}
+    assert fired == silent == set(_CHECK_FAMILIES)
+    assert warned == {"community_peak"}
+    assert digest.hexdigest() == "6c718bfae7224d28bdb8c51709dabac4f7634f007e78451c028f6c05dd5f5eb9"
+
+
 # -- persistence ------------------------------------------------------------
 
 def test_schedule_dict_round_trip(replication, system_result):

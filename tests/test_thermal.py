@@ -84,3 +84,17 @@ def test_pv_output_energy():
         pv_output_energy(-0.1, 10.0, 0.2, 1.0)
     with pytest.raises(ValueError):
         pv_output_energy(0.5, -1.0, 0.2, 1.0)
+
+
+def test_pv_output_energy_on_arrays_matches_each_slot():
+    ghi = np.array([0.0, 0.02, 0.26, 0.95, 1.0])
+    area = np.array([[20.0], [10.0], [7.3]])
+    eff = np.array([[0.2], [0.19], [0.23]])
+    table = pv_output_energy(ghi, area, eff, 0.5)
+    for i in range(3):
+        for t in range(5):
+            assert table[i, t] == pv_output_energy(float(ghi[t]), float(area[i, 0]), float(eff[i, 0]), 0.5)
+    with pytest.raises(ValueError):
+        pv_output_energy(np.array([0.3, -0.1]), 10.0, 0.2, 1.0)
+    with pytest.raises(ValueError):
+        pv_output_energy(ghi, area - 10.0, eff, 1.0)

@@ -174,3 +174,76 @@ def test_settlement_serialization(replication, system_result):
     d = settlement_to_dict(report)
     assert set(d["per_home_daily_cost"]) == set(report.per_home_daily_cost)
     assert d["community_daily_cost"] == report.community_daily_cost
+
+
+def test_sums_add_in_order_from_zero():
+    from cems.trading import _sum_in_order
+
+    rng = np.random.default_rng(3)
+    values = rng.normal(0.0, 1e3, (7, 24)) * (rng.random((7, 24)) < 0.7)
+    values[:, 5] = -0.0
+    for axis in (0, 1):
+        expected = []
+        for line in np.moveaxis(values, axis, -1):
+            total = 0.0
+            for v in line.tolist():
+                total += v
+            expected.append(total)
+        got = _sum_in_order(values, axis=axis).tolist()
+        assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
+# -- settlement bytes, pinned -----------------------------------------------
+
+def _seeded_nets_schedule(config, rng):
+    """A schedule that only trades: random nets with idle homes, an all-zero
+    slot, a balanced slot and a slot whose net is nonzero but within the
+    zero-net tolerance."""
+    from cems.solve import CommunitySchedule, HomeSchedule
+
+    T, n = config.horizon_slots, len(config.homes)
+    nets = rng.normal(0.0, 2.0, (n, T)) * (rng.random((n, T)) < 0.7)
+    nets[:, 0] = 0.0
+    nets[:, 1] = 0.0
+    nets[:2, 1] = [1.5, -1.5]
+    nets[:, 2] = 0.0
+    nets[:2, 2] = [1.0, -(1.0 - 5e-10)]
+    zeros = np.zeros(T)
+    homes = {
+        home.id: HomeSchedule(
+            home=home.id, hvac_power=zeros, indoor_temp=np.zeros(T + 1), com_load=zeros,
+            com_buy=np.maximum(net, 0.0), com_sell=np.maximum(-net, 0.0), mode_home=zeros,
+            ess_level=zeros, ess_load=zeros, ess_sell=zeros, com_charge=zeros,
+            res_charge=zeros, res_load=zeros, res_sell=zeros, mode_ess=zeros,
+        )
+        for home, net in zip(config.homes, nets)
+    }
+    return CommunitySchedule(homes=homes, community_net=np.sum([hs.net for hs in homes.values()], axis=0))
+
+
+def _settlement_bytes(report):
+    import json
+
+    buf = io.StringIO()
+    settlement_to_csv(report, buf)
+    return json.dumps(settlement_to_dict(report), indent=2, sort_keys=True).encode() + buf.getvalue().encode()
+
+
+def test_settlement_bytes_are_pinned(replication):
+    """The JSON and CSV of every day settlement on seeded random schedules
+    of the bundled day and a 25-home day, pinned by sha256."""
+    import hashlib
+
+    from cems import generate_synthetic_community
+
+    digest = hashlib.sha256()
+    for config in (replication, generate_synthetic_community(25, 3, replication)):
+        band = config.buy_price * (1.0 - config.alpha)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            schedule = _seeded_nets_schedule(config, rng)
+            explicit = config.alpha * config.buy_price + rng.uniform(0.0, 1.0, config.horizon_slots) * band
+            for policy in ("case1", "case2", "case3", explicit):
+                digest.update(_settlement_bytes(settle_day(schedule, config, policy)))
+            digest.update(_settlement_bytes(settle_day_at_external_prices(schedule, config)))
+    assert digest.hexdigest() == "4890a881dc000678b13590197f953513afa04cc2882522e86d89e9d726c9af4e"
