@@ -54,7 +54,6 @@ from .solve import (
     write_solution,
 )
 from .thermal import (
-    ThermalTrajectory,
     next_indoor_temperature,
     pv_output_energy,
     simulate_indoor_trajectory,

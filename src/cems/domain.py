@@ -220,8 +220,15 @@ def _require(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
+def is_number(value: Any) -> bool:
+    """The rule for a number read from a file: a JSON number, that is an int
+    or a float but not a bool.  A config's numbers must also be finite,
+    which :func:`validate_config` checks with each field's path."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
     return float(value)
 
@@ -231,7 +238,7 @@ def _number_list(value: Any, path: str, length: int | None = None) -> list[float
         raise SchemaError(path, f"expected a list, got {type(value).__name__}")
     out = []
     for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not is_number(v):
             _number(v, f"{path}[{i}]")  # raises; the entry's path is built only here
         out.append(float(v))
     if length is not None and len(out) != length:
@@ -453,8 +460,8 @@ def config_to_dict(config: CommunityConfig) -> dict:
     }
 
 
-def config_to_json(config: CommunityConfig, indent: int | None = 2) -> str:
-    return json.dumps(config_to_dict(config), indent=indent, sort_keys=True)
+def config_to_json(config: CommunityConfig) -> str:
+    return json.dumps(config_to_dict(config), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

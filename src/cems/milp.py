@@ -32,7 +32,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .domain import COMMUNITY_TAG, CommunityConfig, HomeConfig, lp_tag
+from .domain import COMMUNITY_TAG, CommunityConfig, HomeConfig, default_peak_limit, lp_tag
 from .thermal import pv_output_energy
 
 CONTINUOUS = "continuous"
@@ -305,34 +305,6 @@ def big_m_value(config: CommunityConfig) -> float:
     return 2.0 * float(np.max(config.buy_price)) * caps
 
 
-def exclusivity_big_m(home: HomeConfig, config: CommunityConfig) -> float:
-    """Tight but safe M for one home's buy/sell exclusivity rows.
-
-    No feasible point has the home buying more than full HVAC power plus
-    its largest fixed load plus the storage charge rate in one slot, nor
-    selling more than peak PV output plus the discharge rate, so the larger
-    of those (and the home's own trading cap) gates the binary without
-    cutting anything.  Much tighter than the community-level constant,
-    which keeps the LP relaxation strong.
-    """
-    return float(_exclusivity_big_ms([home], config)[0])
-
-
-def _exclusivity_big_ms(homes: Sequence[HomeConfig], config: CommunityConfig) -> np.ndarray:
-    """:func:`exclusivity_big_m` of every home."""
-    dt = config.slot_hours
-    p_max, peak, charge, discharge, area, efficiency = np.array([
-        (h.hvac.p_max, h.peak_limit)
-        + ((0.0, 0.0) if h.ess is None else (h.ess.charge_rate_max, h.ess.discharge_rate_max))
-        + ((0.0, 0.0) if h.pv is None else (h.pv.panel_area, h.pv.efficiency))
-        for h in homes
-    ]).reshape(len(homes), 6).T
-    buy_cap = p_max * dt + np.array([h.fixed_load for h in homes]).max(axis=1) + charge * dt
-    # PV output at the day's peak irradiance; zero without PV
-    sell_cap = 0.0 + discharge * dt + pv_output_energy(float(config.ghi.max()), area, efficiency, dt)
-    return np.maximum(np.maximum(peak, buy_cap), sell_cap)
-
-
 # ---------------------------------------------------------------------------
 # per-home patterns
 
@@ -363,12 +335,17 @@ def _value_column(key, T: int) -> int:
     return len(_SCALARS) + _SERIES.index(series) * T + t - 1
 
 
-def _home_values(
-    homes: Sequence[HomeConfig], config: CommunityConfig, big_m: Sequence[float]
-) -> np.ndarray:
+def _home_values(homes: Sequence[HomeConfig], config: CommunityConfig, selfish: bool) -> np.ndarray:
     """The table of every home's numbers, one row per home: the
     :data:`_SCALARS`, then the per-slot series.  Storage and PV entries of a
-    home without the device are placeholders no pattern reads."""
+    home without the device are zeros or placeholders no pattern reads.
+
+    ``M`` gates each home's buy/sell exclusivity rows: its trading cap when
+    it is scheduled alone (``selfish``); in the pooled model, the largest of
+    the cap, the most it can buy in a slot
+    (:func:`cems.domain.default_peak_limit`) and the most it can sell (peak
+    PV output plus the discharge rate).  That cuts nothing, and is much
+    tighter than :func:`big_m_value`, which keeps the LP relaxation strong."""
     T, dt = config.horizon_slots, config.slot_hours
     (eps, eta_hvac, conductivity, p_max, t_min, t_max, t_initial, peak,
      eta, charge, discharge, level_min, level_max, level0, area, efficiency) = np.array([
@@ -379,7 +356,12 @@ def _home_values(
         + (_NO_PV if h.pv is None else (h.pv.panel_area, h.pv.efficiency))
         for h in homes
     ]).reshape(len(homes), 16).T
-    big_m = np.asarray(big_m, dtype=float)
+    big_m = peak
+    if not selfish:
+        buy_cap = [default_peak_limit(h.hvac.p_max, h.fixed_load, h.ess, dt) for h in homes]
+        # PV output at the day's peak irradiance
+        sell_cap = 0.0 + discharge * dt + pv_output_energy(float(config.ghi.max()), area, efficiency, dt)
+        big_m = np.maximum(np.maximum(peak, buy_cap), sell_cap)
     scalars = {
         "0": 0.0, "1": 1.0, "-1": -1.0, "inf": INF, "-inf": -INF,
         "-gain": -((1.0 - eps) * eta_hvac / conductivity), "-eps": -eps, "-dt": -dt,
@@ -600,8 +582,7 @@ def _part(arrays: dict[str, np.ndarray], cols: slice, rows: slice,
 
 
 def _fill_homes(out: dict[str, np.ndarray], patterns: Sequence[_Pattern], sizes: np.ndarray,
-                homes: Sequence[HomeConfig], config: CommunityConfig,
-                big_m: Sequence[float]) -> np.ndarray:
+                homes: Sequence[HomeConfig], config: CommunityConfig) -> np.ndarray:
     """Write the homes' blocks end to end into ``out``, views of the
     model's leading columns, rows and terms; ``sizes`` holds each home's
     column, row and term count.  Returns each home's first column."""
@@ -620,7 +601,7 @@ def _fill_homes(out: dict[str, np.ndarray], patterns: Sequence[_Pattern], sizes:
     out["var_home"][:] = codes.repeat(n_cols)
     out["row_home"][:] = codes.repeat(n_rows)
     # the numbers: each entry reads its own home's row of the value table
-    values = _home_values(homes, config, big_m)
+    values = _home_values(homes, config, selfish=False)
     flat, width = values.ravel(), values.shape[1]
     row_start = {kind: (codes * width).repeat(counts)
                  for kind, counts in (("cols", n_cols), ("rows", n_rows), ("terms", n_terms))}
@@ -668,8 +649,8 @@ def build_system_centric_model(config: CommunityConfig) -> MilpModel:
     one-direction-at-a-time exclusivity.  Community-wide: the net exchange
     band and the linearized slot cost driven by one import/export status
     binary per slot.  Both big-M constants are derived from the config:
-    :func:`big_m_value` for the community rows, the tighter
-    :func:`exclusivity_big_m` for each home's exclusivity rows.
+    :func:`big_m_value` for the community rows, a tighter one per home for
+    its exclusivity rows (:func:`_home_values`).
     """
     T = config.horizon_slots
     homes = config.homes
@@ -707,7 +688,7 @@ def build_system_centric_model(config: CommunityConfig) -> MilpModel:
     n0, m0, nnz0 = (int(x) for x in sizes.sum(axis=0))
     arrays = _allocate(n0 + 2 * T, m0 + len(kinds) * T, nnz0 + per_slot * T)
     col0 = _fill_homes(_part(arrays, slice(0, n0), slice(0, m0), slice(0, nnz0)), patterns, sizes,
-                       homes, config, _exclusivity_big_ms(homes, config))
+                       homes, config)
     com = _part(arrays, slice(n0, None), slice(m0, None), slice(nnz0, None))
 
     # community columns: one status binary and one free slot cost per slot
@@ -770,7 +751,7 @@ def build_home_model(config: CommunityConfig, home_id: str) -> MilpModel:
     T = config.horizon_slots
     # one home from column 0: its pattern's structure is the model's
     pattern = _home_pattern(home.ess is not None, home.pv is not None, T, True)
-    (values,) = _home_values([home], config, [home.peak_limit])
+    (values,) = _home_values([home], config, selfish=True)
     arrays = {name: getattr(pattern, name) for name in _STRUCTURE}
     arrays.update({name: values[getattr(pattern, name)] for name in _NUMBERS})
     arrays.update(var_home=np.zeros(len(pattern.var_role), dtype=np.int32),

@@ -17,6 +17,8 @@ guards against builder bugs.
 """
 from __future__ import annotations
 
+import json
+import sys
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
@@ -26,12 +28,14 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp as _highs_milp
 from scipy.sparse import csr_array
 
-from .domain import CommunityConfig, HomeConfig
+from .domain import CommunityConfig, HomeConfig, is_number
 from .milp import COMMUNITY, ROLE, ROLES, MilpModel
 from .thermal import pv_output_energy, simulate_indoor_trajectory
 from .trading import community_cost
 
 MODE_ROUND_TOL = 1e-6
+# the checker's one tolerance: a magnitude not within it is a breach
+TOLERANCE = 1e-6
 
 _STATUS_TOKENS = ("optimal", "feasible", "infeasible", "unbounded", "time_limit")
 
@@ -263,18 +267,19 @@ def _storage_levels(initial: float, outflow: np.ndarray, inflow: np.ndarray) -> 
 def check_schedule_feasibility(
     schedule: CommunitySchedule,
     config: CommunityConfig,
-    tolerance: float = 1e-6,
     reference_objective: float | None = None,
     community_peak_as_warning: bool = False,
 ) -> FeasibilityReport:
-    """Re-verify a schedule against the raw config.
+    """Re-verify a schedule against the raw config, at :data:`TOLERANCE`.
 
     Temperatures are re-simulated from HVAC powers and storage levels
     re-accumulated from flows, then compared with the schedule's own arrays,
     so a schedule cannot pass on the strength of its claimed state
-    variables.  ``community_peak_as_warning`` downgrades pool-band breaches
-    to warnings; the selfish baselines never constrained that band, so a
-    breach there is reportable but not an extraction bug.
+    variables.  A value that is not a number is a breach wherever it
+    enters, and the checker never raises on one.
+    ``community_peak_as_warning`` downgrades pool-band breaches to warnings;
+    the selfish baselines never constrained that band, so a breach there is
+    reportable but not an extraction bug.
 
     Each constraint family is one array expression over a home's slots.
     Breaches are reported home by home in config order, then community-wide;
@@ -288,10 +293,10 @@ def check_schedule_feasibility(
 
     def emit(out: list[Violation], home: str | None, *block: tuple, first_slot: int = 1) -> None:
         """Append to ``out`` the breaches of ``block``: ``(family, magnitude)``
-        pairs over the same slots, breached where the magnitude exceeds the
-        tolerance unless a third entry says where."""
+        pairs over the same slots, breached where the magnitude is not within
+        the tolerance unless a third entry says where."""
         magnitude = np.array([e[1] for e in block])
-        breached = magnitude > tolerance
+        breached = ~(magnitude <= TOLERANCE)
         for f, entry in enumerate(block):
             if len(entry) > 2:
                 breached[f] = entry[2]
@@ -309,8 +314,8 @@ def check_schedule_feasibility(
         p = hs.hvac_power
         emit(violations, hid, ("hvac_power_range", np.maximum(-p, p - hv.p_max)))
 
-        temp = simulate_indoor_trajectory(hv.t_in_initial, config.t_out, np.clip(p, 0.0, hv.p_max), hv, dt)
-        temp = temp.indoor_temp[1:]
+        # a NaN power leaves the temperatures unknown (NaN) from its slot on
+        temp = simulate_indoor_trajectory(hv.t_in_initial, config.t_out, np.clip(p, 0.0, hv.p_max), hv)[1:]
         emit(violations, hid,
              ("temperature_recursion", np.abs(temp - hs.indoor_temp[1:])),
              ("comfort_band", np.maximum(hv.t_min - temp, temp - hv.t_max)))
@@ -322,9 +327,9 @@ def check_schedule_feasibility(
         for role in ("mode_home", "mode_ess"):
             mode = getattr(hs, role)
             drift = np.abs(mode - np.round(mode))
-            outside = ~((-tolerance <= mode) & (mode <= 1 + tolerance))
+            outside = ~((-TOLERANCE <= mode) & (mode <= 1 + TOLERANCE))
             emit(violations, hid, ("mode_integrality", np.maximum(np.maximum(drift, -mode), mode - 1),
-                                   (drift > tolerance) | outside))
+                                   (drift > TOLERANCE) | outside))
 
         if pv is not None:
             produced = pv_output_energy(config.ghi, pv.panel_area, pv.efficiency, dt)
@@ -369,11 +374,11 @@ def check_schedule_feasibility(
     cost = community_cost(schedule, config)
     matches = True
     if reference_objective is not None:
-        matches = bool(abs(cost - reference_objective) <= tolerance * (1.0 + abs(reference_objective)))
+        matches = bool(abs(cost - reference_objective) <= TOLERANCE * (1.0 + abs(reference_objective)))
     return FeasibilityReport(
         violations=tuple(violations),
         warnings=tuple(warnings),
-        max_violation=max((v.magnitude for v in violations), default=0.0),
+        max_violation=float(np.max([v.magnitude for v in violations], initial=0.0)),
         cost_recomputed=cost,
         cost_matches_solver=matches,
     )
@@ -400,26 +405,40 @@ def schedule_to_dict(schedule: CommunitySchedule) -> dict:
     return doc
 
 
-def _finite_series(value, path: str, n: int) -> np.ndarray:
+def _is_finite_number(value) -> bool:
+    """The config's number rule: a JSON number (:func:`cems.domain.is_number`)
+    that is finite.  The comparison also rejects NaN, and an int too large
+    for a float without converting it."""
+    return is_number(value) and abs(value) <= sys.float_info.max
+
+
+def _file_number(raw: str, where: str) -> float:
+    """A number token of a text file, under the same rule."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path} must be a list of {n} numbers") from None
-    if arr.shape != (n,):
-        raise ValueError(f"{path} must have {n} entries")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"{path}[{bad[0]}] must be a finite number")
-    return arr
+        value = json.loads(raw)
+    except ValueError:
+        value = None
+    if not _is_finite_number(value):
+        raise ValueError(f"{where} must be a finite number, got {raw!r}")
+    return float(value)
+
+
+def _finite_series(value, path: str, n: int) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"{path} must be a list of {n} numbers")
+    bad = next((i for i, v in enumerate(value) if not _is_finite_number(v)), None)
+    if bad is not None:
+        raise ValueError(f"{path}[{bad}] must be a finite number")
+    return np.array(value, dtype=float)
 
 
 def schedule_from_dict(doc: Mapping, config: CommunityConfig) -> CommunitySchedule:
     """Rebuild a schedule written by :func:`schedule_to_dict`.
 
     Raises ``ValueError`` naming the offending path for a malformed
-    document, a missing array, or a non-finite entry.  Every home needs
-    every array: absent devices are written as zeros, so a missing array
-    means a damaged file, not an absent device."""
+    document, a missing array, or an entry that is not a finite JSON
+    number.  Every home needs every array: absent devices are written as
+    zeros, so a missing array means a damaged file, not an absent device."""
     if not isinstance(doc, Mapping):
         raise ValueError("schedule document must be an object")
     homes_doc = doc.get("homes")
@@ -467,7 +486,8 @@ def read_solution(stream: Union[IO[str], str], model: MilpModel) -> Solution:
     """Parse a solution file for ``model``, e.g. one produced by an external
     solver run against the exported LP model.  The file's values are put in
     the model's column order by name; names the model lacks are ignored, and
-    a model column the file does not name raises ``ValueError``."""
+    a model column the file does not name raises ``ValueError``.  Every
+    number is a finite JSON number; anything else raises naming its line."""
     text = stream if isinstance(stream, str) else stream.read()
     objective: float | None = None
     status: str | None = None
@@ -482,18 +502,15 @@ def read_solution(stream: Union[IO[str], str], model: MilpModel) -> Solution:
             raise ValueError(f"line {lineno}: expected '<name> <value>'")
         key, raw = parts
         if key == "objective":
-            objective = None if raw == "none" else float(raw)
+            objective = None if raw == "none" else _file_number(raw, f"line {lineno}: {key}")
         elif key == "status":
             if raw not in _STATUS_TOKENS:
                 raise ValueError(f"line {lineno}: unknown status {raw!r}")
             status = raw
         elif key == "gap":
-            gap = float(raw)
+            gap = _file_number(raw, f"line {lineno}: {key}")
         else:
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad value for {key!r}") from None
+            values[key] = _file_number(raw, f"line {lineno}: {key}")
     if status is None:
         raise ValueError("solution file has no status line")
     x = None

@@ -8,7 +8,6 @@ computed only by :func:`pv_output_energy`, for the builders and the checker.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -17,54 +16,37 @@ if TYPE_CHECKING:  # pragma: no cover
     from .domain import HvacParams
 
 
-@dataclass(frozen=True)
-class ThermalTrajectory:
-    """Simulated indoor temperatures and the HVAC energy that produced them.
-
-    ``indoor_temp`` has one entry per slot boundary (length T+1, entry 0 is
-    the initial temperature).  ``hvac_energy`` has one entry per slot (kWh).
-    """
-
-    indoor_temp: np.ndarray
-    hvac_energy: np.ndarray
-
-
-def next_indoor_temperature(t_in: float, t_out: float, p: float, params: "HvacParams") -> float:
-    """One-slot indoor temperature update for HVAC power ``p`` (kW).
-
-    The new temperature is a convex combination of the current indoor
-    temperature and the outdoor temperature shifted by the heat the HVAC
-    injects: ``eps * t_in + (1 - eps) * (t_out + eta * p / a)``.
-    """
-    if not 0.0 <= p <= params.p_max + 1e-12:
-        raise ValueError(f"HVAC power {p} outside [0, {params.p_max}]")
-    eps = params.epsilon
-    return eps * t_in + (1.0 - eps) * (t_out + params.eta_hvac * p / params.conductivity_a)
-
-
 def simulate_indoor_trajectory(
-    t_in_initial: float,
-    t_out: Sequence[float],
-    p: Sequence[float],
-    params: "HvacParams",
-    slot_hours: float = 1.0,
-) -> ThermalTrajectory:
-    """Roll the one-slot update across a day of outdoor temperatures.
+    t_in_initial: float, t_out: Sequence[float], p: Sequence[float], params: "HvacParams"
+) -> np.ndarray:
+    """Indoor temperatures over a day of outdoor temperatures ``t_out`` and
+    HVAC powers ``p`` (kW), per-slot series of equal length T.
 
-    ``t_out`` and ``p`` are per-slot series of equal length T.  Entry t of
-    the returned temperatures is the t-fold composition of
-    :func:`next_indoor_temperature`; entry 0 is ``t_in_initial``.  HVAC
-    energy per slot is ``p[t] * slot_hours``.
+    Each slot's temperature is a convex combination of the previous one and
+    the outdoor temperature shifted by the heat the HVAC injects: ``eps *
+    t_in + (1 - eps) * (t_out + eta * p / a)``.  Returns the T + 1 slot
+    boundaries; entry 0 is ``t_in_initial``.  A power outside ``[0,
+    p_max]`` raises; a NaN power makes every later temperature NaN.
     """
     t_out = np.asarray(t_out, dtype=float)
     p = np.asarray(p, dtype=float)
     if t_out.shape != p.shape or t_out.ndim != 1:
         raise ValueError("t_out and p must be 1-d series of the same length")
-    temps = np.empty(len(p) + 1)
-    temps[0] = t_in_initial
-    for t in range(len(p)):
-        temps[t + 1] = next_indoor_temperature(temps[t], t_out[t], p[t], params)
-    return ThermalTrajectory(indoor_temp=temps, hvac_energy=p * slot_hours)
+    outside = (p < 0.0) | (p > params.p_max + 1e-12)
+    if outside.any():
+        raise ValueError(f"HVAC power {p[outside][0]} outside [0, {params.p_max}]")
+    eps = params.epsilon
+    drive = ((1.0 - eps) * (t_out + params.eta_hvac * p / params.conductivity_a)).tolist()
+    temps = [t_in_initial]
+    for d in drive:
+        temps.append(eps * temps[-1] + d)
+    return np.array(temps, dtype=float)
+
+
+def next_indoor_temperature(t_in: float, t_out: float, p: float, params: "HvacParams") -> float:
+    """One-slot indoor temperature update for HVAC power ``p`` (kW): the
+    one-slot case of :func:`simulate_indoor_trajectory`."""
+    return float(simulate_indoor_trajectory(t_in, [t_out], [p], params)[1])
 
 
 def pv_output_energy(ghi, panel_area, efficiency, slot_hours):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Mapping, Sequence, Union
+from typing import IO, TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -96,10 +96,10 @@ def mid_price(p_mg, alpha: float, policy):
     return value if value.ndim else float(value)
 
 
-def mid_price_series(config: CommunityConfig, policy: Union[str, Sequence[float], None] = None) -> np.ndarray:
-    """Per-slot mid prices under ``policy`` (default: the config's policy)."""
-    if policy is None:
-        policy = config.mid_price_policy
+def mid_price_series(config: CommunityConfig) -> np.ndarray:
+    """Per-slot mid prices under the config's ``mid_price_policy``."""
+    policy = config.mid_price_policy
+    # a config built in code is not validated, so its series may be short
     if not isinstance(policy, str):
         policy = np.asarray(policy, dtype=float)
         if policy.shape != (config.horizon_slots,):
@@ -150,14 +150,10 @@ def _nets(schedule: CommunitySchedule, T: int) -> np.ndarray:
     return np.array([hs.net for hs in schedule.homes.values()], dtype=float).reshape(len(schedule.homes), T)
 
 
-def settle_timeslot(
-    net_by_home: Mapping[str, float],
-    p_mg: float,
-    alpha: float,
-    p_mid: float,
-    slot: int = 0,
-) -> SlotSettlement:
-    """Settle one slot given each home's net position (positive buys).
+def settle_timeslot(net_by_home: Mapping[str, float], p_mg: float, alpha: float,
+                    p_mid: float) -> SlotSettlement:
+    """Settle one slot, numbered 0, given each home's net position
+    (positive buys).
 
     With a net-importing community the local sell price is ``p_mid`` and the
     local buy price is the volume blend ``(p_mid * sales + p_mg * net) /
@@ -166,17 +162,14 @@ def settle_timeslot(
     """
     nets = np.array(list(net_by_home.values()), dtype=float).reshape(-1, 1)
     prices = _local_prices(nets, np.array([p_mg], dtype=float), alpha, np.array([p_mid], dtype=float))
-    return _report(list(net_by_home), nets, *prices, first_slot=slot).slots[0]
+    return _report(list(net_by_home), nets, *prices, first_slot=0).slots[0]
 
 
-def settle_day(
-    schedule: CommunitySchedule,
-    config: CommunityConfig,
-    policy: Union[str, Sequence[float], None] = None,
-) -> SettlementReport:
-    """Settle a whole scheduled day at the mid-market rate."""
+def settle_day(schedule: CommunitySchedule, config: CommunityConfig) -> SettlementReport:
+    """Settle a whole scheduled day at the mid-market rate, with the mid
+    prices of the config's ``mid_price_policy``."""
     nets = _nets(schedule, config.horizon_slots)
-    prices = _local_prices(nets, config.buy_price, config.alpha, mid_price_series(config, policy))
+    prices = _local_prices(nets, config.buy_price, config.alpha, mid_price_series(config))
     return _report(list(schedule.homes), nets, *prices, total=community_cost(schedule, config))
 
 

@@ -436,6 +436,16 @@ def _nan_flow(doc):
     return doc
 
 
+def _string_flow(doc):
+    doc["homes"]["a"]["com_buy"][2] = "1.5"
+    return doc
+
+
+def _bool_flow(doc):
+    doc["homes"]["b"]["com_load"][0] = True
+    return doc
+
+
 def _missing_temp(doc):
     del doc["homes"]["a"]["indoor_temp"]
     return doc
@@ -462,6 +472,8 @@ def _top_level_list(doc):
 
 @pytest.mark.parametrize("breaker, message", [
     (_nan_flow, "home 'a': com_buy[3] must be a finite number"),
+    (_string_flow, "home 'a': com_buy[2] must be a finite number"),
+    (_bool_flow, "home 'b': com_load[0] must be a finite number"),
     (_missing_temp, "home 'a': indoor_temp is missing"),
     (_missing_flow, "home 'c': com_buy is missing"),
     (_home_not_object, "home 'a': expected an object"),

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,27 +19,12 @@ def _run_demo(name, *args):
     )
 
 
-@pytest.mark.parametrize("args, flag", [
-    (["--sizes", "0"], "--sizes"),
-    (["--sizes", "10,-5"], "--sizes"),
-    (["--sizes", ""], "--sizes"),
-    (["--sizes", "ten"], "--sizes"),
-    (["--seed", "-1"], "--seed"),
-    (["--gap", "nan"], "--gap"),
-    (["--gap", "-1"], "--gap"),
-])
-def test_scaling_benchmark_rejects_bad_flags(args, flag):
-    proc = _run_demo("scaling_benchmark.py", *args)
-    assert proc.returncode == 2
-    assert flag in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
-
-
 def test_scaling_benchmark_runs():
-    proc = _run_demo("scaling_benchmark.py", "--sizes", "10", "--seed", "0")
+    proc = _run_demo("scaling_benchmark.py")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     rows = proc.stdout.splitlines()
     assert rows[0].split()[0] == "homes"
-    assert rows[1].split()[0] == "10"
+    assert [row.split()[0] for row in rows[1:4]] == ["10", "50", "100"]
+    assert [row.split()[-1] for row in rows[1:4]] == ["lp-certified"] * 3
+    assert rows[-1].startswith("model growth:")

@@ -21,7 +21,6 @@ from cems.milp import (
     CONTINUOUS,
     ModelBuildError,
     big_m_value,
-    exclusivity_big_m,
 )
 from cems.solve import SolverOptions
 
@@ -122,10 +121,20 @@ def test_derived_big_m_value():
 
 
 def test_exclusivity_big_m_bounds(replication):
+    """Each home's M, read from the pooled model's exclusivity rows, is one
+    number in every slot and lies between the home's caps and the
+    community's M."""
     cfg = replication
     m_community = big_m_value(cfg)
+    rows = {c.name: c for c in build_system_centric_model(cfg).constraints}
     for home in cfg.homes:
-        m = exclusivity_big_m(home, cfg)
+        ms = set()
+        for t in range(1, cfg.horizon_slots + 1):
+            buy, sell = rows[f"buy_mode_{home.id}_{t}"], rows[f"sell_mode_{home.id}_{t}"]
+            mode = f"mode_home_{home.id}_{t}"
+            ms |= {-dict(buy.terms)[mode], dict(sell.terms)[mode], sell.rhs}
+        assert len(ms) == 1
+        (m,) = ms
         buy_cap = home.hvac.p_max + float(np.max(home.fixed_load))
         if home.ess is not None:
             buy_cap += home.ess.charge_rate_max

@@ -199,6 +199,27 @@ def test_checker_missing_home(replication, system_result):
     assert "missing_home" in _families(check_schedule_feasibility(sched, replication))
 
 
+@pytest.mark.parametrize("home, role, index, expected", [
+    ("home1", "com_charge", 2, {"nonnegative_flow", "ess_charge_rate", "buy_sell_definition"}),
+    ("home1", "ess_level", 4, {"ess_level_recursion"}),
+    ("home1", "hvac_power", 2, {"hvac_power_range", "temperature_recursion", "home_balance"}),
+])
+def test_checker_reports_nan_as_a_breach(replication, system_result, home, role, index, expected):
+    """A value that is not a number is never within the tolerance: the
+    checker reports it at its home and slot, and does not raise."""
+    import copy
+    import math
+
+    sched = copy.deepcopy(system_result.schedule)
+    getattr(sched.homes[home], role)[index] = np.nan
+    report = check_schedule_feasibility(sched, replication, reference_objective=system_result.objective)
+    assert not report.ok
+    assert expected <= _families(report)
+    at_slot = {v.family for v in report.violations if (v.home, v.slot) == (home, index + 1)}
+    assert at_slot & expected
+    assert math.isnan(report.max_violation)
+
+
 # -- the checker's report, pinned byte for byte -----------------------------
 
 _CHECK_FAMILIES = (
@@ -224,7 +245,7 @@ def _seeded_schedule(config, rng):
         hv = home.hvac
         target = rng.uniform(68.5, 72.5) + rng.uniform(-0.5, 0.5, T)
         p = np.clip(hv.conductivity_a * (target - config.t_out) / hv.eta_hvac, 0.0, hv.p_max)
-        temp = simulate_indoor_trajectory(hv.t_in_initial, config.t_out, p, hv, dt).indoor_temp
+        temp = simulate_indoor_trajectory(hv.t_in_initial, config.t_out, p, hv)
         demand = home.fixed_load + p * dt
         zeros = np.zeros(T)
         produced = zeros if home.pv is None else config.ghi * home.pv.panel_area * home.pv.efficiency * dt
@@ -406,6 +427,38 @@ def test_solution_file_read_against_another_model_names_the_first_missing_variab
     assert first not in buf.getvalue()
     with pytest.raises(ValueError, match=f"missing variable {first!r}"):
         read_solution(buf.getvalue(), other)
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("value", "nan"), ("value", "inf"), ("value", "-inf"), ("value", "true"), ("value", '"1.5"'),
+    ("objective", "nan"), ("objective", "inf"), ("value", "1" + "0" * 400),
+])
+def test_read_solution_takes_finite_numbers_only(key, raw):
+    """Every number in a solution file is a JSON number that is finite;
+    anything else raises naming its line."""
+    cfg = random_small_config(np.random.default_rng(3), n_homes=2, T=3)
+    model, sol = _solve(cfg)
+    buf = io.StringIO()
+    write_solution(sol, model, buf)
+    lines = buf.getvalue().splitlines()
+    name = model.layout.variable_names()[1] if key == "value" else "objective"
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.split()[0] == name)
+    lines[lineno - 1] = f"{name} {raw}"
+    with pytest.raises(ValueError, match=f"^line {lineno}: "):
+        read_solution("\n".join(lines), model)
+
+
+@pytest.mark.parametrize("value", ["1.5", True, None, float("nan"), float("inf"), 10**400])
+def test_schedule_from_dict_takes_finite_numbers_only(replication, system_result, value):
+    """The config's number rule: a JSON number, not a bool, and finite."""
+    doc = schedule_to_dict(system_result.schedule)
+    doc["homes"]["home2"]["com_load"][5] = value
+    with pytest.raises(ValueError, match=r"home 'home2': com_load\[5\] must be a finite number"):
+        schedule_from_dict(doc, replication)
+    doc = schedule_to_dict(system_result.schedule)
+    doc["slot_costs"] = [value] * replication.horizon_slots
+    with pytest.raises(ValueError, match=r"slot_costs\[0\] must be a finite number"):
+        schedule_from_dict(doc, replication)
 
 
 # -- options ----------------------------------------------------------------

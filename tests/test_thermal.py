@@ -32,35 +32,39 @@ def test_converges_to_steady_state():
 
 def test_power_out_of_range_rejected():
     params = make_hvac(p_max=5.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"HVAC power -0.1 outside \[0, 5.0\]"):
         next_indoor_temperature(70.0, 60.0, -0.1, params)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"HVAC power 5.1 outside \[0, 5.0\]"):
         next_indoor_temperature(70.0, 60.0, 5.1, params)
+    # a series is checked as a whole, naming its first power out of range
+    with pytest.raises(ValueError, match=r"HVAC power 6.0 outside \[0, 5.0\]"):
+        simulate_indoor_trajectory(70.0, [60.0] * 3, [1.0, 6.0, -1.0], params)
 
 
 def test_trajectory_shapes_and_energy():
-    params = make_hvac()
-    p = [1.0, 0.5, 0.0, 2.0]
-    traj = simulate_indoor_trajectory(70.0, [60.0] * 4, p, params)
-    assert len(traj.indoor_temp) == 5
-    assert len(traj.hvac_energy) == 4
-    assert traj.indoor_temp[0] == 70.0
-    np.testing.assert_allclose(traj.hvac_energy, p)
-    # half-hour slots halve the energy, not the temperatures
-    half = simulate_indoor_trajectory(70.0, [60.0] * 4, p, params, slot_hours=0.5)
-    np.testing.assert_allclose(half.hvac_energy, np.asarray(p) * 0.5)
-    np.testing.assert_allclose(half.indoor_temp, traj.indoor_temp)
+    params = make_hvac(epsilon=0.7, eta_hvac=2.5, conductivity_a=0.2)
+    p = np.array([1.0, 0.5, 0.0, 2.0])
+    temps = simulate_indoor_trajectory(70.0, [60.0] * 4, p, params)
+    assert temps.shape == (5,)
+    assert temps[0] == 70.0
+    # each slot's HVAC energy adds (1 - eps) * eta * p / a, decaying by eps a slot
+    idle = simulate_indoor_trajectory(70.0, [60.0] * 4, np.zeros(4), params)
+    gain = 0.3 * 2.5 * p / 0.2
+    expected = [sum(gain[k] * 0.7 ** (t - 1 - k) for k in range(t)) for t in range(5)]
+    np.testing.assert_allclose(temps - idle, expected, atol=1e-12)
+    with pytest.raises(ValueError, match="same length"):
+        simulate_indoor_trajectory(70.0, [60.0] * 4, [1.0, 0.5], params)
 
 
 def test_trajectory_matches_stepwise_recursion():
     params = make_hvac(epsilon=0.64, conductivity_a=0.31)
     t_out = [58.0, 61.0, 64.0]
     p = [2.0, 0.0, 1.2]
-    traj = simulate_indoor_trajectory(69.0, t_out, p, params)
+    temps = simulate_indoor_trajectory(69.0, t_out, p, params)
     t = 69.0
     for k in range(3):
         t = next_indoor_temperature(t, t_out[k], p[k], params)
-        assert traj.indoor_temp[k + 1] == pytest.approx(t, abs=1e-12)
+        assert temps[k + 1] == t
 
 
 @given(

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -36,10 +37,11 @@ def test_mid_price_series_follows_config_policy(replication):
     mids = mid_price_series(replication)
     expected = (1.0 + replication.alpha) / 2.0 * np.asarray(replication.buy_price)
     np.testing.assert_allclose(mids, expected)
-    case3 = mid_price_series(replication, "case3")
+    case3 = mid_price_series(dataclasses.replace(replication, mid_price_policy="case3"))
     assert np.all(case3 > mids)
     with pytest.raises(ValueError):
-        mid_price_series(replication, [2.0, 2.0])  # wrong length
+        # a config built in code is not validated
+        mid_price_series(dataclasses.replace(replication, mid_price_policy=[2.0, 2.0]))
 
 
 # -- single-slot worked examples (checked by hand) --------------------------
@@ -244,6 +246,7 @@ def test_settlement_bytes_are_pinned(replication):
             schedule = _seeded_nets_schedule(config, rng)
             explicit = config.alpha * config.buy_price + rng.uniform(0.0, 1.0, config.horizon_slots) * band
             for policy in ("case1", "case2", "case3", explicit):
-                digest.update(_settlement_bytes(settle_day(schedule, config, policy)))
+                priced = dataclasses.replace(config, mid_price_policy=policy)
+                digest.update(_settlement_bytes(settle_day(schedule, priced)))
             digest.update(_settlement_bytes(settle_day_at_external_prices(schedule, config)))
     assert digest.hexdigest() == "4890a881dc000678b13590197f953513afa04cc2882522e86d89e9d726c9af4e"
