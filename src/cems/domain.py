@@ -230,17 +230,26 @@ def is_number(value: Any) -> bool:
 def _number(value: Any, path: str) -> float:
     if not is_number(value):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(path, "expected a number, got an integer too large for a float") from None
 
 
 def _number_list(value: Any, path: str, length: int | None = None) -> list[float]:
     if not isinstance(value, list):
         raise SchemaError(path, f"expected a list, got {type(value).__name__}")
     out = []
-    for i, v in enumerate(value):
-        if not is_number(v):
-            _number(v, f"{path}[{i}]")  # raises; the entry's path is built only here
-        out.append(float(v))
+    try:
+        for v in value:
+            if not is_number(v):
+                break
+            out.append(float(v))
+    except OverflowError:
+        pass
+    if len(out) < len(value):
+        # the first entry float() does not take; its path is built only here
+        _number(value[len(out)], f"{path}[{len(out)}]")
     if length is not None and len(out) != length:
         raise SchemaError(path, f"expected {length} entries, got {len(out)}")
     return out

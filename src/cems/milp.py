@@ -114,6 +114,11 @@ class Layout:
         return _labels(FAMILIES, self.row_family, self.tags, self.row_home, self.row_slot).tolist()
 
 
+def _first(mask: np.ndarray) -> int:
+    """The first offending entry, looked up only to name it in an error."""
+    return int(np.argmax(mask))
+
+
 def _labels(kinds, kind, tags, home, slot, before="", after="") -> np.ndarray:
     """Labels as an object array, each between ``before`` and ``after``:
     one string per (kind, owner) pair and one per slot, then a single
@@ -201,6 +206,24 @@ class MilpModel:
     def validate(self) -> None:
         """Structural sanity: consistent shapes, codes that give unique
         names, a canonical CSR matrix over declared columns, sane bounds."""
+        self._validate_sizes()
+        self._validate_structure()
+        self._validate_numbers()
+
+    def _validate_like(self, reference: MilpModel) -> None:
+        """:meth:`validate` for a model whose structure arrays are those of
+        ``reference``, which passed it: only this model's own row pointers
+        and home codes are compared, and its numbers checked."""
+        lay, ref = self.layout, reference.layout
+        self._validate_sizes()
+        if not (np.array_equal(self.indptr, reference.indptr)
+                and np.array_equal(lay.var_home, ref.var_home)
+                and np.array_equal(lay.row_home, ref.row_home)):
+            raise ModelBuildError("row pointers or home codes differ from the model's pattern")
+        self._validate_numbers()
+
+    def _validate_sizes(self) -> None:
+        """Every array's length, and one unique tag per home."""
         lay = self.layout
         n, m, nnz = len(self.c), len(self.row_lower), len(self.data)
         sizes = {
@@ -216,6 +239,12 @@ class MilpModel:
                 raise ModelBuildError(f"{what} has shape {arr.shape}, expected ({size},)")
         if len(lay.tags) != len(lay.homes) or len(set(lay.tags) | {COMMUNITY_TAG}) != len(lay.tags) + 1:
             raise ModelBuildError("home tags must be unique, one per home, and not the community's")
+
+    def _validate_structure(self) -> None:
+        """Codes, names, the CSR pattern, integrality codes and the written
+        objective's columns: everything but the numbers."""
+        lay = self.layout
+        n, nnz = len(self.c), len(self.data)
         owners = len(lay.homes) + 1
         for what, kinds, home, kind, slot, first_slot in (
             ("variable", ROLES, lay.var_home, lay.var_role, lay.var_slot, 1),
@@ -233,10 +262,6 @@ class MilpModel:
             if np.bincount(key).max() > 1:
                 raise ModelBuildError(f"duplicate {what} names")
 
-        # the offending entry is looked up only to name it in the error
-        def first(mask: np.ndarray) -> int:
-            return int(np.argmax(mask))
-
         def row_of(term: int) -> str:
             return lay.row_names()[int(np.searchsorted(self.indptr, term, side="right")) - 1]
 
@@ -245,7 +270,7 @@ class MilpModel:
         if indptr[0] != 0 or indptr[-1] != nnz or (lengths < 0).any():
             raise ModelBuildError("indptr does not delimit the terms row by row")
         if nnz and (indices.min() < 0 or indices.max() >= n):
-            term = first((indices < 0) | (indices >= n))
+            term = _first((indices < 0) | (indices >= n))
             raise ModelBuildError(
                 f"{row_of(term)}: references column {indices[term]}, outside the {n} declared"
             )
@@ -254,35 +279,41 @@ class MilpModel:
         starts = indptr[1:-1][(indptr[1:-1] > 0) & (indptr[1:-1] < nnz)]
         rising[starts - 1] = True
         if not rising.all():
-            raise ModelBuildError(f"{row_of(first(~rising))}: terms not in increasing column order")
+            raise ModelBuildError(f"{row_of(_first(~rising))}: terms not in increasing column order")
         # term_order permutes the terms, each row's among themselves
         seen = np.zeros(nnz, dtype=bool)
         if ((order >= indptr[:-1].repeat(lengths)) & (order < indptr[1:].repeat(lengths))).all():
             seen[order] = True
         if not seen.all():
             raise ModelBuildError("term_order is not a reordering of each row's terms")
+        if n and self.integrality.max() > 1:
+            j = _first(self.integrality > 1)
+            raise ModelBuildError(f"{lay.variable_names()[j]}: integrality must be 0 or 1")
+        objective = lay.objective_order
+        if objective.size and (objective.min() < 0 or objective.max() >= n):
+            raise ModelBuildError("objective_order references an undeclared column")
+        if len(np.unique(objective)) < len(objective):
+            raise ModelBuildError("objective_order must list each column with a nonzero cost once")
+
+    def _validate_numbers(self) -> None:
+        """Finite coefficients, sane column and row bounds, and a cost on
+        no column the written objective leaves out."""
+        lay = self.layout
         if not (np.isfinite(self.data).all() and np.isfinite(self.c).all()):
             raise ModelBuildError("non-finite coefficient")
         lb, ub, binary = self.lb, self.ub, self.integrality == 1
         if not (lb <= ub).all():
-            j = first(~(lb <= ub))
+            j = _first(~(lb <= ub))
             raise ModelBuildError(f"{lay.variable_names()[j]}: lb {lb[j]} > ub {ub[j]}")
-        if n and self.integrality.max() > 1:
-            j = first(self.integrality > 1)
-            raise ModelBuildError(f"{lay.variable_names()[j]}: integrality must be 0 or 1")
         if not ((lb[binary] == 0.0).all() and (ub[binary] == 1.0).all()):
-            j = first(binary & ((lb != 0.0) | (ub != 1.0)))
+            j = _first(binary & ((lb != 0.0) | (ub != 1.0)))
             raise ModelBuildError(f"{lay.variable_names()[j]}: binary variables must have bounds [0, 1]")
         lo, hi = self.row_lower, self.row_upper
-        if m and not ((lo <= hi).all() and lo.max() < INF and hi.min() > -INF
-                      and not ((lo == -INF) & (hi == INF)).any()):
-            i = first(~(lo <= hi) | (lo == INF) | (hi == -INF) | ((lo == -INF) & (hi == INF)))
+        if len(lo) and not ((lo <= hi).all() and lo.max() < INF and hi.min() > -INF
+                            and not ((lo == -INF) & (hi == INF)).any()):
+            i = _first(~(lo <= hi) | (lo == INF) | (hi == -INF) | ((lo == -INF) & (hi == INF)))
             raise ModelBuildError(f"{lay.row_names()[i]}: bounds [{lo[i]}, {hi[i]}] bound no row")
-        objective = lay.objective_order
-        if objective.size and (objective.min() < 0 or objective.max() >= n):
-            raise ModelBuildError("objective_order references an undeclared column")
-        written = np.unique(objective)
-        if len(written) < len(objective) or np.count_nonzero(self.c) > np.count_nonzero(self.c[written]):
+        if np.count_nonzero(self.c) > np.count_nonzero(self.c[lay.objective_order]):
             raise ModelBuildError("objective_order must list each column with a nonzero cost once")
 
 
@@ -611,9 +642,10 @@ def _fill_homes(out: dict[str, np.ndarray], patterns: Sequence[_Pattern], sizes:
 
 
 def _model(name: str, homes: Sequence[HomeConfig], arrays: dict[str, np.ndarray],
-           objective: tuple[np.ndarray, np.ndarray]) -> MilpModel:
+           objective: tuple[np.ndarray, np.ndarray], like: MilpModel | None = None) -> MilpModel:
     """The model made of the filled ``arrays`` and the written objective
-    terms ``(columns, coefficients)``, read-only and validated."""
+    terms ``(columns, coefficients)``, read-only and validated; against
+    ``like`` when the structure arrays are that validated model's."""
     row_len = arrays.pop("row_len")
     indptr = np.zeros(len(row_len) + 1, dtype=np.int32)
     np.cumsum(row_len, out=indptr[1:])
@@ -630,7 +662,10 @@ def _model(name: str, homes: Sequence[HomeConfig], arrays: dict[str, np.ndarray]
     for value in (*vars(model).values(), *vars(layout).values()):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    model.validate()
+    if like is None:
+        model.validate()
+    else:
+        model._validate_like(like)
     return model
 
 
@@ -757,7 +792,15 @@ def build_home_model(config: CommunityConfig, home_id: str) -> MilpModel:
     arrays.update(var_home=np.zeros(len(pattern.var_role), dtype=np.int32),
                   row_home=np.zeros(len(pattern.row_family), dtype=np.int32))
     prices = np.column_stack([config.buy_price, -config.alpha * config.buy_price]).ravel()
-    return _model(f"home_{home_id}", [home], arrays, (pattern.objective, prices))
+    model = _model(f"home_{home_id}", [home], arrays, (pattern.objective, prices),
+                   _validated_home_models.get(pattern))
+    _validated_home_models.setdefault(pattern, model)
+    return model
+
+
+# per DER pattern, the first one-home model built on it: its structure
+# arrays are the pattern's, and they passed MilpModel.validate once
+_validated_home_models: dict[_Pattern, MilpModel] = {}
 
 
 # ---------------------------------------------------------------------------

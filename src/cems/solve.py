@@ -4,11 +4,14 @@ The solver boundary is deliberately narrow: :func:`solve_model` hands the
 arrays of a solver-neutral model from :mod:`cems.milp` to the backend and
 returns a plain :class:`Solution` (status, objective, the values in column
 order, and for a MILP the node count and dual bound).  The bundled backend
-is HiGHS through :func:`scipy.optimize.milp`.  Variable names appear only
-in solution files: :func:`write_solution` names each value, and
-:func:`read_solution` matches a file's names to a model's columns when it
-reads it, so a solution from any external solver run against the exported
-LP file goes through the same extraction path, which reads values by column.
+is the HiGHS solver that SciPy ships: the model's arrays are handed to its
+bindings (``scipy.optimize._highspy._core``) directly, with the options
+SciPy's MILP front end would pass, and without that front end's per-call
+conversions and checks.  Variable names appear only in solution files:
+:func:`write_solution` names each value, and :func:`read_solution` matches a
+file's names to a model's columns when it reads it, so a solution from any
+external solver run against the exported LP file goes through the same
+extraction path, which reads values by column.
 
 :func:`check_schedule_feasibility` re-derives every physical constraint from
 the raw config (temperatures through :mod:`cems.thermal`, storage books
@@ -17,6 +20,7 @@ guards against builder bugs.
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -25,13 +29,24 @@ from dataclasses import dataclass, fields
 from typing import IO, Union
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp as _highs_milp
-from scipy.sparse import csr_array
+
+try:
+    # SciPy's own bindings of the HiGHS solver it bundles
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:
+    raise ImportError(
+        "cems needs SciPy >= 1.15, the first release that ships the HiGHS "
+        "bindings scipy.optimize._highspy._core"
+    ) from exc
 
 from .domain import CommunityConfig, HomeConfig, is_number
 from .milp import COMMUNITY, ROLE, ROLES, MilpModel
 from .thermal import pv_output_energy, simulate_indoor_trajectory
 from .trading import community_cost
+
+_MS = _highs.HighsModelStatus
+# column types by integrality code: 0 continuous, 1 integer (a binary, by its bounds)
+_VAR_TYPES = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
 
 MODE_ROUND_TOL = 1e-6
 # the checker's one tolerance: a magnitude not within it is a breach
@@ -81,49 +96,81 @@ class Solution:
     mip_dual_bound: float | None = None
 
 
+@functools.lru_cache(maxsize=16)
+def _highs_options(options: SolverOptions):
+    """The HiGHS options SciPy's MILP front end would pass for ``options``:
+    no console log, presolve on, the MIP gap and any time limit.  HiGHS
+    copies them into each solver, so one object serves every solve."""
+    highs_options = _highs.HighsOptions()
+    highs_options.log_to_console = False
+    highs_options.presolve = "on"
+    highs_options.mip_rel_gap = options.relative_mip_gap
+    if options.time_limit is not None:
+        highs_options.time_limit = options.time_limit
+    return highs_options
+
+
 def solve_model(model: MilpModel, options: SolverOptions | None = None) -> Solution:
     """Solve a model with the bundled HiGHS backend.
 
-    The model's arrays go to HiGHS as they are; the builders validated them.
+    The model's arrays go straight into a HiGHS model: the CSR matrix
+    row-wise, the column types only when the model has a binary.  The
+    builders validated them, so nothing is re-checked or re-shaped here.
+    Each solve runs on a fresh solver instance, so no state carries from
+    one model to the next.  ``solve_time`` is HiGHS's own ``run()``.
     """
-    options = options or SolverOptions()
-    a = csr_array((model.data, model.indices, model.indptr), shape=(model.n_constraints, model.n_variables))
-    opts: dict = {"presolve": True, "disp": False, "mip_rel_gap": options.relative_mip_gap}
-    if options.time_limit is not None:
-        opts["time_limit"] = options.time_limit
+    is_mip = model.n_binaries > 0
+    # Python lists cross into the bindings' vectors faster than arrays
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = model.n_variables, model.n_constraints
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = model.c.tolist(), model.lb.tolist(), model.ub.tolist()
+    lp.row_lower_, lp.row_upper_ = model.row_lower.tolist(), model.row_upper.tolist()
+    matrix = lp.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kRowwise
+    matrix.num_col_, matrix.num_row_ = model.n_variables, model.n_constraints
+    matrix.start_, matrix.index_, matrix.value_ = (
+        model.indptr.tolist(), model.indices.tolist(), model.data.tolist())
+    if is_mip:
+        lp.integrality_ = [_VAR_TYPES[k] for k in model.integrality.tolist()]
 
+    highs = _highs._Highs()
+    if (highs.passOptions(_highs_options(options or SolverOptions())) == _highs.HighsStatus.kError
+            or highs.passModel(lp) == _highs.HighsStatus.kError):
+        raise SolverError(f"solver failed on {model.name}: HiGHS rejected the model or its options")
     start = time.perf_counter()
-    res = _highs_milp(
-        c=model.c,
-        constraints=LinearConstraint(a, model.row_lower, model.row_upper),
-        integrality=model.integrality,
-        bounds=Bounds(model.lb, model.ub),
-        options=opts,
-    )
+    run_status = highs.run()
     elapsed = time.perf_counter() - start
+    model_status = highs.getModelStatus()
+    message = highs.modelStatusToString(model_status)
+    if run_status == _highs.HighsStatus.kError:
+        raise SolverError(f"solver failed on {model.name}: {message}")
 
-    if res.status == 4:
-        raise SolverError(f"solver failed on {model.name}: {res.message}")
-    has_x = res.x is not None
-    if res.status == 0:
+    info = highs.getInfo()
+    if model_status == _MS.kOptimal:
         status = "optimal"
-    elif res.status == 1:
-        status = "feasible" if has_x else "time_limit"
-    elif res.status == 2:
+    elif model_status in (_MS.kTimeLimit, _MS.kIterationLimit):
+        # a MILP stopped early may hold an incumbent; an LP holds nothing usable
+        has_incumbent = is_mip and info.objective_function_value != _highs.kHighsInf
+        status = "feasible" if has_incumbent else "time_limit"
+    elif model_status in (_MS.kInfeasible, _MS.kModelError):
         status = "infeasible"
-    else:
+    elif model_status == _MS.kUnbounded:
         status = "unbounded"
-    nodes, dual_bound = res.get("mip_node_count"), res.get("mip_dual_bound")
+    else:
+        raise SolverError(f"solver failed on {model.name}: {message}")
+    if status not in ("optimal", "feasible"):
+        return Solution(model=model.name, status=status, objective=None, x=None,
+                        solve_time=elapsed, message=message)
     return Solution(
         model=model.name,
         status=status,
-        objective=float(res.fun) if has_x else None,
-        x=res.x if has_x else None,
+        objective=info.objective_function_value,
+        x=np.array(highs.getSolution().col_value),
         solve_time=elapsed,
-        mip_gap=float(res.mip_gap) if has_x and res.get("mip_gap") is not None else None,
-        message=str(res.message),
-        mip_node_count=None if nodes is None else int(nodes),
-        mip_dual_bound=None if dual_bound is None else float(dual_bound),
+        mip_gap=info.mip_gap if is_mip else None,
+        message=message,
+        mip_node_count=info.mip_node_count if is_mip else None,
+        mip_dual_bound=info.mip_dual_bound if is_mip else None,
     )
 
 

@@ -271,6 +271,26 @@ def test_non_finite_config_is_input_error(small_cfg, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("where, path", [
+    (("community", "alpha"), "community.alpha"),
+    (("series", "buy_price", 5), "series.buy_price[5]"),
+])
+def test_integer_too_large_for_a_float_is_input_error(tmp_path, capsys, where, path):
+    bundled = Path(__file__).resolve().parents[1] / "src" / "cems" / "data" / "replication.json"
+    doc = json.loads(bundled.read_text())
+    *parents, key = where
+    target = doc
+    for part in parents:
+        target = target[part]
+    target[key] = 10 ** 400
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert path in captured.err and "too large for a float" in captured.err
+    assert captured.out == ""
+
+
 # every subcommand that takes the flag rejects the value before any solve
 _COMMANDS_WITH = {
     "--alpha": ("solve",),

@@ -265,6 +265,31 @@ def test_validate_rejects_broken_arrays(replication):
         _broken(model, layout_var_slot=slots).validate()
 
 
+def test_home_models_of_one_pattern_check_their_structure_once(replication, monkeypatch):
+    # home1 and home2 share a DER mix, so a model of home2 reuses the
+    # structure a model of home1 passed; its own numbers are still checked
+    reference = build_home_model(replication, "home1")
+    checked = []
+    monkeypatch.setattr(type(reference), "_validate_structure", lambda self: checked.append(self.name))
+    model = build_home_model(replication, "home2")
+    assert checked == []
+    assert model.indices is reference.indices and model.layout.term_order is reference.layout.term_order
+
+    home2 = replication.home("home2")
+    hvac = dataclasses.replace(home2.hvac, t_min=home2.hvac.t_max + 1.0)
+    cold = dataclasses.replace(replication, homes=(dataclasses.replace(home2, hvac=hvac),))
+    with pytest.raises(ModelBuildError, match="temp_in_home2_1: lb"):
+        build_home_model(cold, "home2")
+
+    indptr = model.indptr.copy()
+    indptr[1] += 1
+    with pytest.raises(ModelBuildError, match="row pointers"):
+        _broken(model, indptr=indptr)._validate_like(reference)
+    homes = np.full_like(model.layout.var_home, -1)
+    with pytest.raises(ModelBuildError, match="home codes"):
+        _broken(model, layout_var_home=homes)._validate_like(reference)
+
+
 def test_views_agree_with_the_arrays(replication):
     model = build_system_centric_model(replication)
     variables, constraints = model.variables, model.constraints

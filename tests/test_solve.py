@@ -3,9 +3,13 @@ import io
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
 
+import cems.solve
 from cems import (
     PvParams,
+    build_home_model,
     build_system_centric_model,
     check_schedule_feasibility,
     community_cost,
@@ -481,3 +485,113 @@ def test_gap_and_time_limit_options(replication):
     sol = solve_model(model, SolverOptions(relative_mip_gap=1e-3, time_limit=120.0))
     assert sol.status == "optimal"
     assert sol.solve_time > 0.0
+
+
+# -- the hand-off to HiGHS ----------------------------------------------------
+
+def _milp_oracle(model, gap):
+    """The same model through ``scipy.optimize.milp``, with the options
+    :func:`solve_model` passes to HiGHS."""
+    a = csr_array((model.data, model.indices, model.indptr), shape=(model.n_constraints, model.n_variables))
+    return milp(c=model.c, constraints=LinearConstraint(a, model.row_lower, model.row_upper),
+                integrality=model.integrality, bounds=Bounds(model.lb, model.ub),
+                options={"presolve": True, "disp": False, "mip_rel_gap": gap})
+
+
+@pytest.mark.parametrize("which", ["system", "home1"])
+@pytest.mark.parametrize("as_lp", [True, False], ids=["lp", "milp"])
+def test_solve_matches_scipy_milp_bit_for_bit(replication, which, as_lp):
+    model = build_system_centric_model(replication) if which == "system" else build_home_model(replication, which)
+    if as_lp:
+        model = relaxed(model)
+    sol = solve_model(model)  # the CLI's default gap
+    ref = _milp_oracle(model, SolverOptions().relative_mip_gap)
+    assert (sol.status, ref.status) == ("optimal", 0)
+    assert np.array_equal(sol.x, ref.x)
+    assert sol.objective == ref.fun
+    if as_lp:
+        assert (sol.mip_node_count, sol.mip_dual_bound, sol.mip_gap) == (None, None, None)
+    else:
+        assert (sol.mip_node_count, sol.mip_dual_bound, sol.mip_gap) == (
+            ref.mip_node_count, ref.mip_dual_bound, ref.mip_gap)
+
+
+def test_surplus_beyond_the_band_is_infeasible():
+    # PV surplus the pool band cannot take, and a battery the MILP may not
+    # charge and discharge at once
+    home = make_home("h", 2, hvac=make_hvac(p_max=0.01), ess=make_ess(),
+                     pv=PvParams(panel_area=13.0, efficiency=0.2), fixed_load=[0.5, 0.5])
+    cfg = make_community([home], [1.0, 1.0], ghi=[1.0, 1.0], community_peak=2.0)
+    sol = solve_model(build_system_centric_model(cfg))
+    assert (sol.status, sol.x, sol.objective) == ("infeasible", None, None)
+
+
+def test_tiny_time_limit_keeps_values_only_with_an_incumbent(replication):
+    sol = solve_model(build_system_centric_model(replication), SolverOptions(time_limit=1e-3))
+    assert sol.status in ("feasible", "time_limit")
+    assert (sol.x is not None) == (sol.status == "feasible") == (sol.objective is not None)
+
+
+class _ForcedStatus:
+    """A HiGHS instance that runs the model but reports ``status`` after,
+    and ``run_status`` from ``run()``."""
+
+    def __init__(self, make, status, run_status):
+        self._highs, self._status, self._run_status = make(), status, run_status
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def run(self):
+        self._highs.run()
+        return self._run_status
+
+    def getModelStatus(self):
+        return self._status
+
+
+_MS = cems.solve._highs.HighsModelStatus
+_OK = cems.solve._highs.HighsStatus.kOk
+
+
+@pytest.mark.parametrize("status, run_status, mip, expected", [
+    (_MS.kTimeLimit, _OK, True, "feasible"),
+    (_MS.kIterationLimit, _OK, True, "feasible"),
+    (_MS.kTimeLimit, _OK, False, "time_limit"),
+    (_MS.kIterationLimit, _OK, False, "time_limit"),
+    (_MS.kInfeasible, _OK, True, "infeasible"),
+    (_MS.kModelError, _OK, False, "infeasible"),
+    (_MS.kUnbounded, _OK, False, "unbounded"),
+    (_MS.kOptimal, cems.solve._highs.HighsStatus.kError, False, SolverError),
+    *((status, _OK, True, SolverError) for status in (
+        _MS.kNotset, _MS.kLoadError, _MS.kPresolveError, _MS.kSolveError, _MS.kPostsolveError,
+        _MS.kModelEmpty, _MS.kObjectiveBound, _MS.kObjectiveTarget, _MS.kUnboundedOrInfeasible,
+        _MS.kUnknown, _MS.kSolutionLimit, _MS.kInterrupt, _MS.kMemoryLimit)),
+])
+def test_highs_statuses_map_as_scipy_milp_maps_them(monkeypatch, replication, status, run_status,
+                                                   mip, expected):
+    model = build_home_model(replication, "home1")
+    if not mip:
+        model = relaxed(model)
+    make = cems.solve._highs._Highs
+    monkeypatch.setattr(cems.solve._highs, "_Highs", lambda: _ForcedStatus(make, status, run_status))
+    if expected is SolverError:
+        with pytest.raises(SolverError, match="solver failed on home_home1"):
+            solve_model(model)
+        return
+    sol = solve_model(model)
+    assert sol.status == expected
+    has_values = expected == "feasible"
+    assert (sol.x is not None, sol.objective is not None) == (has_values, has_values)
+    assert (sol.mip_node_count is not None) == has_values
+
+
+def test_a_model_highs_refuses_to_load_raises(replication, capfd):
+    # solve_model re-checks nothing: a term past the last column reaches
+    # HiGHS, whose passModel rejects it
+    model = build_home_model(replication, "home1")
+    indices = model.indices.copy()
+    indices[-1] = model.n_variables
+    with pytest.raises(SolverError, match="HiGHS rejected the model"):
+        solve_model(dataclasses.replace(model, indices=indices))
+    assert capfd.readouterr().out == ""
