@@ -305,6 +305,8 @@ def _timings(result: ScenarioResult) -> dict:
                 "mip_node_count": r.mip_node_count,
                 "mip_dual_bound": r.mip_dual_bound
                 if r.mip_dual_bound is not None and math.isfinite(r.mip_dual_bound) else None,
+                "simplex_iterations": r.simplex_iterations,
+                "warm_start": r.warm_start,
             }
             for r in result.solves
         ],

@@ -162,7 +162,15 @@ def _solve_lp_first(
     pooled LP objective is the checker's cost reference; a selfish home's
     bill is linear in its flows, which the binaries do not change, and its
     models never saw the community band, so a breach of it is a warning.
-    ``jobs`` threads run the solves of one batch.
+
+    Models of one sparsity structure (the homes of one DER pattern) form a
+    chain, solved in the order given: each LP starts from the optimal
+    basis of the last LP before it in its chain that ended ``optimal``, and
+    only a chain's first LP runs cold.  A start moves the LP along another
+    path to an optimal vertex, so a value can differ from a cold solve's in
+    its last bits; the checker still judges every schedule.  ``jobs``
+    threads run the chains of one batch, each chain in order, so the
+    solves are the same at any thread count.
 
     A MILP left without values raises :class:`SolverError` for the pooled
     model and :class:`InfeasibleHomeError` for a home.
@@ -173,13 +181,25 @@ def _solve_lp_first(
     solves: list[Solution] = []
 
     def solve(batch: dict[int, MilpModel]) -> None:
-        if jobs > 1 and len(batch) > 1:
+        chains: dict[tuple, list[int]] = {}
+        for i, m in batch.items():
+            chains.setdefault((m.n_variables, m.indptr.tobytes(), m.indices.tobytes()), []).append(i)
+
+        def run_chain(chain: list[int]) -> list[tuple[int, Solution]]:
+            out, basis = [], None
+            for i in chain:
+                solution = solve_model(batch[i], options, start=basis)
+                basis = solution.basis if solution.basis is not None else basis
+                out.append((i, solution))
+            return out
+
+        if jobs > 1 and len(chains) > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                solved = dict(zip(batch, pool.map(lambda m: solve_model(m, options), batch.values())))
+                parts = list(pool.map(run_chain, chains.values()))
         else:
-            solved = {i: solve_model(m, options) for i, m in batch.items()}
-        solutions.update(solved)
-        solves.extend(solved.values())
+            parts = [run_chain(chain) for chain in chains.values()]
+        solutions.update(pair for part in parts for pair in part)
+        solves.extend(solutions[i] for i in batch)
 
     def fall_back(reasons: dict[int, set[str]]) -> None:
         """Re-solve the faulted models as MILPs."""
@@ -267,9 +287,9 @@ def run_scenarios(
     Each schedule step runs at most once: the selfish
     stage serves both ``prosumer`` and ``none``, and its schedule and
     feasibility report, arrays included, are shared by the results that
-    settle it.  ``jobs`` is the number of threads for the selfish per-home
-    solves.  An unknown kind raises :class:`ValueError` before anything is
-    solved.
+    settle it.  ``jobs`` is the number of threads for the selfish stage's
+    chains of per-home solves (see :func:`_solve_lp_first`).  An unknown
+    kind raises :class:`ValueError` before anything is solved.
     """
     kinds = tuple(kinds)
     for kind in kinds:

@@ -3,7 +3,10 @@
 The solver boundary is deliberately narrow: :func:`solve_model` hands the
 arrays of a solver-neutral model from :mod:`cems.milp` to the backend and
 returns a plain :class:`Solution` (status, objective, the values in column
-order, and for a MILP the node count and dual bound).  The bundled backend
+order, and for a MILP the node count and dual bound).  Each solve runs on a
+fresh solver instance; the one thing that may carry from one solve to the
+next is an LP's optimal basis, which the caller hands back as the start of
+another LP of the same structure.  The bundled backend
 is the HiGHS solver that SciPy ships: the model's arrays are handed to its
 bindings (``scipy.optimize._highspy._core``) directly, with the options
 SciPy's MILP front end would pass, and without that front end's per-call
@@ -25,7 +28,7 @@ import json
 import sys
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import IO, Union
 
 import numpy as np
@@ -71,8 +74,9 @@ class SolverOptions:
     stops, and an optional wall-time limit in seconds per solve.
 
     The bundled HiGHS backend solves each model on one thread; the selfish
-    stage's per-home models can run on several threads through the
-    ``jobs`` argument of :func:`cems.scenarios.run_scenarios`.
+    stage's chains of per-home models (one chain per DER pattern, each run
+    in config order) can run on several threads through the ``jobs``
+    argument of :func:`cems.scenarios.run_scenarios`.
     """
 
     relative_mip_gap: float = 1e-6
@@ -83,7 +87,12 @@ class SolverOptions:
 class Solution:
     """What one solve of the model named ``model`` reported.  ``x`` holds
     the values in the model's column order, ``None`` when there are none.
-    The branch-and-bound node count and dual bound are ``None`` for an LP."""
+    The branch-and-bound node count and dual bound are ``None`` for an LP.
+    ``simplex_iterations`` is HiGHS's count, and ``warm_start`` says whether
+    the solve started from a basis HiGHS accepted.  ``basis`` is an optimal
+    LP's final basis, opaque and kept out of ``==`` and ``repr``: a start
+    for another LP of the same structure, ``None`` for a MILP and for any
+    LP that did not end ``optimal``."""
 
     model: str
     status: str
@@ -94,6 +103,9 @@ class Solution:
     message: str = ""
     mip_node_count: int | None = None
     mip_dual_bound: float | None = None
+    simplex_iterations: int | None = None
+    warm_start: bool = False
+    basis: object = field(default=None, compare=False, repr=False)
 
 
 @functools.lru_cache(maxsize=16)
@@ -110,14 +122,19 @@ def _highs_options(options: SolverOptions):
     return highs_options
 
 
-def solve_model(model: MilpModel, options: SolverOptions | None = None) -> Solution:
+def solve_model(model: MilpModel, options: SolverOptions | None = None,
+                start: object = None) -> Solution:
     """Solve a model with the bundled HiGHS backend.
 
     The model's arrays go straight into a HiGHS model: the CSR matrix
     row-wise, the column types only when the model has a binary.  The
     builders validated them, so nothing is re-checked or re-shaped here.
-    Each solve runs on a fresh solver instance, so no state carries from
-    one model to the next.  ``solve_time`` is HiGHS's own ``run()``.
+    Each solve runs on a fresh solver instance.  ``start``, the ``basis``
+    of an earlier :class:`Solution`, is given to an LP as its starting
+    basis; a MILP ignores it.  A start HiGHS rejects (one of another
+    structure, say) is dropped and the LP runs cold, so a start can change
+    how many iterations a solve takes but not whether it succeeds.
+    ``solve_time`` is HiGHS's own ``run()``.
     """
     is_mip = model.n_binaries > 0
     # Python lists cross into the bindings' vectors faster than arrays
@@ -137,9 +154,11 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None) -> Solut
     if (highs.passOptions(_highs_options(options or SolverOptions())) == _highs.HighsStatus.kError
             or highs.passModel(lp) == _highs.HighsStatus.kError):
         raise SolverError(f"solver failed on {model.name}: HiGHS rejected the model or its options")
-    start = time.perf_counter()
+    # HiGHS checks a start against the model and leaves itself cold on a misfit
+    warm = start is not None and not is_mip and highs.setBasis(start) != _highs.HighsStatus.kError
+    began = time.perf_counter()
     run_status = highs.run()
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - began
     model_status = highs.getModelStatus()
     message = highs.modelStatusToString(model_status)
     if run_status == _highs.HighsStatus.kError:
@@ -158,9 +177,11 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None) -> Solut
         status = "unbounded"
     else:
         raise SolverError(f"solver failed on {model.name}: {message}")
+    iterations = info.simplex_iteration_count
     if status not in ("optimal", "feasible"):
         return Solution(model=model.name, status=status, objective=None, x=None,
-                        solve_time=elapsed, message=message)
+                        solve_time=elapsed, message=message, simplex_iterations=iterations,
+                        warm_start=warm)
     return Solution(
         model=model.name,
         status=status,
@@ -171,6 +192,9 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None) -> Solut
         message=message,
         mip_node_count=info.mip_node_count if is_mip else None,
         mip_dual_bound=info.mip_dual_bound if is_mip else None,
+        simplex_iterations=iterations,
+        warm_start=warm,
+        basis=highs.getBasis() if status == "optimal" and not is_mip else None,
     )
 
 

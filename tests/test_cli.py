@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 import cems.scenarios
-from cems import PvParams, build_home_model, config_to_dict, config_to_json, write_lp
+from cems import (
+    PvParams,
+    build_home_model,
+    config_to_dict,
+    config_to_json,
+    generate_synthetic_community,
+    replication_config,
+    write_lp,
+)
 from cems.cli import _native_stdout_to_stderr, main
 
 from conftest import make_community, make_ess, make_home, make_hvac
@@ -184,9 +192,9 @@ def _count_solves(monkeypatch):
     calls = []
     real = cems.scenarios.solve_model
 
-    def counting(model, options=None):
+    def counting(model, *args, **kwargs):
         calls.append(model.name)
-        return real(model, options)
+        return real(model, *args, **kwargs)
 
     monkeypatch.setattr(cems.scenarios, "solve_model", counting)
     return calls
@@ -219,6 +227,46 @@ def test_milp_fallback_failure_is_solver_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "solver failure: system-centric model ended infeasible" in captured.err
     assert captured.out == ""
+
+
+_BUNDLED = Path(__file__).resolve().parents[1] / "src" / "cems" / "data" / "replication.json"
+
+
+def test_timings_name_each_selfish_start(tmp_path):
+    # a selfish home's LP starts from the basis of the home before it with
+    # the same DER mix; the first home of each mix starts cold
+    out = tmp_path / "none"
+    assert main(["solve", "--config", str(_BUNDLED), "--scenario", "none", "--out", str(out)]) == 0
+    solves = json.loads((out / "timings.json").read_text())["solves"]
+    seen: set[str] = set()
+    expected = []
+    for home in replication_config().homes:
+        expected.append((f"home_{home.id}_relaxed", home.archetype in seen))
+        seen.add(home.archetype)
+    assert [(r["model"], r["warm_start"]) for r in solves] == expected
+    assert all(isinstance(r["simplex_iterations"], int) and r["simplex_iterations"] >= 0 for r in solves)
+    for name in SOLVE_REPORTS[:-1]:
+        text = (out / name).read_text()
+        assert "warm_start" not in text and "simplex_iterations" not in text, name
+
+
+def test_selfish_reports_do_not_depend_on_threads_or_reruns(tmp_path):
+    config = tmp_path / "forty.json"
+    config.write_text(config_to_json(generate_synthetic_community(40, 5, replication_config())))
+    runs = {}
+    for label, jobs in (("first", "1"), ("again", "1"), ("threads", "2")):
+        out = tmp_path / label
+        assert main(["solve", "--config", str(config), "--scenario", "none",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        runs[label] = out
+    for label in ("again", "threads"):
+        for name in SOLVE_REPORTS[:-1]:
+            assert (runs[label] / name).read_bytes() == (runs["first"] / name).read_bytes(), (label, name)
+    # the same solves, each from the same start, whatever the thread count
+    solves = {label: [(r["model"], r["status"], r["warm_start"], r["simplex_iterations"])
+                      for r in json.loads((out / "timings.json").read_text())["solves"]]
+              for label, out in runs.items()}
+    assert solves["again"] == solves["first"] == solves["threads"]
 
 
 def test_solve_prosumer_with_jobs(cfg_file, tmp_path, capsys):
@@ -351,9 +399,9 @@ def test_stdout_holds_only_the_summary(cfg_file, tmp_path, capfd, monkeypatch, c
     # stands in for HiGHS writing to fd 1 from inside a solve
     real = cems.scenarios.solve_model
 
-    def chatty(model, options=None):
+    def chatty(*args, **kwargs):
         _LIBC.printf(b"tmpSolver.run();\n")
-        return real(model, options)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(cems.scenarios, "solve_model", chatty)
     assert main([*command, "--config", cfg_file, "--out", str(tmp_path / "o")]) == 0

@@ -10,11 +10,14 @@ from cems import (
     SCENARIO_KINDS,
     InfeasibleHomeError,
     PvParams,
+    archetype_counts,
     bench_scaling,
     build_home_model,
     build_system_centric_model,
     compare,
     extract_schedule,
+    generate_synthetic_community,
+    relaxed,
     replication_config,
     run_scenario,
     run_scenarios,
@@ -156,9 +159,9 @@ def _count_solves(monkeypatch):
     calls = []
     real = cems.scenarios.solve_model
 
-    def counting(model, options=None):
+    def counting(model, *args, **kwargs):
         calls.append(model.name)
-        return real(model, options)
+        return real(model, *args, **kwargs)
 
     monkeypatch.setattr(cems.scenarios, "solve_model", counting)
     return calls
@@ -279,11 +282,11 @@ def test_lp_that_is_not_optimal_falls_back(monkeypatch):
     cfg = small_der_config()
     real = cems.scenarios.solve_model
 
-    def lp_runs_out_of_time(model, options=None):
+    def lp_runs_out_of_time(model, *args, **kwargs):
         if model.name == "home_a_relaxed":
             return Solution(model=model.name, status="time_limit", objective=None, x=None,
                             solve_time=0.0)
-        return real(model, options)
+        return real(model, *args, **kwargs)
 
     monkeypatch.setattr(cems.scenarios, "solve_model", lp_runs_out_of_time)
     result = run_scenario("prosumer", cfg)
@@ -353,6 +356,93 @@ def test_solver_is_deterministic():
     for hid, hs in a.schedule.homes.items():
         np.testing.assert_array_equal(hs.com_buy, b.schedule.homes[hid].com_buy)
         np.testing.assert_array_equal(hs.ess_level, b.schedule.homes[hid].ess_level)
+
+
+# -- selfish chains: each home's LP warm-started from its predecessor's basis --
+
+@pytest.fixture(scope="module")
+def forty_homes():
+    cfg = generate_synthetic_community(40, 3, replication_config())
+    assert min(archetype_counts(cfg).values()) > 0  # all four DER mixes
+    return cfg
+
+
+def _run_with_starts(monkeypatch, cfg, pick_start):
+    """The selfish stage with each LP's start replaced by ``pick_start(start)``."""
+    real = cems.scenarios.solve_model
+
+    def solve(model, options=None, start=None):
+        return real(model, options, start=pick_start(start))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cems.scenarios, "solve_model", solve)
+        return run_scenarios(cfg, ("prosumer", "none"))
+
+
+def _assert_matches(chained, cold, atol):
+    for a, b in zip(chained, cold):
+        assert a.community_cost == b.community_cost
+        assert (a.solve_path, a.fallback_reason) == (b.solve_path, b.fallback_reason)
+        assert a.feasibility.ok and b.feasibility.ok
+        for ours, theirs in ((a.feasibility.violations, b.feasibility.violations),
+                             (a.feasibility.warnings, b.feasibility.warnings)):
+            assert [(v.family, v.home, v.slot) for v in ours] == [(v.family, v.home, v.slot) for v in theirs]
+        for hid, objective in b.per_home_objective.items():
+            assert a.per_home_objective[hid] == pytest.approx(objective, rel=1e-9, abs=0.0)
+        for hid, hs in b.schedule.homes.items():
+            for f in dataclasses.fields(hs)[1:]:
+                np.testing.assert_allclose(getattr(a.schedule.homes[hid], f.name), getattr(hs, f.name),
+                                           rtol=0.0, atol=atol, err_msg=f"{hid}.{f.name}")
+
+
+def test_selfish_chains_match_cold_solves(forty_homes, monkeypatch):
+    cfg = forty_homes
+    chained = run_scenarios(cfg, ("prosumer", "none"))
+    # only the first home of each DER mix starts cold
+    seen: set[str] = set()
+    expected = []
+    for home in cfg.homes:
+        expected.append(home.archetype in seen)
+        seen.add(home.archetype)
+    assert [s.warm_start for s in chained[0].solves] == expected
+    for home in cfg.homes:
+        alone = solve_model(relaxed(build_home_model(cfg, home.id)))
+        assert chained[0].per_home_objective[home.id] == pytest.approx(alone.objective, rel=1e-9, abs=0.0)
+
+    cold = _run_with_starts(monkeypatch, cfg, lambda start: None)
+    assert not any(s.warm_start for s in cold[0].solves)
+    _assert_matches(chained, cold, atol=1e-12)
+    assert (sum(s.simplex_iterations for s in chained[0].solves)
+            < sum(s.simplex_iterations for s in cold[0].solves))
+
+
+def test_rejected_start_runs_cold(forty_homes, monkeypatch):
+    cfg = forty_homes
+    # a two-slot home's basis fits none of the day's 24-slot models
+    tiny = make_community([make_home("x", 2)], [1.0, 2.0])
+    misfit = solve_model(relaxed(build_home_model(tiny, "x"))).basis
+    assert misfit is not None
+
+    model = relaxed(build_home_model(cfg, cfg.homes[0].id))
+    cold, started = solve_model(model), solve_model(model, start=misfit)
+    assert (started.status, started.warm_start) == ("optimal", False)
+    assert started.objective == cold.objective
+    np.testing.assert_array_equal(started.x, cold.x)
+    assert started.simplex_iterations == cold.simplex_iterations
+
+    rejected = _run_with_starts(monkeypatch, cfg, lambda start: None if start is None else misfit)
+    assert not any(s.warm_start for s in rejected[0].solves)
+    _assert_matches(rejected, _run_with_starts(monkeypatch, cfg, lambda start: None), atol=0.0)
+
+
+def test_milp_ignores_a_start(forty_homes):
+    cfg = forty_homes
+    model = build_home_model(cfg, cfg.homes[0].id)
+    start = solve_model(relaxed(model)).basis
+    cold, started = solve_model(model), solve_model(model, start=start)
+    assert (started.warm_start, started.basis, cold.basis) == (False, None, None)
+    assert started.objective == cold.objective
+    np.testing.assert_array_equal(started.x, cold.x)
 
 
 # -- comparison -------------------------------------------------------------
