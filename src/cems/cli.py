@@ -267,16 +267,91 @@ def _out_dir(args) -> Path:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8, whatever the locale, through a temp file."""
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
+def _json_text(doc) -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    Strings, ints, finite floats, ``True``, ``False`` and ``None`` are
+    written with the functions and tokens ``json.dumps`` uses for them, and
+    a list, or a dict with string keys, whose values are all finite floats
+    in one join of ``float.__repr__``.  Any other value, such as a NaN or an
+    int subclass, goes through ``json.dumps`` itself.  The pieces are
+    joined once, at the end, so no level of nesting copies the text of the
+    levels below it."""
+    out: list[str] = []
+    _json_chunks(doc, "\n", out)
+    return "".join(out)
+
+
+_JSON_TOKENS = {None: "null", True: "true", False: "false"}
+
+
+def _json_chunks(doc, newline: str, out: list[str]) -> None:
+    """Append the text of ``doc`` to ``out``, its later lines indented as
+    ``newline`` indents."""
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(doc, (list, tuple)) and doc:
+        out.append("[" + inner)
+        floats = _floats_text(doc, sep)
+        if floats is not None:
+            out.append(floats)
+        else:
+            for i, value in enumerate(doc):
+                if i:
+                    out.append(sep)
+                _json_chunks(value, inner, out)
+        out.append(newline + "]")
+    elif isinstance(doc, dict) and doc and all(type(key) is str for key in doc):
+        keys = sorted(doc)
+        values = [doc[key] for key in keys]
+        names = [json.encoder.encode_basestring_ascii(key) + ": " for key in keys]
+        out.append("{" + inner)
+        # a float's repr holds no newline, so the joined values split back apart
+        floats = _floats_text(values, "\n")
+        if floats is not None:
+            out.append(sep.join(map(str.__add__, names, floats.split("\n"))))
+        else:
+            for i, (name, value) in enumerate(zip(names, values)):
+                out.append(sep + name if i else name)
+                _json_chunks(value, inner, out)
+        out.append(newline + "}")
+    elif doc is None or doc is True or doc is False:
+        out.append(_JSON_TOKENS[doc])
+    elif type(doc) is str:
+        out.append(json.encoder.encode_basestring_ascii(doc))
+    elif type(doc) is int:
+        out.append(int.__repr__(doc))
+    elif type(doc) is float and math.isfinite(doc):
+        out.append(float.__repr__(doc))
+    else:
+        # json.dumps never writes a raw newline inside a string, so
+        # re-indenting its text line by line keeps it exact
+        out.append(json.dumps(doc, indent=2, sort_keys=True).replace("\n", newline))
+
+
+def _floats_text(values, sep: str) -> str | None:
+    """``values`` written by ``float.__repr__``, the form ``json.dumps``
+    gives a finite float, and joined by ``sep``; None unless every value is
+    a finite float."""
+    try:
+        text = sep.join(map(float.__repr__, values))
+    except TypeError:  # a value that is not a float
+        return None
+    # a finite float's repr holds no "n"; "nan", "inf" and "-inf" do
+    return None if "n" in text else text
+
+
 def _write_json(path: Path, doc) -> None:
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, _json_text(doc) + "\n")
 
 
 def _write_csv(path: Path, writer_fn, report) -> None:

@@ -44,7 +44,7 @@ except ImportError as exc:
 
 from .domain import CommunityConfig, HomeConfig, is_number
 from .milp import COMMUNITY, ROLE, ROLES, MilpModel
-from .thermal import pv_output_energy, simulate_indoor_trajectory
+from .thermal import indoor_temperatures, pv_output_energy
 from .trading import community_cost
 
 _MS = _highs.HighsModelStatus
@@ -323,16 +323,39 @@ class FeasibilityReport:
         return not self.violations
 
 
-def _storage_levels(initial: float, outflow: np.ndarray, inflow: np.ndarray) -> np.ndarray:
+def _storage_levels(initial, outflow: np.ndarray, inflow: np.ndarray) -> np.ndarray:
     """Each slot's closing storage level under ``level = level - outflow +
-    inflow``, rounded exactly as that loop rounds: ``a - b`` is ``a + (-b)``
-    in floating point, and ``np.add.accumulate`` adds strictly left to
-    right."""
-    steps = np.empty(2 * len(outflow) + 1)
-    steps[0] = initial
-    steps[1::2] = -outflow
-    steps[2::2] = inflow
-    return np.add.accumulate(steps)[2::2]
+    inflow``, along the last axis from one ``initial`` level per row,
+    rounded exactly as that loop rounds: ``a - b`` is ``a + (-b)`` in
+    floating point, and ``np.add.accumulate`` adds strictly left to right."""
+    steps = np.empty(outflow.shape[:-1] + (2 * outflow.shape[-1] + 1,))
+    steps[..., 0] = initial
+    steps[..., 1::2] = -outflow
+    steps[..., 2::2] = inflow
+    return np.add.accumulate(steps, axis=-1)[..., 2::2]
+
+
+def _breached(magnitude: np.ndarray) -> np.ndarray:
+    # NaN is never within the tolerance
+    return ~(magnitude <= TOLERANCE)
+
+
+def _in_report_order(entries: list[tuple], homes: list) -> list[Violation]:
+    """The breaches of ``entries``, each ``(family, block, magnitude,
+    breached)`` with (home, slot) arrays whose rows are ``homes``: home by
+    home, then block by block, then slot by slot, then family by family in
+    the order of ``entries``."""
+    breached = np.stack([e[3] for e in entries], axis=1)
+    if not breached.any():
+        return []
+    magnitude = np.stack([e[2] for e in entries], axis=1)
+    home, family, slot = np.nonzero(breached)
+    block = np.array([e[1] for e in entries])
+    order = np.lexsort((family, slot, block[family], home))
+    home, family, slot = home[order], family[order], slot[order]
+    return [Violation(entries[f][0], homes[h], t + 1, m)
+            for h, f, t, m in zip(home.tolist(), family.tolist(), slot.tolist(),
+                                  magnitude[home, family, slot].tolist())]
 
 
 def check_schedule_feasibility(
@@ -352,95 +375,39 @@ def check_schedule_feasibility(
     the selfish baselines never constrained that band, so a breach there is
     reportable but not an extraction bug.
 
-    Each constraint family is one array expression over a home's slots.
-    Breaches are reported home by home in config order, then community-wide;
-    within a home, block by block in the order written below, and within a
-    block slot by slot, each slot's families in the block's order.
+    Each constraint family is one array expression over the (home, slot)
+    grid of every scheduled home.  Breaches are reported home by home in
+    config order, then community-wide; within a home, block by block in the
+    order :func:`_check_homes` writes them, and within a block slot by slot,
+    each slot's families in the block's order.  A block may hold families
+    that apply to different homes (with PV or without, with storage or
+    without).
     """
-    T = config.horizon_slots
-    dt = config.slot_hours
     violations: list[Violation] = []
     warnings: list[Violation] = []
 
-    def emit(out: list[Violation], home: str | None, *block: tuple, first_slot: int = 1) -> None:
-        """Append to ``out`` the breaches of ``block``: ``(family, magnitude)``
-        pairs over the same slots, breached where the magnitude is not within
-        the tolerance unless a third entry says where."""
-        magnitude = np.array([e[1] for e in block])
-        breached = ~(magnitude <= TOLERANCE)
-        for f, entry in enumerate(block):
-            if len(entry) > 2:
-                breached[f] = entry[2]
-        if breached.any():
-            for t, f in zip(*np.nonzero(breached.T)):
-                out.append(Violation(block[f][0], home, first_slot + int(t), float(magnitude[f, t])))
-
-    for home in config.homes:
-        hs = schedule.homes.get(home.id)
-        if hs is None:
-            violations.append(Violation("missing_home", home.id, None, np.inf))
-            continue
-        hid, hv, ess, pv = home.id, home.hvac, home.ess, home.pv
-
-        p = hs.hvac_power
-        emit(violations, hid, ("hvac_power_range", np.maximum(-p, p - hv.p_max)))
-
-        # a NaN power leaves the temperatures unknown (NaN) from its slot on
-        temp = simulate_indoor_trajectory(hv.t_in_initial, config.t_out, np.clip(p, 0.0, hv.p_max), hv)[1:]
-        emit(violations, hid,
-             ("temperature_recursion", np.abs(temp - hs.indoor_temp[1:])),
-             ("comfort_band", np.maximum(hv.t_min - temp, temp - hv.t_max)))
-
-        for role in ("com_load", "com_buy", "com_sell", "ess_load", "ess_sell",
-                     "com_charge", "res_charge", "res_load", "res_sell"):
-            emit(violations, hid, ("nonnegative_flow", -getattr(hs, role)))
-
-        for role in ("mode_home", "mode_ess"):
-            mode = getattr(hs, role)
-            drift = np.abs(mode - np.round(mode))
-            outside = ~((-TOLERANCE <= mode) & (mode <= 1 + TOLERANCE))
-            emit(violations, hid, ("mode_integrality", np.maximum(np.maximum(drift, -mode), mode - 1),
-                                   (drift > TOLERANCE) | outside))
-
-        if pv is not None:
-            produced = pv_output_energy(config.ghi, pv.panel_area, pv.efficiency, dt)
-            emit(violations, hid, ("pv_split", np.abs(hs.res_load + hs.res_sell + hs.res_charge - produced)))
-        else:
-            stray = np.abs(hs.res_load) + np.abs(hs.res_sell) + np.abs(hs.res_charge)
-            emit(violations, hid, ("absent_der_flow", stray))
-
-        if ess is not None:
-            discharge = hs.ess_load + hs.ess_sell
-            charge = hs.res_charge + hs.com_charge
-            level = _storage_levels(ess.level_initial, discharge / ess.efficiency, charge * ess.efficiency)
-            emit(violations, hid,
-                 ("ess_level_recursion", np.abs(level - hs.ess_level)),
-                 ("ess_level_range", np.maximum(ess.level_min - level, level - ess.level_max)),
-                 ("ess_charge_rate", charge - ess.charge_rate_max * dt * hs.mode_ess),
-                 ("ess_discharge_rate", discharge - ess.discharge_rate_max * dt * (1.0 - hs.mode_ess)),
-                 ("ess_simultaneity", np.minimum(charge, discharge)))
-            emit(violations, hid, ("ess_terminal_level", np.abs(level[-1:] - ess.level_initial)),
-                 first_slot=T)
-        else:
-            stray = np.abs(hs.ess_load) + np.abs(hs.ess_sell) + np.abs(hs.com_charge)
-            emit(violations, hid, ("absent_der_flow", stray))
-
-        supplied = hs.com_load + hs.ess_load + hs.res_load
-        buy_gap = np.abs(hs.com_buy - hs.com_load - hs.com_charge)
-        sell_gap = np.abs(hs.com_sell - hs.res_sell - hs.ess_sell)
-        emit(violations, hid,
-             ("home_balance", np.abs(home.fixed_load + hs.hvac_power * dt - supplied)),
-             ("buy_sell_definition", np.maximum(buy_gap, sell_gap)),
-             ("buy_sell_exclusivity", np.minimum(hs.com_buy, hs.com_sell)))
+    present = [home for home in config.homes if schedule.homes.get(home.id) is not None]
+    missing = [Violation("missing_home", home.id, None, np.inf)
+               for home in config.homes if schedule.homes.get(home.id) is None]
+    if present:
+        # a family that does not apply to a home may be NaN there; it is masked
+        with np.errstate(invalid="ignore"):
+            violations += _check_homes(present, [schedule.homes[home.id] for home in present], config)
+    if missing:
+        # a missing home's one violation goes where that home's breaches would
+        position = {home.id: i for i, home in enumerate(config.homes)}
+        violations = sorted(violations + missing, key=lambda v: position[v.home])
 
     net_sum = np.sum([hs.net for hs in schedule.homes.values()], axis=0)
-    net_drift = ("community_net", np.abs(net_sum - schedule.community_net))
-    peak = ("community_peak", np.abs(schedule.community_net) - config.community_peak)
+    net_drift = np.abs(net_sum - schedule.community_net)[None, :]
+    peak = (np.abs(schedule.community_net) - config.community_peak)[None, :]
+    net_entry = ("community_net", 0, net_drift, _breached(net_drift))
+    peak_entry = ("community_peak", 0, peak, _breached(peak))
     if community_peak_as_warning:
-        emit(violations, None, net_drift)
-        emit(warnings, None, peak)
+        violations += _in_report_order([net_entry], [None])
+        warnings += _in_report_order([peak_entry], [None])
     else:
-        emit(violations, None, net_drift, peak)
+        violations += _in_report_order([net_entry, peak_entry], [None])
 
     cost = community_cost(schedule, config)
     matches = True
@@ -455,6 +422,93 @@ def check_schedule_feasibility(
     )
 
 
+def _check_homes(homes: list[HomeConfig], schedules: list[HomeSchedule],
+                 config: CommunityConfig) -> list[Violation]:
+    """The per-home breaches of :func:`check_schedule_feasibility`, for
+    ``homes`` and their schedules."""
+    dt = config.slot_hours
+    s = {role: np.array([getattr(hs, role) for hs in schedules], dtype=float) for role in _FLOW_ROLES}
+    claimed_temp = np.array([hs.indoor_temp for hs in schedules], dtype=float)[:, 1:]
+
+    def column(params, name: str, absent: float = 0.0) -> np.ndarray:
+        """One parameter per home, as a column; ``absent`` for a missing device."""
+        return np.array([absent if x is None else getattr(x, name) for x in params], dtype=float)[:, None]
+
+    hvac = [home.hvac for home in homes]
+    pvs = [home.pv for home in homes]
+    esss = [home.ess for home in homes]
+    has_pv = np.array([pv is not None for pv in pvs])[:, None]
+    has_ess = np.array([ess is not None for ess in esss])[:, None]
+
+    entries: list[tuple] = []
+
+    def block(*families: tuple) -> None:
+        """Add a block of ``(family, magnitude)`` or ``(family, magnitude,
+        breached)`` entries; without a third entry a family is breached
+        where its magnitude is not within the tolerance."""
+        number = entries[-1][1] + 1 if entries else 0
+        for family, magnitude, *breached in families:
+            entries.append((family, number, magnitude, breached[0] if breached else _breached(magnitude)))
+
+    p = s["hvac_power"]
+    p_max = column(hvac, "p_max")
+    block(("hvac_power_range", np.maximum(-p, p - p_max)))
+
+    # a NaN power leaves the temperatures unknown (NaN) from its slot on
+    temp = indoor_temperatures(column(hvac, "t_in_initial"), config.t_out, np.clip(p, 0.0, p_max),
+                               column(hvac, "epsilon"), column(hvac, "eta_hvac"),
+                               column(hvac, "conductivity_a"))[:, 1:]
+    block(("temperature_recursion", np.abs(temp - claimed_temp)),
+          ("comfort_band", np.maximum(column(hvac, "t_min") - temp, temp - column(hvac, "t_max"))))
+
+    for role in ("com_load", "com_buy", "com_sell", "ess_load", "ess_sell",
+                 "com_charge", "res_charge", "res_load", "res_sell"):
+        block(("nonnegative_flow", -s[role]))
+
+    for role in ("mode_home", "mode_ess"):
+        mode = s[role]
+        drift = np.abs(mode - np.round(mode))
+        outside = ~((-TOLERANCE <= mode) & (mode <= 1 + TOLERANCE))
+        block(("mode_integrality", np.maximum(np.maximum(drift, -mode), mode - 1),
+               (drift > TOLERANCE) | outside))
+
+    produced = pv_output_energy(config.ghi, column(pvs, "panel_area"), column(pvs, "efficiency"), dt)
+    split = np.abs(s["res_load"] + s["res_sell"] + s["res_charge"] - produced)
+    stray = np.abs(s["res_load"]) + np.abs(s["res_sell"]) + np.abs(s["res_charge"])
+    block(("pv_split", split, _breached(split) & has_pv),
+          ("absent_der_flow", stray, _breached(stray) & ~has_pv))
+
+    efficiency = column(esss, "efficiency", absent=1.0)
+    level_initial = column(esss, "level_initial")
+    discharge = s["ess_load"] + s["ess_sell"]
+    charge = s["res_charge"] + s["com_charge"]
+    level = _storage_levels(level_initial[:, 0], discharge / efficiency, charge * efficiency)
+    stray = np.abs(s["ess_load"]) + np.abs(s["ess_sell"]) + np.abs(s["com_charge"])
+    storage = (
+        ("ess_level_recursion", np.abs(level - s["ess_level"])),
+        ("ess_level_range", np.maximum(column(esss, "level_min") - level, level - column(esss, "level_max"))),
+        ("ess_charge_rate", charge - column(esss, "charge_rate_max") * dt * s["mode_ess"]),
+        ("ess_discharge_rate", discharge - column(esss, "discharge_rate_max") * dt * (1.0 - s["mode_ess"])),
+        ("ess_simultaneity", np.minimum(charge, discharge)),
+    )
+    block(*((family, m, _breached(m) & has_ess) for family, m in storage),
+          ("absent_der_flow", stray, _breached(stray) & ~has_ess))
+    # the terminal level is one entry, at the last slot
+    terminal = np.zeros_like(level)
+    terminal[:, -1:] = np.abs(level[:, -1:] - level_initial)
+    block(("ess_terminal_level", terminal, _breached(terminal) & has_ess))
+
+    fixed_load = np.array([home.fixed_load for home in homes], dtype=float)
+    supplied = s["com_load"] + s["ess_load"] + s["res_load"]
+    buy_gap = np.abs(s["com_buy"] - s["com_load"] - s["com_charge"])
+    sell_gap = np.abs(s["com_sell"] - s["res_sell"] - s["ess_sell"])
+    block(("home_balance", np.abs(fixed_load + p * dt - supplied)),
+          ("buy_sell_definition", np.maximum(buy_gap, sell_gap)),
+          ("buy_sell_exclusivity", np.minimum(s["com_buy"], s["com_sell"])))
+
+    return _in_report_order(entries, [home.id for home in homes])
+
+
 # ---------------------------------------------------------------------------
 # schedule and solution serialization
 
@@ -463,15 +517,15 @@ def schedule_to_dict(schedule: CommunitySchedule) -> dict:
     doc: dict = {
         "homes": {
             hid: {
-                "indoor_temp": list(hs.indoor_temp),
-                **{role: list(getattr(hs, role)) for role in _FLOW_ROLES},
-                "net": list(hs.net),
+                "indoor_temp": hs.indoor_temp.tolist(),
+                **{role: getattr(hs, role).tolist() for role in _FLOW_ROLES},
+                "net": hs.net.tolist(),
             }
             for hid, hs in schedule.homes.items()
         },
-        "community_net": list(schedule.community_net),
-        "status_flags": None if schedule.status_flags is None else list(schedule.status_flags),
-        "slot_costs": None if schedule.slot_costs is None else list(schedule.slot_costs),
+        "community_net": schedule.community_net.tolist(),
+        "status_flags": None if schedule.status_flags is None else schedule.status_flags.tolist(),
+        "slot_costs": None if schedule.slot_costs is None else schedule.slot_costs.tolist(),
     }
     return doc
 

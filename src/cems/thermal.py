@@ -35,12 +35,29 @@ def simulate_indoor_trajectory(
     outside = (p < 0.0) | (p > params.p_max + 1e-12)
     if outside.any():
         raise ValueError(f"HVAC power {p[outside][0]} outside [0, {params.p_max}]")
-    eps = params.epsilon
-    drive = ((1.0 - eps) * (t_out + params.eta_hvac * p / params.conductivity_a)).tolist()
-    temps = [t_in_initial]
-    for d in drive:
-        temps.append(eps * temps[-1] + d)
-    return np.array(temps, dtype=float)
+    return indoor_temperatures(
+        [t_in_initial], t_out, p[None, :], [params.epsilon], [params.eta_hvac], [params.conductivity_a]
+    )[0]
+
+
+def indoor_temperatures(t_in_initial, t_out, p: np.ndarray, epsilon, eta_hvac, conductivity_a) -> np.ndarray:
+    """:func:`simulate_indoor_trajectory` for many homes at once, without its
+    range check: ``p`` is a (home, slot) matrix of powers, and
+    ``t_in_initial`` and each parameter hold one entry per home.  Returns
+    the (home, T + 1) slot boundaries, each rounded exactly as one home's
+    slot-by-slot update rounds it."""
+    def column(values):
+        return np.asarray(values, dtype=float).reshape(-1, 1)
+
+    eps = column(epsilon)
+    drive = (1.0 - eps) * (np.asarray(t_out, dtype=float) + column(eta_hvac) * p / column(conductivity_a))
+    # one row per slot boundary, so each step writes a contiguous row
+    temps = np.empty((p.shape[1] + 1, p.shape[0]))
+    temps[0] = np.ravel(t_in_initial)
+    eps, drive = eps[:, 0], drive.T
+    for t in range(p.shape[1]):
+        temps[t + 1] = eps * temps[t] + drive[t]
+    return temps.T
 
 
 def next_indoor_temperature(t_in: float, t_out: float, p: float, params: "HvacParams") -> float:

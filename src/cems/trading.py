@@ -16,6 +16,7 @@ buy and sell prices they hand it.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Mapping
 
@@ -186,13 +187,25 @@ def settle_day_at_external_prices(schedule: CommunitySchedule, config: Community
 # serialization
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    if text and not any(c in text for c in ',"\r\n'):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", text])
+    return buf.getvalue()[1:-1]
+
+
 def settlement_to_csv(report: SettlementReport, stream: IO[str]) -> None:
-    """Long-format CSV: ``slot,p_local_buy,p_local_sell,home,cost``."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["slot", "p_local_buy", "p_local_sell", "home", "cost"])
+    """Long-format CSV: ``slot,p_local_buy,p_local_sell,home,cost``, in the
+    bytes ``csv.writer`` writes, one line per slot and home."""
+    ids = dict.fromkeys(home for slot in report.slots for home in slot.per_home_cost)
+    field = {home: _csv_field(home) for home in ids}
+    lines = ["slot,p_local_buy,p_local_sell,home,cost"]
     for slot in report.slots:
-        for home, cost in slot.per_home_cost.items():
-            writer.writerow([slot.slot, repr(slot.p_local_buy), repr(slot.p_local_sell), home, repr(cost)])
+        head = f"{slot.slot},{slot.p_local_buy!r},{slot.p_local_sell!r},"
+        lines += [f"{head}{field[home]},{cost!r}" for home, cost in slot.per_home_cost.items()]
+    stream.write("\n".join(lines) + "\n")
 
 
 def settlement_to_dict(report: SettlementReport) -> dict:

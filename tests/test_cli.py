@@ -9,7 +9,9 @@ import sys
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cems.scenarios
 from cems import (
@@ -21,7 +23,7 @@ from cems import (
     replication_config,
     write_lp,
 )
-from cems.cli import _native_stdout_to_stderr, main
+from cems.cli import _json_text, _native_stdout_to_stderr, main
 
 from conftest import make_community, make_ess, make_home, make_hvac
 
@@ -59,8 +61,8 @@ def infeasible_cfg_file(tmp_path_factory):
 
 # -- argument handling ------------------------------------------------------
 
-def _python_m_cems(*args):
-    env = dict(os.environ)
+def _python_m_cems(*args, **environ):
+    env = dict(os.environ, **environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     return subprocess.run([sys.executable, "-m", "cems", *args],
@@ -559,6 +561,81 @@ def test_settle_rejects_malformed_schedule(cfg_file, solved_schedule, tmp_path, 
     captured = capsys.readouterr()
     assert f"schedule {bad}: {message}" in captured.err
     assert captured.out == ""
+
+
+# -- report bytes -----------------------------------------------------------
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_KEYS = st.text(max_size=6) | st.sampled_from(
+    ["", "h\u00f4me1", 'quo"te', "back\\slash", "new\nline", "\x00\x1f", "\U0001f600"])
+_SCALARS = (st.none() | st.booleans() | st.integers() | _FLOATS | _FINITE.map(np.float64)
+            | st.text(max_size=6))
+_DOCS = st.recursive(
+    _SCALARS | st.lists(_FINITE, max_size=5) | st.dictionaries(_KEYS, _FINITE, max_size=4)
+    | st.lists(_FLOATS | st.integers(), max_size=5),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_KEYS, children, max_size=4)
+                      | st.dictionaries(st.integers(), children, max_size=3)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_DOCS)
+@example(doc=[])
+@example(doc={})
+@example(doc={"a": [], "b": {}, "c": [[]], "d": [{}]})
+@example(doc=[1, 2.5, True, None, -0.0])
+@example(doc=[-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.5e-7])
+@example(doc={"x": [float("nan"), 1.0], "y": [float("inf"), -float("inf")], "z": float("nan")})
+@example(doc={"h\u00f4me1": 1.0, 'quo"te': -0.0, "new\nline": 2.0, "\x00": 3.0})
+def test_json_text_is_json_dumps(doc):
+    """The report emitter gives exactly ``json.dumps(doc, indent=2,
+    sort_keys=True)``, the oracle, on any nested document."""
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _json_reports(tmp_path):
+    """Every JSON report ``solve`` (three scenarios), ``compare`` and
+    ``settle`` write on the bundled day."""
+    cfg = str(_BUNDLED)
+    for kind in ("system", "prosumer", "none"):
+        assert main(["solve", "--config", cfg, "--scenario", kind, "--out", str(tmp_path / kind)]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "compare")]) == 0
+    assert main(["settle", "--config", cfg, "--schedule", str(tmp_path / "system" / "schedule.json"),
+                 "--out", str(tmp_path / "settle")]) == 0
+    return sorted(tmp_path.rglob("*.json"))
+
+
+def test_every_json_report_is_what_json_dumps_writes(tmp_path):
+    """Each report, read back and written by ``json.dumps``, gives its own
+    bytes: a check that holds whatever the solver and SciPy versions."""
+    reports = _json_reports(tmp_path)
+    assert len(reports) == 15
+    for path in reports:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+
+def test_reports_are_utf8_whatever_the_locale(tmp_path):
+    """A home id outside ASCII is written as UTF-8 under the C locale too,
+    the same bytes as a run in UTF-8 mode."""
+    doc = json.loads(_BUNDLED.read_text())
+    text = json.dumps(doc).replace('"home1"', '"h\\u00f4me1"')
+    assert text != json.dumps(doc)
+    cfg = tmp_path / "accent.json"
+    cfg.write_text(text)
+    runs = {}
+    for label, mode in (("c", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
+                        ("utf8", {"PYTHONUTF8": "1"})):
+        done = _python_m_cems("solve", "--scenario", "system", "--config", str(cfg),
+                              "--out", str(tmp_path / label), **mode)
+        assert done.returncode == 0, done.stderr
+        runs[label] = tmp_path / label
+    for name in SOLVE_REPORTS[:-1]:
+        assert (runs["c"] / name).read_bytes() == (runs["utf8"] / name).read_bytes(), name
+    assert ",h\u00f4me1,".encode() in (runs["c"] / "settlement.csv").read_bytes()
 
 
 # -- bench ------------------------------------------------------------------

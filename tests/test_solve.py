@@ -359,6 +359,42 @@ def test_checker_reports_are_pinned(replication):
     assert digest.hexdigest() == "6c718bfae7224d28bdb8c51709dabac4f7634f007e78451c028f6c05dd5f5eb9"
 
 
+def test_checker_reports_each_home_as_if_alone(replication):
+    """With several homes tampered at once, and on some days one of them
+    missing, each home's breaches are those of its tampering alone, homes
+    in config order and the community's breaches last."""
+    import copy
+
+    base = _seeded_schedule(replication, np.random.default_rng(2024))
+    ids = [home.id for home in replication.homes]
+    roles = ["hvac_power", "com_load", "com_buy", "com_sell", "ess_level", "ess_load",
+             "com_charge", "res_load", "res_sell", "mode_home", "mode_ess"]
+    rng = np.random.default_rng(11)
+    for day in range(30):
+        together = copy.deepcopy(base)
+        alone = {}
+        chosen = [str(h) for h in rng.choice(ids, size=4, replace=False)]
+        dropped = chosen.pop() if day % 2 else None
+        for hid in chosen:
+            role, slot = str(rng.choice(roles)), int(rng.integers(replication.horizon_slots))
+            delta = float(rng.choice([-4.0, -0.3, 2e-6, 0.3, 4.0, np.nan]))
+            single = copy.deepcopy(base)
+            for sched in (together, single):
+                getattr(sched.homes[hid], role)[slot] += delta
+            alone[hid] = [v for v in check_schedule_feasibility(single, replication).violations
+                          if v.home == hid]
+        if dropped is not None:
+            del together.homes[dropped]
+            alone[dropped] = [cems.solve.Violation("missing_home", dropped, None, np.inf)]
+        report = check_schedule_feasibility(together, replication)
+        expected = [v for hid in ids if hid in alone for v in alone[hid]]
+        got = report.violations
+        assert repr(list(got[:len(expected)])) == repr(expected)
+        assert all(v.home is None for v in got[len(expected):])
+        if dropped is not None:  # its net is still in the schedule's community net
+            assert any(v.family == "community_net" for v in got[len(expected):])
+
+
 # -- persistence ------------------------------------------------------------
 
 def test_schedule_dict_round_trip(replication, system_result):

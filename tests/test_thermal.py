@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cems import next_indoor_temperature, pv_output_energy, simulate_indoor_trajectory
+from cems.thermal import indoor_temperatures
 
 from conftest import make_hvac
 
@@ -65,6 +66,25 @@ def test_trajectory_matches_stepwise_recursion():
     for k in range(3):
         t = next_indoor_temperature(t, t_out[k], p[k], params)
         assert temps[k + 1] == t
+
+
+def test_many_homes_round_as_the_slot_loop():
+    """Each home's row equals the one-home update ``eps * t + d`` run slot
+    by slot in Python floats, bit for bit."""
+    rng = np.random.default_rng(5)
+    n, T = 7, 24
+    t_out = rng.uniform(30.0, 80.0, T)
+    p = rng.uniform(0.0, 6.0, (n, T)) * (rng.random((n, T)) < 0.7)
+    t0, eps = rng.uniform(60.0, 75.0, n), rng.uniform(0.5, 0.95, n)
+    eta, a = rng.uniform(1.5, 3.0, n), rng.uniform(0.1, 0.4, n)
+    temps = indoor_temperatures(t0, t_out, p, eps, eta, a)
+    assert temps.shape == (n, T + 1)
+    for i, (start, e, h, c, powers) in enumerate(zip(t0.tolist(), eps.tolist(), eta.tolist(),
+                                                     a.tolist(), p.tolist())):
+        expected = [start]
+        for outdoor, power in zip(t_out.tolist(), powers):
+            expected.append(e * expected[-1] + (1.0 - e) * (outdoor + h * power / c))
+        assert temps[i].tolist() == expected
 
 
 @given(

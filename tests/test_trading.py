@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cems import (
     mid_price,
@@ -12,7 +12,7 @@ from cems import (
     settle_day_at_external_prices,
     settle_timeslot,
 )
-from cems.trading import settlement_to_csv, settlement_to_dict
+from cems.trading import SettlementReport, SlotSettlement, settlement_to_csv, settlement_to_dict
 
 
 # -- mid price --------------------------------------------------------------
@@ -193,6 +193,33 @@ def test_sums_add_in_order_from_zero():
             expected.append(total)
         got = _sum_in_order(values, axis=axis).tolist()
         assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.text(max_size=5), min_size=1, max_size=5, unique=True),
+       costs=st.lists(st.floats(), min_size=2, max_size=2))
+@example(ids=["", ",", '"', "a,b", 'say "hi"', "new\nline", "cr\rlf", " pad ", "h\u00f4me1"],
+         costs=[-0.0, 1.5])
+def test_settlement_csv_is_what_csv_writer_writes(ids, costs):
+    """The settlement CSV gives the bytes of ``csv.writer``, the oracle, for
+    any home ids, those it quotes among them."""
+    import csv
+
+    slots = tuple(SlotSettlement(slot=t + 1, p_local_buy=2.0 + t, p_local_sell=0.5 / (t + 1),
+                                 per_home_cost={hid: costs[t] * i for i, hid in enumerate(ids)},
+                                 net_community=0.0)
+                  for t in range(2))
+    report = SettlementReport(slots=slots, per_home_daily_cost={}, community_daily_cost=0.0,
+                              budget_residual=0.0)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["slot", "p_local_buy", "p_local_sell", "home", "cost"])
+    for slot in slots:
+        for home, cost in slot.per_home_cost.items():
+            writer.writerow([slot.slot, repr(slot.p_local_buy), repr(slot.p_local_sell), home, repr(cost)])
+    got = io.StringIO()
+    settlement_to_csv(report, got)
+    assert got.getvalue() == expected.getvalue()
 
 
 # -- settlement bytes, pinned -----------------------------------------------
