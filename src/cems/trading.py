@@ -27,9 +27,6 @@ from .domain import CommunityConfig
 if TYPE_CHECKING:  # pragma: no cover
     from .solve import CommunitySchedule
 
-ZERO_NET_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class SlotSettlement:
     slot: int
@@ -119,8 +116,10 @@ def _local_prices(nets: np.ndarray, buy: np.ndarray, alpha: float, mid: np.ndarr
     buys = _sum_in_order(np.maximum(nets, 0.0), axis=0)
     sells = _sum_in_order(np.maximum(-nets, 0.0), axis=0)
     net = buys - sells
-    # the one place a slot is classed as balanced, importing or exporting
-    balanced = np.abs(net) <= ZERO_NET_TOL
+    # the one place a slot is classed as balanced, importing or exporting: by
+    # the sign of its net, as price_nets prices the external bill, so that
+    # the bills of every slot sum to that bill
+    balanced = net == 0
     # each blend is computed for every slot but kept only where it applies
     with np.errstate(all="ignore"):
         p_lb = np.where(balanced | (net < 0), mid, (mid * sells + buy * net) / buys)
