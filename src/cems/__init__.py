@@ -49,15 +49,9 @@ from .solve import (
     SolverOptions,
     check_schedule_feasibility,
     extract_schedule,
-    read_solution,
     solve_model,
-    write_solution,
 )
-from .thermal import (
-    next_indoor_temperature,
-    pv_output_energy,
-    simulate_indoor_trajectory,
-)
+from .thermal import pv_output_energy, simulate_indoor_trajectory
 from .trading import (
     SettlementReport,
     SlotSettlement,
@@ -66,7 +60,6 @@ from .trading import (
     mid_price_series,
     settle_day,
     settle_day_at_external_prices,
-    settle_timeslot,
 )
 
 __version__ = "0.1.0"

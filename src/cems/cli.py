@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import io
+import functools
 import json
 import math
 import os
@@ -266,11 +266,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8, whatever the locale, through a temp file."""
+def _write_atomic(path: Path, write) -> None:
+    """Write a file through a temp file: ``write(stream)`` writes the text
+    into the temp file, opened as UTF-8 whatever the locale, which then
+    replaces ``path``.  A writer that raises leaves ``path`` as it was."""
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as stream:
+            write(stream)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -351,13 +354,11 @@ def _floats_text(values, sep: str) -> str | None:
 
 
 def _write_json(path: Path, doc) -> None:
-    _write_atomic(path, _json_text(doc) + "\n")
+    _write_atomic(path, lambda stream: stream.write(_json_text(doc) + "\n"))
 
 
 def _write_csv(path: Path, writer_fn, report) -> None:
-    buf = io.StringIO()
-    writer_fn(report, buf)
-    _write_atomic(path, buf.getvalue())
+    _write_atomic(path, functools.partial(writer_fn, report))
 
 
 def _feasibility_to_dict(report: FeasibilityReport) -> dict:
@@ -500,8 +501,6 @@ def _cmd_export_lp(args) -> int:
         model = build_home_model(config, args.home)
         # the LP text's own tag for the home: ids need not be file names
         name = f"home_{model.layout.tags[0]}.lp"
-    buf = io.StringIO()
-    write_lp(model, buf)
-    _write_atomic(out / name, buf.getvalue())
+    _write_atomic(out / name, functools.partial(write_lp, model))
     print(f"wrote {out / name}: {model.n_variables} variables, {model.n_constraints} constraints")
     return 0

@@ -9,8 +9,7 @@ belongs to.  Nothing in here talks to a solver, so models can be handed to
 the bundled backend in :mod:`cems.solve`, exported to LP text for an
 external solver, or inspected directly in tests.  Variable and row names
 are made from the codes only where they are read: :func:`write_lp`,
-name-keyed solution values, and the read-only :attr:`MilpModel.variables`
-and :attr:`MilpModel.constraints` views.
+validation errors, and the read-only :attr:`MilpModel.constraints` view.
 
 Two builders exist.  :func:`build_system_centric_model` prices the pooled
 net exchange of the whole community: the per-slot cost is ``P * E`` when the
@@ -35,9 +34,6 @@ import numpy as np
 from .domain import COMMUNITY_TAG, CommunityConfig, HomeConfig, default_peak_limit, lp_tag
 from .thermal import pv_output_energy
 
-CONTINUOUS = "continuous"
-BINARY = "binary"
-
 INF = float("inf")
 
 # column roles and row families, by code
@@ -60,14 +56,6 @@ COMMUNITY = -1  # home code of the community-level columns and rows
 
 class ModelBuildError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lb: float
-    ub: float
-    kind: str = CONTINUOUS
 
 
 @dataclass(frozen=True)
@@ -175,17 +163,6 @@ class MilpModel:
     @property
     def nnz(self) -> int:
         return len(self.data)
-
-    @property
-    def variables(self) -> list[Variable]:
-        """One :class:`Variable` per column, made from the arrays on each access."""
-        kinds = np.where(self.integrality == 1, BINARY, CONTINUOUS).tolist()
-        return [
-            Variable(name, lo, hi, kind)
-            for name, lo, hi, kind in zip(
-                self.layout.variable_names(), self.lb.tolist(), self.ub.tolist(), kinds
-            )
-        ]
 
     @property
     def constraints(self) -> list[Constraint]:

@@ -21,8 +21,7 @@ relaxation, its binaries set from its flows, then the checker.  A clean
 check at the LP's cost proves the schedule MILP-optimal; anything else
 falls back to the exact MILP for the models at fault.  The step reports
 every backend call as the :class:`~cems.solve.Solution` it returned, with
-the values in column order; names are matched to values only when a
-solution file is read.
+the values in column order.
 
 Every run returns a :class:`ScenarioResult`: the checked step plus the
 settlement and the community cost, so the scenarios plot and compare

@@ -6,15 +6,11 @@ returns a plain :class:`Solution` (status, objective, the values in column
 order, and for a MILP the node count and dual bound).  Each solve runs on a
 fresh solver instance; the one thing that may carry from one solve to the
 next is an LP's optimal basis, which the caller hands back as the start of
-another LP of the same structure.  The bundled backend
-is the HiGHS solver that SciPy ships: the model's arrays are handed to its
-bindings (``scipy.optimize._highspy._core``) directly, with the options
-SciPy's MILP front end would pass, and without that front end's per-call
-conversions and checks.  Variable names appear only in solution files:
-:func:`write_solution` names each value, and :func:`read_solution` matches a
-file's names to a model's columns when it reads it, so a solution from any
-external solver run against the exported LP file goes through the same
-extraction path, which reads values by column.
+another LP of the same structure.  The bundled backend is the HiGHS solver
+that SciPy ships: the model's arrays are handed to its bindings
+(``scipy.optimize._highspy._core``) directly, with the options SciPy's MILP
+front end would pass, and without that front end's per-call conversions and
+checks.
 
 :func:`check_schedule_feasibility` re-derives every physical constraint from
 the raw config (temperatures through :mod:`cems.thermal`, storage books
@@ -24,12 +20,10 @@ guards against builder bugs.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from typing import IO, Union
 
 import numpy as np
 
@@ -54,8 +48,6 @@ _VAR_TYPES = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
 MODE_ROUND_TOL = 1e-6
 # the checker's one tolerance: a magnitude not within it is a breach
 TOLERANCE = 1e-6
-
-_STATUS_TOKENS = ("optimal", "feasible", "infeasible", "unbounded", "time_limit")
 
 
 class SolverError(Exception):
@@ -510,7 +502,7 @@ def _check_homes(homes: list[HomeConfig], schedules: list[HomeSchedule],
 
 
 # ---------------------------------------------------------------------------
-# schedule and solution serialization
+# schedule serialization
 
 
 def schedule_to_dict(schedule: CommunitySchedule) -> dict:
@@ -535,17 +527,6 @@ def _is_finite_number(value) -> bool:
     that is finite.  The comparison also rejects NaN, and an int too large
     for a float without converting it."""
     return is_number(value) and abs(value) <= sys.float_info.max
-
-
-def _file_number(raw: str, where: str) -> float:
-    """A number token of a text file, under the same rule."""
-    try:
-        value = json.loads(raw)
-    except ValueError:
-        value = None
-    if not _is_finite_number(value):
-        raise ValueError(f"{where} must be a finite number, got {raw!r}")
-    return float(value)
 
 
 def _finite_series(value, path: str, n: int) -> np.ndarray:
@@ -593,56 +574,3 @@ def schedule_from_dict(doc: Mapping, config: CommunityConfig) -> CommunitySchedu
         slot_costs=None if costs is None else _finite_series(costs, "slot_costs", T),
     )
 
-
-def write_solution(solution: Solution, model: MilpModel, stream: IO[str]) -> None:
-    """Plain-text solution dump: header lines then one ``name value`` pair
-    per column of ``model``, the format expected back by
-    :func:`read_solution`."""
-    stream.write(f"objective {'none' if solution.objective is None else repr(solution.objective)}\n")
-    stream.write(f"status {solution.status}\n")
-    if solution.mip_gap is not None:
-        stream.write(f"gap {solution.mip_gap!r}\n")
-    if solution.x is not None:
-        for name, value in zip(model.layout.variable_names(), solution.x.tolist()):
-            stream.write(f"{name} {value!r}\n")
-
-
-def read_solution(stream: Union[IO[str], str], model: MilpModel) -> Solution:
-    """Parse a solution file for ``model``, e.g. one produced by an external
-    solver run against the exported LP model.  The file's values are put in
-    the model's column order by name; names the model lacks are ignored, and
-    a model column the file does not name raises ``ValueError``.  Every
-    number is a finite JSON number; anything else raises naming its line."""
-    text = stream if isinstance(stream, str) else stream.read()
-    objective: float | None = None
-    status: str | None = None
-    gap: float | None = None
-    values: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected '<name> <value>'")
-        key, raw = parts
-        if key == "objective":
-            objective = None if raw == "none" else _file_number(raw, f"line {lineno}: {key}")
-        elif key == "status":
-            if raw not in _STATUS_TOKENS:
-                raise ValueError(f"line {lineno}: unknown status {raw!r}")
-            status = raw
-        elif key == "gap":
-            gap = _file_number(raw, f"line {lineno}: {key}")
-        else:
-            values[key] = _file_number(raw, f"line {lineno}: {key}")
-    if status is None:
-        raise ValueError("solution file has no status line")
-    x = None
-    if status in ("optimal", "feasible"):
-        names = model.layout.variable_names()
-        missing = next((name for name in names if name not in values), None)
-        if missing is not None:
-            raise ValueError(f"solution is missing variable {missing!r}")
-        x = np.array([values[name] for name in names], dtype=float)
-    return Solution(model=model.name, status=status, objective=objective, x=x, solve_time=0.0, mip_gap=gap)

@@ -60,12 +60,6 @@ def indoor_temperatures(t_in_initial, t_out, p: np.ndarray, epsilon, eta_hvac, c
     return temps.T
 
 
-def next_indoor_temperature(t_in: float, t_out: float, p: float, params: "HvacParams") -> float:
-    """One-slot indoor temperature update for HVAC power ``p`` (kW): the
-    one-slot case of :func:`simulate_indoor_trajectory`."""
-    return float(simulate_indoor_trajectory(t_in, [t_out], [p], params)[1])
-
-
 def pv_output_energy(ghi, panel_area, efficiency, slot_hours):
     """PV energy harvested per slot (kWh) from irradiance ``ghi`` (kW/m^2):
     ``ghi * panel_area * efficiency * slot_hours``, for numbers or for NumPy

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Mapping
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
@@ -107,7 +107,12 @@ def mid_price_series(config: CommunityConfig) -> np.ndarray:
 
 def _local_prices(nets: np.ndarray, buy: np.ndarray, alpha: float, mid: np.ndarray):
     """Each slot's local buy price, local sell price and pooled net for a
-    (home, slot) matrix of nets, as :func:`settle_timeslot` sets them."""
+    (home, slot) matrix of nets.
+
+    With a net-importing slot the local sell price is ``mid`` and the local
+    buy price is the volume blend ``(mid * sales + buy * net) / purchases``;
+    a net-exporting slot is the mirror image built on the external sell
+    price ``alpha * buy``; a balanced slot settles both sides at ``mid``."""
     sell = alpha * buy
     outside = np.flatnonzero(~((sell - 1e-12 <= mid) & (mid <= buy + 1e-12)))
     if outside.size:
@@ -118,8 +123,10 @@ def _local_prices(nets: np.ndarray, buy: np.ndarray, alpha: float, mid: np.ndarr
     net = buys - sells
     # the one place a slot is classed as balanced, importing or exporting: by
     # the sign of its net, as price_nets prices the external bill, so that
-    # the bills of every slot sum to that bill
-    balanced = net == 0
+    # the bills of every slot sum to that bill.  A subnormal net counts as
+    # balanced: the blends would underflow on it, and settling it at the mid
+    # price misses the external bill by less than ``buy * tiny``.
+    balanced = np.abs(net) < np.finfo(float).tiny
     # each blend is computed for every slot but kept only where it applies
     with np.errstate(all="ignore"):
         p_lb = np.where(balanced | (net < 0), mid, (mid * sells + buy * net) / buys)
@@ -127,7 +134,7 @@ def _local_prices(nets: np.ndarray, buy: np.ndarray, alpha: float, mid: np.ndarr
     return p_lb, p_ls, net
 
 
-def _report(homes, nets, buy, sell, net, total: float | None = None, first_slot: int = 1) -> SettlementReport:
+def _report(homes, nets, buy, sell, net, total: float | None = None) -> SettlementReport:
     """The settlement of a (home, slot) matrix of ``nets`` at per-slot
     ``buy`` and ``sell`` prices, given each slot's pooled ``net`` and what
     the community pays outside (``total``, by default the sum of the bills)."""
@@ -137,7 +144,7 @@ def _report(homes, nets, buy, sell, net, total: float | None = None, first_slot:
     total = billed if total is None else total
     slots = zip(buy.tolist(), sell.tolist(), costs.T.tolist(), net.tolist())
     return SettlementReport(
-        slots=tuple(SlotSettlement(slot=first_slot + t, p_local_buy=b, p_local_sell=s,
+        slots=tuple(SlotSettlement(slot=t + 1, p_local_buy=b, p_local_sell=s,
                                    per_home_cost=dict(zip(homes, c)), net_community=n)
                     for t, (b, s, c, n) in enumerate(slots)),
         per_home_daily_cost=dict(zip(homes, daily.tolist())),
@@ -148,21 +155,6 @@ def _report(homes, nets, buy, sell, net, total: float | None = None, first_slot:
 
 def _nets(schedule: CommunitySchedule, T: int) -> np.ndarray:
     return np.array([hs.net for hs in schedule.homes.values()], dtype=float).reshape(len(schedule.homes), T)
-
-
-def settle_timeslot(net_by_home: Mapping[str, float], p_mg: float, alpha: float,
-                    p_mid: float) -> SlotSettlement:
-    """Settle one slot, numbered 0, given each home's net position
-    (positive buys).
-
-    With a net-importing community the local sell price is ``p_mid`` and the
-    local buy price is the volume blend ``(p_mid * sales + p_mg * net) /
-    purchases``; net-exporting is the mirror image built on the external
-    sell price; a balanced slot settles both sides at ``p_mid``.
-    """
-    nets = np.array(list(net_by_home.values()), dtype=float).reshape(-1, 1)
-    prices = _local_prices(nets, np.array([p_mg], dtype=float), alpha, np.array([p_mid], dtype=float))
-    return _report(list(net_by_home), nets, *prices, first_slot=0).slots[0]
 
 
 def settle_day(schedule: CommunitySchedule, config: CommunityConfig) -> SettlementReport:

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cems.cli
 import cems.scenarios
 from cems import (
     PvParams,
     build_home_model,
+    build_system_centric_model,
     config_to_dict,
     config_to_json,
     generate_synthetic_community,
@@ -695,6 +697,47 @@ def test_export_lp_single_home(cfg_file, tmp_path, capsys):
                  "--home", "zzz", "--out", str(out)])
     assert code == 1
     assert "zzz" in capsys.readouterr().err
+
+
+def test_export_lp_writes_the_text_of_write_lp(tmp_path, capsys):
+    """The files ``export-lp`` writes for the bundled day's system model and
+    home1 are, byte for byte, what ``write_lp`` writes into a string."""
+    config = replication_config()
+    for argv, name, model in (
+        ([], "model.lp", build_system_centric_model(config)),
+        (["--scenario", "prosumer", "--home", "home1"], "home_home1.lp", build_home_model(config, "home1")),
+    ):
+        out = tmp_path / name
+        assert main(["export-lp", "--config", str(_BUNDLED), *argv, "--out", str(out)]) == 0
+        buf = io.StringIO()
+        write_lp(model, buf)
+        assert (out / name).read_bytes() == buf.getvalue().encode("utf-8")
+        assert [p.name for p in out.iterdir()] == [name]
+    capsys.readouterr()
+
+
+def test_a_report_writer_failing_partway_leaves_the_previous_file(cfg_file, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg_file, "--scenario", "system", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing(report, stream):
+        stream.write("slot,p_local_buy,p_local_sell,home,cost\n" * 100)
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cems.cli, "settlement_to_csv", failing)
+    assert main(["solve", "--config", cfg_file, "--scenario", "system", "--out", str(out)]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after.keys() == before.keys()
+    assert after["settlement.csv"] == before["settlement.csv"]
+
+    # a first write that fails leaves no file at all
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    with pytest.raises(OSError):
+        cems.cli._write_csv(fresh / "settlement.csv", failing, None)
+    assert list(fresh.iterdir()) == []
 
 
 def test_export_lp_names_the_file_after_the_home_tag(small_cfg, tmp_path, capsys):

@@ -16,12 +16,7 @@ from cems import (
     solve_model,
     write_lp,
 )
-from cems.milp import (
-    BINARY,
-    CONTINUOUS,
-    ModelBuildError,
-    big_m_value,
-)
+from cems.milp import ModelBuildError, big_m_value
 from cems.solve import SolverOptions
 
 from conftest import make_community, make_ess, make_home, make_hvac, random_small_config
@@ -41,14 +36,14 @@ def test_replication_model_dimensions(replication):
     model.validate()
     # 24 slots * (10 home-mode + 5 ess-mode) + 24 status flags
     assert model.n_binaries == 384
-    assert model.n_variables == len(model.variables)
+    assert model.n_variables == len(model.layout.variable_names())
     assert model.n_constraints == len(model.constraints)
 
 
 def test_build_is_reproducible(replication):
     a = build_system_centric_model(replication)
     b = build_system_centric_model(replication)
-    assert [v.name for v in a.variables] == [v.name for v in b.variables]
+    assert a.layout.variable_names() == b.layout.variable_names()
     assert [c.name for c in a.constraints] == [c.name for c in b.constraints]
     for ca, cb in zip(a.constraints, b.constraints):
         assert ca.terms == cb.terms
@@ -105,7 +100,7 @@ def test_slot_cost_envelope_and_hull_rows(replication):
 
 def test_absent_der_variables_not_created(replication):
     model = build_system_centric_model(replication)
-    names = {v.name for v in model.variables}
+    names = set(model.layout.variable_names())
     assert "ess_level_home8_1" not in names  # bare home
     assert "res_sell_home6_1" not in names   # ESS-only home
     assert "ess_level_home6_1" in names
@@ -172,7 +167,7 @@ def test_lp_relaxation_lower_bounds_milp():
         cfg = random_small_config(rng)
         model = build_system_centric_model(cfg)
         lp = relaxed(model)
-        assert all(v.kind == CONTINUOUS for v in lp.variables)
+        assert not lp.integrality.any()
         milp_sol = solve_model(model)
         lp_sol = solve_model(lp)
         assert milp_sol.status == "optimal"
@@ -185,12 +180,12 @@ def test_lp_relaxation_lower_bounds_milp():
 def test_home_model_scope(replication):
     model = build_home_model(replication, "home1")
     model.validate()
-    names = {v.name for v in model.variables}
+    names = model.layout.variable_names()
     assert not any(n.startswith("status_com") for n in names)
     assert not any(n.startswith("slot_cost") for n in names)
     assert all("home1" in n for n in names)
     # objective prices purchases at P and sales at alpha * P
-    obj = dict(zip((v.name for v in model.variables), model.c))
+    obj = dict(zip(names, model.c))
     assert obj["com_buy_home1_1"] == pytest.approx(replication.buy_price[0])
     assert obj["com_sell_home1_1"] == pytest.approx(-replication.alpha * replication.buy_price[0])
 
@@ -234,7 +229,7 @@ def test_validate_rejects_broken_arrays(replication):
 
     # a column whose lower bound exceeds its upper bound
     lb = model.lb.copy()
-    j = next(i for i, v in enumerate(model.variables) if v.name == "temp_in_home1_3")
+    j = model.layout.variable_names().index("temp_in_home1_3")
     lb[j] = model.ub[j] + 1.0
     with pytest.raises(ModelBuildError, match="temp_in_home1_3: lb"):
         _broken(model, lb=lb).validate()
@@ -292,14 +287,15 @@ def test_home_models_of_one_pattern_check_their_structure_once(replication, monk
 
 def test_views_agree_with_the_arrays(replication):
     model = build_system_centric_model(replication)
-    variables, constraints = model.variables, model.constraints
-    assert len(variables) == model.n_variables == len(model.c)
+    names, constraints = model.layout.variable_names(), model.constraints
+    assert len(names) == len(set(names)) == model.n_variables == len(model.c)
+    assert len(model.lb) == len(model.ub) == len(model.integrality) == model.n_variables
     assert len(constraints) == model.n_constraints == len(model.indptr) - 1
     assert sum(len(c.terms) for c in constraints) == model.nnz == 10214
-    assert sum(v.kind == BINARY for v in variables) == model.n_binaries == 384
-    column = {v.name: j for j, v in enumerate(variables)}
-    np.testing.assert_array_equal([v.lb for v in variables], model.lb)
-    np.testing.assert_array_equal([v.ub for v in variables], model.ub)
+    assert int(np.count_nonzero(model.integrality == 1)) == model.n_binaries == 384
+    binaries = model.integrality == 1
+    assert np.all(model.lb[binaries] == 0.0) and np.all(model.ub[binaries] == 1.0)
+    column = {name: j for j, name in enumerate(names)}
 
     i = next(i for i, c in enumerate(constraints) if c.name == "temp_rec_home1_2")
     row = constraints[i]

@@ -4,22 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cems import next_indoor_temperature, pv_output_energy, simulate_indoor_trajectory
+from cems import pv_output_energy, simulate_indoor_trajectory
 from cems.thermal import indoor_temperatures
 
 from conftest import make_hvac
 
 
+def _step(t_in, t_out, p, params):
+    """One slot of the indoor update, as a one-slot trajectory."""
+    return simulate_indoor_trajectory(t_in, [t_out], [p], params)[1]
+
+
 def test_next_temperature_hand_value():
     # 0.7*70 + 0.3*(60 + 2.5*2/0.2) = 49 + 0.3*85 = 74.5
     params = make_hvac(p_max=10.0, epsilon=0.7, eta_hvac=2.5, conductivity_a=0.2)
-    t = next_indoor_temperature(70.0, 60.0, 2.0, params)
+    t = _step(70.0, 60.0, 2.0, params)
     assert t == pytest.approx(74.5, abs=1e-12)
 
 
 def test_no_heat_and_equal_temperatures_is_fixed_point():
     params = make_hvac()
-    assert next_indoor_temperature(68.0, 68.0, 0.0, params) == pytest.approx(68.0)
+    assert _step(68.0, 68.0, 0.0, params) == pytest.approx(68.0)
 
 
 def test_converges_to_steady_state():
@@ -27,16 +32,16 @@ def test_converges_to_steady_state():
     steady = 60.0 + 2.0 * 1.5 / 0.25
     t = 50.0
     for _ in range(200):
-        t = next_indoor_temperature(t, 60.0, 1.5, params)
+        t = _step(t, 60.0, 1.5, params)
     assert t == pytest.approx(steady, abs=1e-9)
 
 
 def test_power_out_of_range_rejected():
     params = make_hvac(p_max=5.0)
     with pytest.raises(ValueError, match=r"HVAC power -0.1 outside \[0, 5.0\]"):
-        next_indoor_temperature(70.0, 60.0, -0.1, params)
+        _step(70.0, 60.0, -0.1, params)
     with pytest.raises(ValueError, match=r"HVAC power 5.1 outside \[0, 5.0\]"):
-        next_indoor_temperature(70.0, 60.0, 5.1, params)
+        _step(70.0, 60.0, 5.1, params)
     # a series is checked as a whole, naming its first power out of range
     with pytest.raises(ValueError, match=r"HVAC power 6.0 outside \[0, 5.0\]"):
         simulate_indoor_trajectory(70.0, [60.0] * 3, [1.0, 6.0, -1.0], params)
@@ -64,7 +69,7 @@ def test_trajectory_matches_stepwise_recursion():
     temps = simulate_indoor_trajectory(69.0, t_out, p, params)
     t = 69.0
     for k in range(3):
-        t = next_indoor_temperature(t, t_out[k], p[k], params)
+        t = _step(t, t_out[k], p[k], params)
         assert temps[k + 1] == t
 
 
@@ -95,8 +100,8 @@ def test_many_homes_round_as_the_slot_loop():
 )
 def test_more_power_is_never_colder(p_lo, extra, t_in, t_out):
     params = make_hvac(p_max=20.0)
-    cold = next_indoor_temperature(t_in, t_out, p_lo, params)
-    warm = next_indoor_temperature(t_in, t_out, p_lo + extra, params)
+    cold = _step(t_in, t_out, p_lo, params)
+    warm = _step(t_in, t_out, p_lo + extra, params)
     assert warm > cold
 
 

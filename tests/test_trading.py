@@ -10,9 +10,39 @@ from cems import (
     mid_price_series,
     settle_day,
     settle_day_at_external_prices,
-    settle_timeslot,
 )
+from cems.solve import CommunitySchedule, HomeSchedule
 from cems.trading import SettlementReport, SlotSettlement, settlement_to_csv, settlement_to_dict
+
+from conftest import make_community, make_home
+
+
+def _nets_schedule(config, nets):
+    """A schedule that only trades the (home, slot) matrix ``nets``
+    (positive buys): ``com_buy``/``com_sell`` set from the nets, and the
+    community net their sum."""
+    T = config.horizon_slots
+    zeros = np.zeros(T)
+    homes = {
+        home.id: HomeSchedule(
+            home=home.id, hvac_power=zeros, indoor_temp=np.zeros(T + 1), com_load=zeros,
+            com_buy=np.maximum(net, 0.0), com_sell=np.maximum(-net, 0.0), mode_home=zeros,
+            ess_level=zeros, ess_load=zeros, ess_sell=zeros, com_charge=zeros,
+            res_charge=zeros, res_load=zeros, res_sell=zeros, mode_ess=zeros,
+        )
+        for home, net in zip(config.homes, nets)
+    }
+    return CommunitySchedule(homes=homes, community_net=np.sum([hs.net for hs in homes.values()], axis=0))
+
+
+def _settle_slot(nets, p_mg, alpha, p_mid):
+    """The settlement of one slot, by :func:`settle_day` on a one-slot day
+    whose homes trade ``nets`` (home id to net, positive buys) at external
+    price ``p_mg`` and mid price ``p_mid``."""
+    config = make_community([make_home(hid, 1) for hid in nets], [p_mg], alpha=alpha,
+                            mid_price_policy=[p_mid])
+    schedule = _nets_schedule(config, np.array(list(nets.values()), dtype=float).reshape(-1, 1))
+    return settle_day(schedule, config).slots[0]
 
 
 # -- mid price --------------------------------------------------------------
@@ -44,11 +74,11 @@ def test_mid_price_series_follows_config_policy(replication):
         mid_price_series(dataclasses.replace(replication, mid_price_policy=[2.0, 2.0]))
 
 
-# -- single-slot worked examples (checked by hand) --------------------------
+# -- one-slot worked examples (checked by hand) -----------------------------
 
 def test_net_import_slot():
     # P=3, alpha=0.8, mid=2.7; sells 3, buys 6, net +3
-    slot = settle_timeslot({"a": -3.0, "b": 5.0, "c": 1.0}, 3.0, 0.8, 2.7)
+    slot = _settle_slot({"a": -3.0, "b": 5.0, "c": 1.0}, 3.0, 0.8, 2.7)
     assert slot.net_community == pytest.approx(3.0)
     assert slot.p_local_sell == pytest.approx(2.7)
     assert slot.p_local_buy == pytest.approx((2.7 * 3 + 3.0 * 3) / 6)  # 2.85
@@ -60,7 +90,7 @@ def test_net_import_slot():
 
 def test_net_export_slot():
     # P=3, alpha=0.8, mid=2.7; sells 6, buys 2, net -4
-    slot = settle_timeslot({"s": -6.0, "b": 2.0}, 3.0, 0.8, 2.7)
+    slot = _settle_slot({"s": -6.0, "b": 2.0}, 3.0, 0.8, 2.7)
     assert slot.p_local_buy == pytest.approx(2.7)
     assert slot.p_local_sell == pytest.approx((2.7 * 2 + 2.4 * 4) / 6)  # 2.5
     assert slot.per_home_cost["b"] == pytest.approx(5.4)
@@ -69,25 +99,25 @@ def test_net_export_slot():
 
 
 def test_balanced_slot_settles_both_sides_at_mid():
-    slot = settle_timeslot({"a": -2.0, "b": 2.0}, 3.0, 0.8, 2.7)
+    slot = _settle_slot({"a": -2.0, "b": 2.0}, 3.0, 0.8, 2.7)
     assert slot.p_local_buy == pytest.approx(2.7)
     assert slot.p_local_sell == pytest.approx(2.7)
     assert sum(slot.per_home_cost.values()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_idle_home_pays_nothing():
-    slot = settle_timeslot({"a": -1.0, "b": 3.0, "z": 0.0}, 3.0, 0.8, 2.7)
+    slot = _settle_slot({"a": -1.0, "b": 3.0, "z": 0.0}, 3.0, 0.8, 2.7)
     assert slot.per_home_cost["z"] == 0.0
 
 
 def test_no_sellers_degenerates_to_external_buy_price():
-    slot = settle_timeslot({"a": 2.0, "b": 1.0}, 3.0, 0.8, 2.7)
+    slot = _settle_slot({"a": 2.0, "b": 1.0}, 3.0, 0.8, 2.7)
     assert slot.p_local_buy == pytest.approx(3.0, abs=1e-15)
 
 
 def test_out_of_band_mid_rejected_at_settlement():
     with pytest.raises(ValueError):
-        settle_timeslot({"a": 1.0}, 3.0, 0.8, 1.0)
+        _settle_slot({"a": 1.0}, 3.0, 0.8, 1.0)
 
 
 # -- properties -------------------------------------------------------------
@@ -104,7 +134,7 @@ nets_strategy = st.dictionaries(
 @example(nets={"h1": 1e-09}, p_mg=5.0, alpha=0.5, frac=0.5)  # a pooled net below 1e-9 buys at P
 def test_budget_balance_property(nets, p_mg, alpha, frac):
     p_mid = alpha * p_mg + frac * (p_mg - alpha * p_mg)
-    slot = settle_timeslot(nets, p_mg, alpha, p_mid)
+    slot = _settle_slot(nets, p_mg, alpha, p_mid)
     net = slot.net_community
     ep_side = p_mg * net if net > 0 else alpha * p_mg * net
     total = sum(slot.per_home_cost.values())
@@ -113,9 +143,13 @@ def test_budget_balance_property(nets, p_mg, alpha, frac):
 
 @given(nets=nets_strategy, p_mg=st.floats(0.5, 10.0), alpha=st.floats(0.3, 0.95),
        frac=st.floats(0.05, 0.95))
+# subnormal pooled nets, on which the local price blends would underflow
+@example(nets={"h1": -5e-324}, p_mg=1.0, alpha=0.5, frac=0.5)
+@example(nets={"h1": 5e-324}, p_mg=1.0, alpha=0.5, frac=0.5)
+@example(nets={"h1": 1e-320, "h2": -3e-320}, p_mg=1.0, alpha=0.5, frac=0.5)
 def test_price_dominance_property(nets, p_mg, alpha, frac):
     p_mid = alpha * p_mg + frac * (p_mg - alpha * p_mg)
-    slot = settle_timeslot(nets, p_mg, alpha, p_mid)
+    slot = _settle_slot(nets, p_mg, alpha, p_mid)
     assert slot.p_local_buy <= p_mg + 1e-12
     assert slot.p_local_sell >= alpha * p_mg - 1e-12
     buys = sum(max(v, 0.0) for v in nets.values())
@@ -129,8 +163,8 @@ def test_price_dominance_property(nets, p_mg, alpha, frac):
        frac=st.floats(0.05, 0.9))
 def test_higher_mid_price_favors_sellers(nets, p_mg, alpha, frac):
     band = p_mg - alpha * p_mg
-    lo = settle_timeslot(nets, p_mg, alpha, alpha * p_mg + frac * band)
-    hi = settle_timeslot(nets, p_mg, alpha, alpha * p_mg + (frac + 0.05) * band)
+    lo = _settle_slot(nets, p_mg, alpha, alpha * p_mg + frac * band)
+    hi = _settle_slot(nets, p_mg, alpha, alpha * p_mg + (frac + 0.05) * band)
     for home, v in nets.items():
         if v > 0:
             assert hi.per_home_cost[home] >= lo.per_home_cost[home] - 1e-9
@@ -228,8 +262,6 @@ def test_settlement_csv_is_what_csv_writer_writes(ids, costs):
 def _seeded_nets_schedule(config, rng):
     """A schedule that only trades: random nets with idle homes, an all-zero
     slot, a balanced slot and a slot whose net is nonzero but below 1e-9."""
-    from cems.solve import CommunitySchedule, HomeSchedule
-
     T, n = config.horizon_slots, len(config.homes)
     nets = rng.normal(0.0, 2.0, (n, T)) * (rng.random((n, T)) < 0.7)
     nets[:, 0] = 0.0
@@ -237,17 +269,7 @@ def _seeded_nets_schedule(config, rng):
     nets[:2, 1] = [1.5, -1.5]
     nets[:, 2] = 0.0
     nets[:2, 2] = [1.0, -(1.0 - 5e-10)]
-    zeros = np.zeros(T)
-    homes = {
-        home.id: HomeSchedule(
-            home=home.id, hvac_power=zeros, indoor_temp=np.zeros(T + 1), com_load=zeros,
-            com_buy=np.maximum(net, 0.0), com_sell=np.maximum(-net, 0.0), mode_home=zeros,
-            ess_level=zeros, ess_load=zeros, ess_sell=zeros, com_charge=zeros,
-            res_charge=zeros, res_load=zeros, res_sell=zeros, mode_ess=zeros,
-        )
-        for home, net in zip(config.homes, nets)
-    }
-    return CommunitySchedule(homes=homes, community_net=np.sum([hs.net for hs in homes.values()], axis=0))
+    return _nets_schedule(config, nets)
 
 
 def _settlement_bytes(report):
