@@ -43,7 +43,7 @@ def main():
         model = build_system_centric_model(config)
         solution = solve_model(model)
         schedule = extract_schedule(solution, model, config)
-        charged = max(float(schedule.homes["h"].com_charge[0]), 0.0)
+        charged = max(float(schedule.com_charge[schedule.homes.index("h"), 0]), 0.0)
         label = "charge early, spend later" if charged > 1e-6 else "sit idle"
         marker = " <- threshold" if abs(ratio - threshold) < 0.01 else ""
         print(f"{ratio:>12.2f} {charged:>12.3f} {solution.objective:>10.3f}"

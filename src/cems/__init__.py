@@ -43,7 +43,6 @@ from .scenarios import (
 from .solve import (
     CommunitySchedule,
     FeasibilityReport,
-    HomeSchedule,
     Solution,
     SolverError,
     SolverOptions,

@@ -477,6 +477,29 @@ def config_to_json(config: CommunityConfig) -> str:
 # validation
 
 
+def _id_errors(homes: Sequence[HomeConfig]) -> list[tuple[int, str, str]]:
+    """An ``(index, path, message)`` error for each home whose id repeats
+    an earlier one, or whose LP name tag (:func:`lp_tag`) is the
+    community's or an earlier home's."""
+    errors = []
+    seen: dict[str, int] = {}
+    tags = {COMMUNITY_TAG: -1}
+    for i, home in enumerate(homes):
+        path = f"homes[{i}].id"
+        if home.id in seen:
+            errors.append((i, path, f"duplicate home id {home.id!r} (first at homes[{seen[home.id]}])"))
+            continue
+        seen[home.id] = i
+        tag = lp_tag(home.id)
+        first = tags.setdefault(tag, i)
+        if first == -1:
+            errors.append((i, path, f"home id {home.id!r} takes the community's LP name tag {tag!r}"))
+        elif first != i:
+            errors.append((i, path, f"home id {home.id!r} and homes[{first}].id "
+                                    f"{homes[first].id!r} are both {tag!r} in LP names"))
+    return errors
+
+
 def validate_config(config: CommunityConfig) -> ValidationReport:
     """Check every domain invariant; problems come back as report entries.
 
@@ -547,21 +570,9 @@ def validate_config(config: CommunityConfig) -> ValidationReport:
             for t in np.flatnonzero(~((lo <= mid) & (mid <= hi))):
                 err(-1, f"community.mid_price_policy[{t}]", f"{mid[t]} outside [alpha*P, P] = [{lo[t]}, {hi[t]}]")
 
-    seen: dict[str, int] = {}
-    tags = {COMMUNITY_TAG: -1}
+    errors += _id_errors(config.homes)
     for i, home in enumerate(config.homes):
         base = f"homes[{i}]"
-        if home.id in seen:
-            err(i, f"{base}.id", f"duplicate home id {home.id!r} (first at homes[{seen[home.id]}])")
-        else:
-            seen[home.id] = i
-            tag = lp_tag(home.id)
-            first = tags.setdefault(tag, i)
-            if first == -1:
-                err(i, f"{base}.id", f"home id {home.id!r} takes the community's LP name tag {tag!r}")
-            elif first != i:
-                err(i, f"{base}.id", f"home id {home.id!r} and homes[{first}].id "
-                    f"{config.homes[first].id!r} are both {tag!r} in LP names")
         hv = home.hvac
         if finite_fields(i, f"{base}.hvac", hv):
             if not hv.p_max > 0:
@@ -651,7 +662,9 @@ def generate_synthetic_community(
     seeded factor drawn uniformly from ``[1 - load_jitter, 1 + load_jitter]``;
     with ``load_jitter=0`` and ``n_homes == len(template.homes)`` the result
     equals the template.  The community peak scales with the home count.
-    The template itself is never modified.
+    The template itself is never modified.  Later cycles' ids are
+    ``<id>_c<cycle>``; one that repeats an id or LP name tag (template ids
+    ``a`` and ``a_c2``, say) raises :class:`InvalidConfigError`.
     """
     if n_homes < 1:
         raise ValueError(f"n_homes must be >= 1, got {n_homes}")
@@ -674,6 +687,9 @@ def generate_synthetic_community(
                 fixed_load=base.fixed_load * factors[k],
             )
         )
+    clashes = _id_errors(homes)
+    if clashes:
+        raise InvalidConfigError(ValidationReport(tuple((path, msg) for _, path, msg in clashes), ()))
     return replace(
         template,
         homes=tuple(homes),

@@ -40,6 +40,7 @@ import numpy as np
 from .domain import CommunityConfig, generate_synthetic_community
 from .milp import MilpModel, build_home_model, build_system_centric_model, relaxed
 from .solve import (
+    SCHEDULE_ROLES,
     CommunitySchedule,
     FeasibilityReport,
     Solution,
@@ -100,29 +101,25 @@ class ScenarioResult(_Scheduled):
     community_cost: float
 
 
-def _binaries_from_flows(schedule: CommunitySchedule) -> CommunitySchedule:
-    """Set every binary from the flows it gates: a home's storage mode is 1
-    where it charges more than it discharges, its trading mode is 1 where
-    it buys more than it sells, and the community status is 1 where the
-    community imports."""
-    homes = {
-        hid: replace(
-            hs,
-            mode_home=(hs.com_buy > hs.com_sell).astype(float),
-            mode_ess=(hs.res_charge + hs.com_charge > hs.ess_load + hs.ess_sell).astype(float),
-        )
-        for hid, hs in schedule.homes.items()
-    }
-    flags = None if schedule.status_flags is None else (schedule.community_net > 0).astype(float)
-    return replace(schedule, homes=homes, status_flags=flags)
+def _binaries_from_flows(s: CommunitySchedule) -> CommunitySchedule:
+    """Set every binary of schedule ``s`` from the flows it gates: a home's
+    storage mode is 1 where it charges more than it discharges, its trading
+    mode is 1 where it buys more than it sells, and the community status is
+    1 where the community imports."""
+    return replace(
+        s,
+        mode_home=(s.com_buy > s.com_sell).astype(float),
+        mode_ess=(s.res_charge + s.com_charge > s.ess_load + s.ess_sell).astype(float),
+        status_flags=None if s.status_flags is None else (s.community_net > 0).astype(float),
+    )
 
 
 def _assemble(schedules: Sequence[CommunitySchedule]) -> CommunitySchedule:
+    """The schedules' homes in one schedule, row after row."""
     if len(schedules) == 1:
         return schedules[0]
-    homes = {hid: hs for s in schedules for hid, hs in s.homes.items()}
-    net = np.sum([hs.net for hs in homes.values()], axis=0)
-    return CommunitySchedule(homes=homes, community_net=net)
+    arrays = {role: np.concatenate([getattr(s, role) for s in schedules]) for role in SCHEDULE_ROLES}
+    return CommunitySchedule(homes=tuple(hid for s in schedules for hid in s.homes), **arrays)
 
 
 def _faulted(

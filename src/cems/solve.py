@@ -23,7 +23,7 @@ import functools
 import sys
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -194,12 +194,26 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None,
 # schedules
 
 
-@dataclass(frozen=True, eq=False)
-class HomeSchedule:
-    """One home's day: per-slot arrays (temperatures have a leading entry
-    for the start-of-day state).  Roles of absent DERs are all-zero."""
+# the roles of a schedule's (home, slot) arrays: indoor_temp has T + 1
+# columns, the first the start-of-day temperature, and every other role T
+SCHEDULE_ROLES = (
+    "indoor_temp", "hvac_power", "com_load", "com_buy", "com_sell", "mode_home", "ess_level",
+    "ess_load", "ess_sell", "com_charge", "res_charge", "res_load", "res_sell", "mode_ess",
+)
 
-    home: str
+
+@dataclass(frozen=True, eq=False)
+class CommunitySchedule:
+    """A day's decision values: one (home, slot) array per role, with a row
+    per home of ``homes``, plus the community aggregates.  Roles of absent
+    DERs are all-zero.
+
+    ``community_net`` defaults to the sum of the homes' nets, added row by
+    row.  ``status_flags`` and ``slot_costs`` are present only for
+    schedules that came out of the system-centric model.
+    """
+
+    homes: tuple[str, ...]
     hvac_power: np.ndarray
     indoor_temp: np.ndarray
     com_load: np.ndarray
@@ -214,46 +228,33 @@ class HomeSchedule:
     res_load: np.ndarray
     res_sell: np.ndarray
     mode_ess: np.ndarray
-
-    @property
-    def net(self) -> np.ndarray:
-        """Energy drawn from (positive) or pushed to (negative) the pool."""
-        return self.com_buy - self.com_sell
-
-
-# the per-slot arrays, all of length T; indoor_temp has T + 1 entries
-_FLOW_ROLES = tuple(f.name for f in fields(HomeSchedule) if f.name not in ("home", "indoor_temp"))
-
-
-@dataclass(frozen=True, eq=False)
-class CommunitySchedule:
-    """Extracted decision values for every home plus community aggregates.
-
-    ``status_flags`` and ``slot_costs`` are present only for schedules that
-    came out of the system-centric model.
-    """
-
-    homes: dict[str, HomeSchedule]
-    community_net: np.ndarray
+    community_net: np.ndarray | None = None
     status_flags: np.ndarray | None = None
     slot_costs: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.community_net is None:
+            object.__setattr__(self, "community_net", np.sum(self.net, axis=0))
+
+    @property
+    def net(self) -> np.ndarray:
+        """Each home's draw from (positive) or push to (negative) the pool."""
+        return self.com_buy - self.com_sell
+
 
 def _round_mode(x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    near = np.abs(out - np.round(out)) <= MODE_ROUND_TOL
-    out[near] = np.round(out[near])
-    return out
+    rounded = np.round(x)
+    return np.where(np.abs(x - rounded) <= MODE_ROUND_TOL, rounded, x)
 
 
 def extract_schedule(solution: Solution, model: MilpModel, config: CommunityConfig) -> CommunitySchedule:
-    """Turn raw variable values into per-home arrays keyed by role.
+    """Turn raw variable values into a schedule of the model's homes.
 
     Works for both model kinds; a home model yields a one-home schedule.
-    The values are scattered into a (home, role, slot) grid through the
-    model's column codes.  Mode and status values within ``1e-6`` of an
-    integer are rounded to it; values farther away are left as-is for the
-    checker to flag.
+    The values are scattered into a (role, home, slot) grid through the
+    model's column codes, and each role's rows, in config order, are taken
+    at once.  Mode and status values within ``1e-6`` of an integer are
+    rounded to it; values farther away are left for the checker to flag.
     """
     x = solution.x
     if x is None:
@@ -261,32 +262,25 @@ def extract_schedule(solution: Solution, model: MilpModel, config: CommunityConf
     T = config.horizon_slots
     layout = model.layout
     # the community's entries land in the last home position
-    grid = np.zeros((len(layout.homes) + 1, len(ROLES), T))
-    grid[layout.var_home, layout.var_role, layout.var_slot - 1] = x
+    grid = np.zeros((len(ROLES), len(layout.homes) + 1, T))
+    grid[layout.var_role, layout.var_home, layout.var_slot - 1] = x
     position = {hid: code for code, hid in enumerate(layout.homes)}
-
-    homes: dict[str, HomeSchedule] = {}
-    for home in config.homes:
-        code = position.get(home.id)
-        if code is None:
-            continue
-        temp = np.empty(T + 1)
-        temp[0] = home.hvac.t_in_initial
-        temp[1:] = grid[code, ROLE["temp_in"]]
-        fields_by_role = {role: grid[code, ROLE[role]] for role in _FLOW_ROLES}
-        for mode_role in ("mode_home", "mode_ess"):
-            fields_by_role[mode_role] = _round_mode(fields_by_role[mode_role])
-        homes[home.id] = HomeSchedule(home=home.id, indoor_temp=temp, **fields_by_role)
-    if not homes:
+    present = [home for home in config.homes if home.id in position]
+    if not present:
         raise ValueError("model names no home of this config")
 
-    community_net = np.sum([h.net for h in homes.values()], axis=0)
+    block = grid[:, [position[home.id] for home in present]]
+    arrays = {role: block[ROLE[role]] for role in SCHEDULE_ROLES if role != "indoor_temp"}
+    arrays.update({role: _round_mode(arrays[role]) for role in ("mode_home", "mode_ess")})
+    arrays["indoor_temp"] = np.empty((len(present), T + 1))
+    arrays["indoor_temp"][:, 0] = [home.hvac.t_in_initial for home in present]
+    arrays["indoor_temp"][:, 1:] = block[ROLE["temp_in"]]
     has_community = bool(np.any(layout.var_home == COMMUNITY))
     return CommunitySchedule(
-        homes=homes,
-        community_net=community_net,
-        status_flags=_round_mode(grid[COMMUNITY, ROLE["status"]]) if has_community else None,
-        slot_costs=grid[COMMUNITY, ROLE["slot_cost"]] if has_community else None,
+        homes=tuple(home.id for home in present),
+        **arrays,
+        status_flags=_round_mode(grid[ROLE["status"], COMMUNITY]) if has_community else None,
+        slot_costs=grid[ROLE["slot_cost"], COMMUNITY] if has_community else None,
     )
 
 
@@ -378,19 +372,20 @@ def check_schedule_feasibility(
     violations: list[Violation] = []
     warnings: list[Violation] = []
 
-    present = [home for home in config.homes if schedule.homes.get(home.id) is not None]
+    row = {hid: i for i, hid in enumerate(schedule.homes)}
+    present = [home for home in config.homes if home.id in row]
     missing = [Violation("missing_home", home.id, None, np.inf)
-               for home in config.homes if schedule.homes.get(home.id) is None]
+               for home in config.homes if home.id not in row]
     if present:
         # a family that does not apply to a home may be NaN there; it is masked
         with np.errstate(invalid="ignore"):
-            violations += _check_homes(present, [schedule.homes[home.id] for home in present], config)
+            violations += _check_homes(present, schedule, [row[home.id] for home in present], config)
     if missing:
         # a missing home's one violation goes where that home's breaches would
         position = {home.id: i for i, home in enumerate(config.homes)}
         violations = sorted(violations + missing, key=lambda v: position[v.home])
 
-    net_sum = np.sum([hs.net for hs in schedule.homes.values()], axis=0)
+    net_sum = np.sum(schedule.net, axis=0)
     net_drift = np.abs(net_sum - schedule.community_net)[None, :]
     peak = (np.abs(schedule.community_net) - config.community_peak)[None, :]
     net_entry = ("community_net", 0, net_drift, _breached(net_drift))
@@ -414,13 +409,13 @@ def check_schedule_feasibility(
     )
 
 
-def _check_homes(homes: list[HomeConfig], schedules: list[HomeSchedule],
+def _check_homes(homes: list[HomeConfig], schedule: CommunitySchedule, rows: list[int],
                  config: CommunityConfig) -> list[Violation]:
     """The per-home breaches of :func:`check_schedule_feasibility`, for
-    ``homes`` and their schedules."""
+    ``homes`` and their ``rows`` of ``schedule``."""
     dt = config.slot_hours
-    s = {role: np.array([getattr(hs, role) for hs in schedules], dtype=float) for role in _FLOW_ROLES}
-    claimed_temp = np.array([hs.indoor_temp for hs in schedules], dtype=float)[:, 1:]
+    s = {role: getattr(schedule, role)[rows] for role in SCHEDULE_ROLES}
+    claimed_temp = s["indoor_temp"][:, 1:]
 
     def column(params, name: str, absent: float = 0.0) -> np.ndarray:
         """One parameter per home, as a column; ``absent`` for a missing device."""
@@ -506,20 +501,15 @@ def _check_homes(homes: list[HomeConfig], schedules: list[HomeSchedule],
 
 
 def schedule_to_dict(schedule: CommunitySchedule) -> dict:
-    doc: dict = {
-        "homes": {
-            hid: {
-                "indoor_temp": hs.indoor_temp.tolist(),
-                **{role: getattr(hs, role).tolist() for role in _FLOW_ROLES},
-                "net": hs.net.tolist(),
-            }
-            for hid, hs in schedule.homes.items()
-        },
+    arrays = {role: getattr(schedule, role).tolist() for role in SCHEDULE_ROLES}
+    arrays["net"] = schedule.net.tolist()
+    return {
+        "homes": {hid: {role: rows[i] for role, rows in arrays.items()}
+                  for i, hid in enumerate(schedule.homes)},
         "community_net": schedule.community_net.tolist(),
         "status_flags": None if schedule.status_flags is None else schedule.status_flags.tolist(),
         "slot_costs": None if schedule.slot_costs is None else schedule.slot_costs.tolist(),
     }
-    return doc
 
 
 def _is_finite_number(value) -> bool:
@@ -542,35 +532,36 @@ def schedule_from_dict(doc: Mapping, config: CommunityConfig) -> CommunitySchedu
     """Rebuild a schedule written by :func:`schedule_to_dict`.
 
     Raises ``ValueError`` naming the offending path for a malformed
-    document, a missing array, or an entry that is not a finite JSON
-    number.  Every home needs every array: absent devices are written as
-    zeros, so a missing array means a damaged file, not an absent device."""
+    document, a missing array, an entry that is not a finite JSON number,
+    or a home the config lacks.  Every home needs every array: absent
+    devices are written as zeros, so a missing array means a damaged file."""
     if not isinstance(doc, Mapping):
         raise ValueError("schedule document must be an object")
     homes_doc = doc.get("homes")
     if not isinstance(homes_doc, Mapping):
         raise ValueError("schedule document lacks a 'homes' mapping")
     T = config.horizon_slots
-    homes: dict[str, HomeSchedule] = {}
-    for home in config.homes:
-        h = homes_doc.get(home.id)
+    ids = dict.fromkeys(home.id for home in config.homes)  # in config order
+    arrays = {role: np.empty((len(ids), T + 1 if role == "indoor_temp" else T)) for role in SCHEDULE_ROLES}
+    for i, hid in enumerate(ids):
+        h = homes_doc.get(hid)
         if h is None:
-            raise ValueError(f"schedule is missing home {home.id!r}")
+            raise ValueError(f"schedule is missing home {hid!r}")
         if not isinstance(h, Mapping):
-            raise ValueError(f"home {home.id!r}: expected an object")
-        missing = [key for key in ("indoor_temp", *_FLOW_ROLES) if key not in h]
+            raise ValueError(f"home {hid!r}: expected an object")
+        missing = [role for role in SCHEDULE_ROLES if role not in h]
         if missing:
-            raise ValueError(f"home {home.id!r}: {missing[0]} is missing")
-        temp = _finite_series(h["indoor_temp"], f"home {home.id!r}: indoor_temp", T + 1)
-        arrays = {role: _finite_series(h[role], f"home {home.id!r}: {role}", T) for role in _FLOW_ROLES}
-        homes[home.id] = HomeSchedule(home=home.id, indoor_temp=temp, **arrays)
-    community_net = np.sum([hs.net for hs in homes.values()], axis=0)
+            raise ValueError(f"home {hid!r}: {missing[0]} is missing")
+        for role, rows in arrays.items():
+            rows[i] = _finite_series(h[role], f"home {hid!r}: {role}", rows.shape[1])
+    extra = next((hid for hid in homes_doc if hid not in ids), None)
+    if extra is not None:
+        raise ValueError(f"schedule has home {extra!r}, which the config lacks")
     flags = doc.get("status_flags")
     costs = doc.get("slot_costs")
     return CommunitySchedule(
-        homes=homes,
-        community_net=community_net,
+        homes=tuple(ids),
+        **arrays,
         status_flags=None if flags is None else _finite_series(flags, "status_flags", T),
         slot_costs=None if costs is None else _finite_series(costs, "slot_costs", T),
     )
-

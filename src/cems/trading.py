@@ -153,25 +153,21 @@ def _report(homes, nets, buy, sell, net, total: float | None = None) -> Settleme
     )
 
 
-def _nets(schedule: CommunitySchedule, T: int) -> np.ndarray:
-    return np.array([hs.net for hs in schedule.homes.values()], dtype=float).reshape(len(schedule.homes), T)
-
-
 def settle_day(schedule: CommunitySchedule, config: CommunityConfig) -> SettlementReport:
     """Settle a whole scheduled day at the mid-market rate, with the mid
     prices of the config's ``mid_price_policy``."""
-    nets = _nets(schedule, config.horizon_slots)
+    nets = schedule.net
     prices = _local_prices(nets, config.buy_price, config.alpha, mid_price_series(config))
-    return _report(list(schedule.homes), nets, *prices, total=community_cost(schedule, config))
+    return _report(schedule.homes, nets, *prices, total=community_cost(schedule, config))
 
 
 def settle_day_at_external_prices(schedule: CommunitySchedule, config: CommunityConfig) -> SettlementReport:
     """Settlement without any local market: every home buys at ``P`` and
     sells at ``alpha * P`` on its own.  The community cost is then by
     definition the sum of the individual bills."""
-    nets = _nets(schedule, config.horizon_slots)
+    nets = schedule.net
     buy = config.buy_price
-    return _report(list(schedule.homes), nets, buy, config.alpha * buy, _sum_in_order(nets, axis=0))
+    return _report(schedule.homes, nets, buy, config.alpha * buy, _sum_in_order(nets, axis=0))
 
 
 # ---------------------------------------------------------------------------

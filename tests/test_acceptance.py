@@ -150,7 +150,7 @@ def test_05_local_price_dominance(replication, system_result):
         p = float(replication.buy_price[slot.slot - 1])
         assert slot.p_local_buy <= p + 1e-12
         assert slot.p_local_sell >= alpha * p - 1e-12
-        nets = [hs.net[slot.slot - 1] for hs in system_result.schedule.homes.values()]
+        nets = system_result.schedule.net[:, slot.slot - 1].tolist()
         buys = sum(v for v in nets if v > 1e-9)
         sells = -sum(v for v in nets if v < -1e-9)
         if buys > 1e-9 and sells > 1e-9:
@@ -232,7 +232,8 @@ def test_09_arbitrage_activation_threshold():
         home = make_home("h", 2, ess=ess, fixed_load=fix)
         cfg = make_community([home], [p1, p1 * ratio], alpha=0.4)
         sol, schedule = _solve_schedule(cfg)
-        return sol.objective, float(schedule.homes["h"].com_charge[0])
+        assert schedule.homes == ("h",)
+        return sol.objective, float(schedule.com_charge[0, 0])
 
     # probes sit 1% out, far outside the +-1e-3 tolerance band on the flip
     for factor in (0.90, 0.99):

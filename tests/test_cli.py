@@ -565,6 +565,22 @@ def test_settle_rejects_malformed_schedule(cfg_file, solved_schedule, tmp_path, 
     assert captured.out == ""
 
 
+def test_settle_rejects_a_schedule_of_more_homes(small_cfg, solved_schedule, tmp_path, capsys):
+    """A config that lacks some of the schedule's homes would bill only part
+    of the community; settle names the first such home instead."""
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(solved_schedule))
+    part = tmp_path / "part.json"
+    part.write_text(config_to_json(dataclasses.replace(small_cfg, homes=small_cfg.homes[:2])))
+    out = tmp_path / "o"
+    code = main(["settle", "--config", str(part), "--schedule", str(sched), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"schedule {sched}: schedule has home 'c', which the config lacks" in captured.err
+    assert captured.out == ""
+    assert not (out / "settlement.json").exists()
+
+
 # -- report bytes -----------------------------------------------------------
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

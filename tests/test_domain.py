@@ -241,6 +241,23 @@ def test_generation_cycles_template_in_order(replication):
     assert len({h.id for h in out.homes}) == 23
 
 
+@pytest.mark.parametrize("ids, path, message", [
+    (("a", "a_c2"), "homes[2].id", "duplicate home id 'a_c2' (first at homes[1])"),
+    (("a", "a-c2"), "homes[2].id", "home id 'a_c2' and homes[1].id 'a-c2' are both 'a_c2' in LP names"),
+])
+def test_generation_rejects_ids_that_collide(replication, ids, path, message):
+    """A recycled id ``<id>_c<cycle>`` may repeat a template id, or its LP
+    name tag; either names the generated home instead of returning a
+    community whose homes share an id."""
+    template = replace(replication, homes=tuple(replace(home, id=hid)
+                                                for home, hid in zip(replication.homes, ids)))
+    assert validate_config(template).ok
+    assert [h.id for h in generate_synthetic_community(2, 1, template).homes] == list(ids)
+    with pytest.raises(InvalidConfigError) as exc:
+        generate_synthetic_community(4, 1, template)
+    assert exc.value.report.errors == ((path, message),)
+
+
 def test_generation_counts_at_500(replication):
     out = generate_synthetic_community(500, seed=0, template=replication,
                                        load_jitter=0.0)

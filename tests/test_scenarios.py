@@ -34,7 +34,7 @@ from cems.scenarios import (
     comparison_to_csv,
     comparison_to_dict,
 )
-from cems.solve import Solution, SolverError, SolverOptions, Violation
+from cems.solve import SCHEDULE_ROLES, Solution, SolverError, SolverOptions, Violation
 
 from conftest import make_community, make_ess, make_home, make_hvac, random_small_config
 
@@ -84,9 +84,8 @@ def test_stage_one_results_are_shared(prosumer_result, no_cems_result):
     # same selfish solves underneath, only the settlement differs
     assert prosumer_result.per_home_objective == pytest.approx(
         no_cems_result.per_home_objective)
-    for hid, hs in prosumer_result.schedule.homes.items():
-        np.testing.assert_allclose(hs.net, no_cems_result.schedule.homes[hid].net,
-                                   atol=1e-9)
+    assert prosumer_result.schedule.homes == no_cems_result.schedule.homes
+    np.testing.assert_allclose(prosumer_result.schedule.net, no_cems_result.schedule.net, atol=1e-9)
 
 
 def test_no_cems_bill_equals_selfish_objective(no_cems_result):
@@ -119,9 +118,8 @@ def test_parallel_stage_one_matches_serial():
     serial = run_scenario("prosumer", cfg, jobs=1)
     parallel = run_scenario("prosumer", cfg, jobs=2)
     assert parallel.community_cost == pytest.approx(serial.community_cost, abs=1e-9)
-    for hid, hs in serial.schedule.homes.items():
-        np.testing.assert_allclose(parallel.schedule.homes[hid].net, hs.net,
-                                   atol=1e-9)
+    assert parallel.schedule.homes == serial.schedule.homes
+    np.testing.assert_allclose(parallel.schedule.net, serial.schedule.net, atol=1e-9)
 
 
 def _assert_same_result(a, b):
@@ -139,12 +137,9 @@ def _assert_same_result(a, b):
         assert (x is None) == (y is None)
         if x is not None:
             np.testing.assert_array_equal(x, y)
-    assert list(a.schedule.homes) == list(b.schedule.homes)
-    for hid, hs in a.schedule.homes.items():
-        for f in dataclasses.fields(hs):
-            np.testing.assert_array_equal(getattr(hs, f.name),
-                                          getattr(b.schedule.homes[hid], f.name),
-                                          err_msg=f"{hid}.{f.name}")
+    assert a.schedule.homes == b.schedule.homes
+    for role in SCHEDULE_ROLES:
+        np.testing.assert_array_equal(getattr(a.schedule, role), getattr(b.schedule, role), err_msg=role)
 
 
 def test_run_scenarios_matches_single_runs(replication, system_result,
@@ -259,10 +254,9 @@ def test_forced_fallback_returns_the_milp_result(replication, monkeypatch, home,
     assert (result.solve_path, result.fallback_reason) == (MILP_FALLBACK, reason)
     assert result.objective == milp.objective
     assert result.feasibility is checks[1] and result.feasibility.ok
-    for hid, hs in expected.homes.items():
-        for f in dataclasses.fields(hs):
-            np.testing.assert_array_equal(getattr(result.schedule.homes[hid], f.name),
-                                          getattr(hs, f.name), err_msg=f"{hid}.{f.name}")
+    assert result.schedule.homes == expected.homes
+    for role in SCHEDULE_ROLES:
+        np.testing.assert_array_equal(getattr(result.schedule, role), getattr(expected, role), err_msg=role)
     np.testing.assert_array_equal(result.schedule.status_flags, expected.status_flags)
 
 
@@ -353,9 +347,9 @@ def test_solver_is_deterministic():
     a = run_scenario("system", cfg)
     b = run_scenario("system", cfg)
     assert a.objective == b.objective
-    for hid, hs in a.schedule.homes.items():
-        np.testing.assert_array_equal(hs.com_buy, b.schedule.homes[hid].com_buy)
-        np.testing.assert_array_equal(hs.ess_level, b.schedule.homes[hid].ess_level)
+    assert a.schedule.homes == b.schedule.homes
+    np.testing.assert_array_equal(a.schedule.com_buy, b.schedule.com_buy)
+    np.testing.assert_array_equal(a.schedule.ess_level, b.schedule.ess_level)
 
 
 # -- selfish chains: each home's LP warm-started from its predecessor's basis --
@@ -389,10 +383,10 @@ def _assert_matches(chained, cold, atol):
             assert [(v.family, v.home, v.slot) for v in ours] == [(v.family, v.home, v.slot) for v in theirs]
         for hid, objective in b.per_home_objective.items():
             assert a.per_home_objective[hid] == pytest.approx(objective, rel=1e-9, abs=0.0)
-        for hid, hs in b.schedule.homes.items():
-            for f in dataclasses.fields(hs)[1:]:
-                np.testing.assert_allclose(getattr(a.schedule.homes[hid], f.name), getattr(hs, f.name),
-                                           rtol=0.0, atol=atol, err_msg=f"{hid}.{f.name}")
+        assert a.schedule.homes == b.schedule.homes
+        for role in SCHEDULE_ROLES:
+            np.testing.assert_allclose(getattr(a.schedule, role), getattr(b.schedule, role),
+                                       rtol=0.0, atol=atol, err_msg=role)
 
 
 def test_selfish_chains_match_cold_solves(forty_homes, monkeypatch):

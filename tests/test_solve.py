@@ -17,6 +17,8 @@ from cems import (
     solve_model,
 )
 from cems.solve import (
+    SCHEDULE_ROLES,
+    CommunitySchedule,
     SolverError,
     SolverOptions,
     schedule_from_dict,
@@ -36,6 +38,15 @@ def _schedule(cfg, **opt):
     model, sol = _solve(cfg, **opt)
     assert sol.status == "optimal"
     return extract_schedule(sol, model, cfg)
+
+
+def _without(schedule, hid):
+    """``schedule`` built without the row of home ``hid``, its community
+    net kept."""
+    row = schedule.homes.index(hid)
+    return dataclasses.replace(schedule, homes=schedule.homes[:row] + schedule.homes[row + 1:],
+                               **{role: np.delete(getattr(schedule, role), row, axis=0)
+                                  for role in SCHEDULE_ROLES})
 
 
 def warm_home(home_id, T, **kw):
@@ -96,14 +107,14 @@ def test_scenario_runner_raises_on_infeasible():
 
 def test_absent_der_flows_zero_filled(system_result):
     sched = system_result.schedule
-    bare = sched.homes["home8"]
-    assert np.all(bare.ess_level == 0.0)
-    assert np.all(bare.ess_load == 0.0)
-    assert np.all(bare.res_sell == 0.0)
-    assert np.all(bare.com_charge == 0.0)
-    ess_only = sched.homes["home6"]
-    assert np.all(ess_only.res_sell == 0.0)
-    assert np.any(ess_only.ess_level > 0.0)
+    bare = sched.homes.index("home8")
+    assert np.all(sched.ess_level[bare] == 0.0)
+    assert np.all(sched.ess_load[bare] == 0.0)
+    assert np.all(sched.res_sell[bare] == 0.0)
+    assert np.all(sched.com_charge[bare] == 0.0)
+    ess_only = sched.homes.index("home6")
+    assert np.all(sched.res_sell[ess_only] == 0.0)
+    assert np.any(sched.ess_level[ess_only] > 0.0)
 
 
 def test_status_flags_track_net_sign(system_result):
@@ -125,9 +136,11 @@ def test_community_cost_matches_slotwise_formula(replication, system_result):
     assert community_cost(sched, replication) == pytest.approx(total, abs=1e-9)
 
 
-def test_home_net_property(system_result):
-    hs = system_result.schedule.homes["home1"]
-    np.testing.assert_allclose(hs.net, hs.com_buy - hs.com_sell)
+def test_home_net_property(replication, system_result):
+    sched = system_result.schedule
+    assert sched.homes == tuple(home.id for home in replication.homes)
+    assert sched.net.shape == (len(sched.homes), replication.horizon_slots)
+    np.testing.assert_allclose(sched.net, sched.com_buy - sched.com_sell)
 
 
 # -- independent checker ----------------------------------------------------
@@ -157,25 +170,25 @@ def test_checker_catches_tampering(replication, system_result):
     base = system_result.schedule
 
     sched = copy.deepcopy(base)
-    sched.homes["home8"].hvac_power[5] += 1.0
+    sched.hvac_power[sched.homes.index("home8"), 5] += 1.0
     fams = _families(check_schedule_feasibility(sched, replication))
     assert "temperature_recursion" in fams or "home_balance" in fams
 
     sched = copy.deepcopy(base)
-    sched.homes["home8"].mode_home[2] = 0.5
+    sched.mode_home[sched.homes.index("home8"), 2] = 0.5
     assert "mode_integrality" in _families(check_schedule_feasibility(sched, replication))
 
     sched = copy.deepcopy(base)
-    sched.homes["home1"].ess_level[4] += 0.5
+    sched.ess_level[sched.homes.index("home1"), 4] += 0.5
     assert "ess_level_recursion" in _families(check_schedule_feasibility(sched, replication))
 
     sched = copy.deepcopy(base)
-    sched.homes["home1"].com_buy[3] += 2.0
+    sched.com_buy[sched.homes.index("home1"), 3] += 2.0
     fams = _families(check_schedule_feasibility(sched, replication))
     assert "buy_sell_definition" in fams or "home_balance" in fams
 
     sched = copy.deepcopy(base)
-    sched.homes["home9"].hvac_power[7] = -0.5
+    sched.hvac_power[sched.homes.index("home9"), 7] = -0.5
     assert "hvac_power_range" in _families(check_schedule_feasibility(sched, replication))
 
 
@@ -193,10 +206,7 @@ def test_checker_peak_violation_as_warning(replication, system_result):
 
 
 def test_checker_missing_home(replication, system_result):
-    import copy
-
-    sched = copy.deepcopy(system_result.schedule)
-    del sched.homes["home3"]
+    sched = _without(system_result.schedule, "home3")
     assert "missing_home" in _families(check_schedule_feasibility(sched, replication))
 
 
@@ -212,7 +222,7 @@ def test_checker_reports_nan_as_a_breach(replication, system_result, home, role,
     import math
 
     sched = copy.deepcopy(system_result.schedule)
-    getattr(sched.homes[home], role)[index] = np.nan
+    getattr(sched, role)[sched.homes.index(home), index] = np.nan
     report = check_schedule_feasibility(sched, replication, reference_objective=system_result.objective)
     assert not report.ok
     assert expected <= _families(report)
@@ -237,11 +247,10 @@ def _seeded_schedule(config, rng):
     holds a random indoor target, PV feeds the home first and sells the
     rest, and each storage unit charges from the pool in one slot and
     discharges into the home in a later one, ending where it began."""
-    from cems.solve import CommunitySchedule, HomeSchedule
     from cems.thermal import simulate_indoor_trajectory
 
     T, dt = config.horizon_slots, config.slot_hours
-    homes = {}
+    rows = {role: [] for role in SCHEDULE_ROLES}
     for home in config.homes:
         hv = home.hvac
         target = rng.uniform(68.5, 72.5) + rng.uniform(-0.5, 0.5, T)
@@ -270,14 +279,14 @@ def _seeded_schedule(config, rng):
             level = ess.level_initial + np.cumsum(com_charge * ess.efficiency - ess_load / ess.efficiency)
         com_load = demand - res_load - ess_load
         com_buy = com_load + com_charge
-        homes[home.id] = HomeSchedule(
-            home=home.id, hvac_power=p, indoor_temp=temp, com_load=com_load, com_buy=com_buy,
-            com_sell=res_sell, mode_home=(com_buy > 0).astype(float), ess_level=level,
-            ess_load=ess_load, ess_sell=zeros.copy(), com_charge=com_charge,
-            res_charge=zeros.copy(), res_load=res_load, res_sell=res_sell, mode_ess=mode_ess,
-        )
-    net = np.sum([hs.net for hs in homes.values()], axis=0)
-    return CommunitySchedule(homes=homes, community_net=net)
+        day = dict(hvac_power=p, indoor_temp=temp, com_load=com_load, com_buy=com_buy,
+                   com_sell=res_sell, mode_home=(com_buy > 0).astype(float), ess_level=level,
+                   ess_load=ess_load, ess_sell=zeros, com_charge=com_charge,
+                   res_charge=zeros, res_load=res_load, res_sell=res_sell, mode_ess=mode_ess)
+        for role, value in day.items():
+            rows[role].append(value)
+    return CommunitySchedule(homes=tuple(home.id for home in config.homes),
+                             **{role: np.array(value) for role, value in rows.items()})
 
 
 def _tampered(base, config, rng):
@@ -287,24 +296,28 @@ def _tampered(base, config, rng):
 
     sched = copy.deepcopy(base)
     hid = str(rng.choice(list(sched.homes)))
+    row = sched.homes.index(hid)
     T = config.horizon_slots
     action = rng.choice(["shift", "shift", "shift", "hvac", "mode", "drop", "net", "peak"])
     if action == "shift":
         role = str(rng.choice(["hvac_power", "indoor_temp", "com_load", "com_buy", "com_sell",
                                "ess_level", "ess_load", "ess_sell", "com_charge", "res_charge",
                                "res_load", "res_sell"]))
-        arr = getattr(sched.homes[hid], role)
         slots = rng.choice(np.arange(1, T) if role == "indoor_temp" else T,
                            size=int(rng.integers(1, 4)), replace=False)
-        arr[slots] += rng.choice([-1e-7, 1e-7, -2e-6, 2e-6, -0.3, 0.3, -4.0, 4.0])
+        delta = rng.choice([-1e-7, 1e-7, -2e-6, 2e-6, -0.3, 0.3, -4.0, 4.0])
+        # a seeded home sells only PV, so its sales and its PV sales move together
+        sales = ("com_sell", "res_sell")
+        for shifted in sales if role in sales else (role,):
+            getattr(sched, shifted)[row, slots] += delta
     elif action == "hvac":
         p_max = config.home(hid).hvac.p_max
-        sched.homes[hid].hvac_power[int(rng.integers(T))] = rng.choice([-0.5, 0.0, p_max, p_max + 1.0])
+        sched.hvac_power[row, int(rng.integers(T))] = rng.choice([-0.5, 0.0, p_max, p_max + 1.0])
     elif action == "mode":
         role = str(rng.choice(["mode_home", "mode_ess"]))
-        getattr(sched.homes[hid], role)[int(rng.integers(T))] = rng.choice([0.5, 1.0 - 5e-7, 1.2, -0.3])
+        getattr(sched, role)[row, int(rng.integers(T))] = rng.choice([0.5, 1.0 - 5e-7, 1.2, -0.3])
     elif action == "drop":
-        del sched.homes[hid]
+        sched = _without(sched, hid)
     elif action == "net":
         sched.community_net[int(rng.integers(T))] += rng.choice([-1e-7, 1e-3, -2.0])
     else:
@@ -377,11 +390,11 @@ def test_checker_reports_each_home_as_if_alone(replication):
             delta = float(rng.choice([-4.0, -0.3, 2e-6, 0.3, 4.0, np.nan]))
             single = copy.deepcopy(base)
             for sched in (together, single):
-                getattr(sched.homes[hid], role)[slot] += delta
+                getattr(sched, role)[sched.homes.index(hid), slot] += delta
             alone[hid] = [v for v in check_schedule_feasibility(single, replication).violations
                           if v.home == hid]
         if dropped is not None:
-            del together.homes[dropped]
+            together = _without(together, dropped)
             alone[dropped] = [cems.solve.Violation("missing_home", dropped, None, np.inf)]
         report = check_schedule_feasibility(together, replication)
         expected = [v for hid in ids if hid in alone for v in alone[hid]]
@@ -397,12 +410,48 @@ def test_checker_reports_each_home_as_if_alone(replication):
 def test_schedule_dict_round_trip(replication, system_result):
     sched = system_result.schedule
     again = schedule_from_dict(schedule_to_dict(sched), replication)
-    for hid, hs in sched.homes.items():
-        other = again.homes[hid]
-        for field in ("hvac_power", "indoor_temp", "com_buy", "com_sell",
-                      "ess_level", "mode_home"):
-            np.testing.assert_allclose(getattr(other, field), getattr(hs, field))
+    assert again.homes == sched.homes
+    for field in ("hvac_power", "indoor_temp", "com_buy", "com_sell",
+                  "ess_level", "mode_home"):
+        np.testing.assert_allclose(getattr(again, field), getattr(sched, field))
     np.testing.assert_allclose(again.community_net, sched.community_net)
+
+
+def test_schedule_json_is_pinned(replication):
+    """The text of ``schedule.json`` for seeded solver-free days of the
+    bundled day and a 25-home day, pinned by sha256; half of the days carry
+    community status flags and slot costs.  Reading a text back and writing
+    it again gives the same text."""
+    import hashlib
+    import json
+
+    from cems import generate_synthetic_community
+    from cems.cli import _json_text
+
+    digest = hashlib.sha256()
+    for config in (replication, generate_synthetic_community(25, 3, replication)):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            schedule = _seeded_schedule(config, rng)
+            if seed % 2:
+                schedule = dataclasses.replace(
+                    schedule, status_flags=(schedule.community_net > 0).astype(float),
+                    slot_costs=rng.normal(0.0, 3.0, config.horizon_slots))
+            text = _json_text(schedule_to_dict(schedule))
+            again = schedule_from_dict(json.loads(text), config)
+            assert _json_text(schedule_to_dict(again)) == text
+            digest.update(text.encode())
+    assert digest.hexdigest() == "560632e076ebdde0691b552e4651a34e20fbf0628adae1c7086de331ccadeab8"
+
+
+def test_schedule_from_dict_rejects_homes_the_config_lacks(replication, system_result):
+    """A schedule read against part of its community would be settled for
+    that part alone; the first home the config lacks is named instead."""
+    doc = schedule_to_dict(system_result.schedule)
+    part = dataclasses.replace(replication, homes=replication.homes[:8])
+    with pytest.raises(ValueError, match=r"^schedule has home 'home9', which the config lacks$"):
+        schedule_from_dict(doc, part)
+    assert schedule_from_dict(doc, replication).homes == system_result.schedule.homes
 
 
 @pytest.mark.parametrize("value", ["1.5", True, None, float("nan"), float("inf"), float("-inf"), 10**400])

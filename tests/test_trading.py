@@ -11,7 +11,7 @@ from cems import (
     settle_day,
     settle_day_at_external_prices,
 )
-from cems.solve import CommunitySchedule, HomeSchedule
+from cems.solve import SCHEDULE_ROLES, CommunitySchedule
 from cems.trading import SettlementReport, SlotSettlement, settlement_to_csv, settlement_to_dict
 
 from conftest import make_community, make_home
@@ -21,18 +21,10 @@ def _nets_schedule(config, nets):
     """A schedule that only trades the (home, slot) matrix ``nets``
     (positive buys): ``com_buy``/``com_sell`` set from the nets, and the
     community net their sum."""
-    T = config.horizon_slots
-    zeros = np.zeros(T)
-    homes = {
-        home.id: HomeSchedule(
-            home=home.id, hvac_power=zeros, indoor_temp=np.zeros(T + 1), com_load=zeros,
-            com_buy=np.maximum(net, 0.0), com_sell=np.maximum(-net, 0.0), mode_home=zeros,
-            ess_level=zeros, ess_load=zeros, ess_sell=zeros, com_charge=zeros,
-            res_charge=zeros, res_load=zeros, res_sell=zeros, mode_ess=zeros,
-        )
-        for home, net in zip(config.homes, nets)
-    }
-    return CommunitySchedule(homes=homes, community_net=np.sum([hs.net for hs in homes.values()], axis=0))
+    n, T = nets.shape
+    arrays = {role: np.zeros((n, T + 1 if role == "indoor_temp" else T)) for role in SCHEDULE_ROLES}
+    arrays.update(com_buy=np.maximum(nets, 0.0), com_sell=np.maximum(-nets, 0.0))
+    return CommunitySchedule(homes=tuple(home.id for home in config.homes), **arrays)
 
 
 def _settle_slot(nets, p_mg, alpha, p_mid):
@@ -192,9 +184,11 @@ def test_settle_day_at_external_prices(replication, system_result):
     report = settle_day_at_external_prices(system_result.schedule, replication)
     assert report.budget_residual == 0.0
     alpha = replication.alpha
-    for hid, hs in system_result.schedule.homes.items():
-        expected = float(np.dot(replication.buy_price, hs.com_buy)
-                         - alpha * np.dot(replication.buy_price, hs.com_sell))
+    sched = system_result.schedule
+    assert list(report.per_home_daily_cost) == list(sched.homes)
+    for hid, com_buy, com_sell in zip(sched.homes, sched.com_buy, sched.com_sell):
+        expected = float(np.dot(replication.buy_price, com_buy)
+                         - alpha * np.dot(replication.buy_price, com_sell))
         assert report.per_home_daily_cost[hid] == pytest.approx(expected, abs=1e-9)
 
 
