@@ -108,7 +108,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--gap", type=_GAP, default=None, help="relative MIP gap, for a MILP fallback")
         p.add_argument("--time-limit", type=_TIME_LIMIT, default=None, help="solver time limit, seconds")
         p.add_argument("--jobs", type=_JOBS, default=1,
-                       help="threads for the selfish per-home solves (default 1)")
+                       help="accepted for compatibility and ignored; the solves run in one pass")
 
     def override_flags(p: argparse.ArgumentParser):
         p.add_argument("--alpha", type=float, default=None, help="override sell price factor")
@@ -235,9 +235,8 @@ def _native_stdout_to_stderr():
     """Point fd 1 at fd 2 for the duration.
 
     HiGHS can print to the process's stdout below Python even with its own
-    display off.  Redirecting fd 1 once around a subcommand's computation,
-    rather than per solve, also covers the ``--jobs`` threads, which share
-    fd 1.
+    display off, so fd 1 is redirected once around a subcommand's
+    computation rather than per solve.
     """
     sys.stdout.flush()
     _c_fflush()
@@ -415,7 +414,7 @@ def _cmd_solve(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
     with _native_stdout_to_stderr():
-        result = run_scenario(args.scenario, config, _options(args), jobs=args.jobs)
+        result = run_scenario(args.scenario, config, _options(args))
     _write_json(out / "schedule.json", schedule_to_dict(result.schedule))
     _write_json(out / "settlement.json", settlement_to_dict(result.settlement))
     _write_csv(out / "settlement.csv", settlement_to_csv, result.settlement)
@@ -432,7 +431,7 @@ def _cmd_compare(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
     with _native_stdout_to_stderr():
-        results = run_scenarios(config, SCENARIO_KINDS, _options(args), jobs=args.jobs)
+        results = run_scenarios(config, SCENARIO_KINDS, _options(args))
     report = compare(results)
     _write_json(out / "comparison.json", comparison_to_dict(report))
     _write_csv(out / "comparison.csv", comparison_to_csv, report)

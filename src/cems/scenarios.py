@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
@@ -144,7 +143,6 @@ def _solve_lp_first(
     config: CommunityConfig,
     options: SolverOptions | None,
     build_time: float = 0.0,
-    jobs: int = 1,
     selfish: bool = False,
 ) -> _Scheduled:
     """The schedule step: solve its built models (the pooled model, or one
@@ -159,14 +157,13 @@ def _solve_lp_first(
     bill is linear in its flows, which the binaries do not change, and its
     models never saw the community band, so a breach of it is a warning.
 
-    Models of one sparsity structure (the homes of one DER pattern) form a
-    chain, solved in the order given: each LP starts from the optimal
-    basis of the last LP before it in its chain that ended ``optimal``, and
-    only a chain's first LP runs cold.  A start moves the LP along another
-    path to an optimal vertex, so a value can differ from a cold solve's in
-    its last bits; the checker still judges every schedule.  ``jobs``
-    threads run the chains of one batch, each chain in order, so the
-    solves are the same at any thread count.
+    The models are solved one after another in the order given.  Each LP
+    starts from the optimal basis of the last LP before it of the same
+    sparsity structure (the homes of one DER pattern) that ended
+    ``optimal``, so only the first LP of each structure runs cold.  A start
+    moves the LP along another path to an optimal vertex, so a value can
+    differ from a cold solve's in its last bits; the checker still judges
+    every schedule.
 
     A MILP left without values raises :class:`SolverError` for the pooled
     model and :class:`InfeasibleHomeError` for a home.
@@ -177,25 +174,13 @@ def _solve_lp_first(
     solves: list[Solution] = []
 
     def solve(batch: dict[int, MilpModel]) -> None:
-        chains: dict[tuple, list[int]] = {}
+        bases: dict[tuple, object] = {}  # the last optimal basis of each structure
         for i, m in batch.items():
-            chains.setdefault((m.n_variables, m.indptr.tobytes(), m.indices.tobytes()), []).append(i)
-
-        def run_chain(chain: list[int]) -> list[tuple[int, Solution]]:
-            out, basis = [], None
-            for i in chain:
-                solution = solve_model(batch[i], options, start=basis)
-                basis = solution.basis if solution.basis is not None else basis
-                out.append((i, solution))
-            return out
-
-        if jobs > 1 and len(chains) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(run_chain, chains.values()))
-        else:
-            parts = [run_chain(chain) for chain in chains.values()]
-        solutions.update(pair for part in parts for pair in part)
-        solves.extend(solutions[i] for i in batch)
+            key = (m.n_variables, m.indptr.tobytes(), m.indices.tobytes())
+            solution = solutions[i] = solve_model(m, options, start=bases.get(key))
+            if solution.basis is not None:
+                bases[key] = solution.basis
+            solves.append(solution)
 
     def fall_back(reasons: dict[int, set[str]]) -> None:
         """Re-solve the faulted models as MILPs."""
@@ -276,16 +261,14 @@ def run_scenarios(
     config: CommunityConfig,
     kinds: Sequence[str] = SCENARIO_KINDS,
     options: SolverOptions | None = None,
-    jobs: int = 1,
 ) -> list[ScenarioResult]:
     """Run each scenario in ``kinds`` on ``config``, results in that order.
 
     Each schedule step runs at most once: the selfish
     stage serves both ``prosumer`` and ``none``, and its schedule and
     feasibility report, arrays included, are shared by the results that
-    settle it.  ``jobs`` is the number of threads for the selfish stage's
-    chains of per-home solves (see :func:`_solve_lp_first`).  An unknown
-    kind raises :class:`ValueError` before anything is solved.
+    settle it.  An unknown kind raises :class:`ValueError` before anything
+    is solved.
     """
     kinds = tuple(kinds)
     for kind in kinds:
@@ -302,16 +285,14 @@ def run_scenarios(
             else:
                 models = [build_system_centric_model(config)]
             build_time = time.perf_counter() - start
-            steps[selfish] = _solve_lp_first(models, config, options, build_time, jobs, selfish)
+            steps[selfish] = _solve_lp_first(models, config, options, build_time, selfish)
         results.append(_settle(kind, config, steps[selfish]))
     return results
 
 
-def run_scenario(
-    kind: str, config: CommunityConfig, options: SolverOptions | None = None, jobs: int = 1
-) -> ScenarioResult:
+def run_scenario(kind: str, config: CommunityConfig, options: SolverOptions | None = None) -> ScenarioResult:
     """Run one scenario: ``system``, ``prosumer`` or ``none``."""
-    return run_scenarios(config, (kind,), options, jobs)[0]
+    return run_scenarios(config, (kind,), options)[0]
 
 
 # ---------------------------------------------------------------------------

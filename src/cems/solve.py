@@ -63,13 +63,7 @@ class SolverError(Exception):
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs forwarded to the backend: the relative MIP gap at which a solve
-    stops, and an optional wall-time limit in seconds per solve.
-
-    The bundled HiGHS backend solves each model on one thread; the selfish
-    stage's chains of per-home models (one chain per DER pattern, each run
-    in config order) can run on several threads through the ``jobs``
-    argument of :func:`cems.scenarios.run_scenarios`.
-    """
+    stops, and an optional wall-time limit in seconds per solve."""
 
     relative_mip_gap: float = 1e-6
     time_limit: float | None = None
@@ -255,12 +249,18 @@ def extract_schedule(solution: Solution, model: MilpModel, config: CommunityConf
     model's column codes, and each role's rows, in config order, are taken
     at once.  Mode and status values within ``1e-6`` of an integer are
     rounded to it; values farther away are left for the checker to flag.
+    A model home the config lacks raises ``ValueError``, naming the first
+    in model order.
     """
     x = solution.x
     if x is None:
         raise ValueError(f"solution has status {solution.status!r} and carries no values")
     T = config.horizon_slots
     layout = model.layout
+    ids = {home.id for home in config.homes}
+    unknown = next((hid for hid in layout.homes if hid not in ids), None)
+    if unknown is not None:
+        raise ValueError(f"model has home {unknown!r}, which the config lacks")
     # the community's entries land in the last home position
     grid = np.zeros((len(ROLES), len(layout.homes) + 1, T))
     grid[layout.var_role, layout.var_home, layout.var_slot - 1] = x
@@ -363,11 +363,12 @@ def check_schedule_feasibility(
 
     Each constraint family is one array expression over the (home, slot)
     grid of every scheduled home.  Breaches are reported home by home in
-    config order, then community-wide; within a home, block by block in the
-    order :func:`_check_homes` writes them, and within a block slot by slot,
-    each slot's families in the block's order.  A block may hold families
-    that apply to different homes (with PV or without, with storage or
-    without).
+    config order, then one ``unknown_home`` per schedule row whose home the
+    config lacks, in row order, then community-wide; within a home, block
+    by block in the order :func:`_check_homes` writes them, and within a
+    block slot by slot, each slot's families in the block's order.  A
+    block may hold families that apply to different homes (with PV or
+    without, with storage or without).
     """
     violations: list[Violation] = []
     warnings: list[Violation] = []
@@ -384,6 +385,8 @@ def check_schedule_feasibility(
         # a missing home's one violation goes where that home's breaches would
         position = {home.id: i for i, home in enumerate(config.homes)}
         violations = sorted(violations + missing, key=lambda v: position[v.home])
+    ids = {home.id for home in config.homes}
+    violations += [Violation("unknown_home", hid, None, np.inf) for hid in schedule.homes if hid not in ids]
 
     net_sum = np.sum(schedule.net, axis=0)
     net_drift = np.abs(net_sum - schedule.community_net)[None, :]

@@ -254,23 +254,21 @@ def test_timings_name_each_selfish_start(tmp_path):
         assert "warm_start" not in text and "simplex_iterations" not in text, name
 
 
-def test_selfish_reports_do_not_depend_on_threads_or_reruns(tmp_path):
+def test_selfish_reports_do_not_depend_on_reruns(tmp_path):
     config = tmp_path / "forty.json"
     config.write_text(config_to_json(generate_synthetic_community(40, 5, replication_config())))
     runs = {}
-    for label, jobs in (("first", "1"), ("again", "1"), ("threads", "2")):
+    for label in ("first", "again"):
         out = tmp_path / label
-        assert main(["solve", "--config", str(config), "--scenario", "none",
-                     "--jobs", jobs, "--out", str(out)]) == 0
+        assert main(["solve", "--config", str(config), "--scenario", "none", "--out", str(out)]) == 0
         runs[label] = out
-    for label in ("again", "threads"):
-        for name in SOLVE_REPORTS[:-1]:
-            assert (runs[label] / name).read_bytes() == (runs["first"] / name).read_bytes(), (label, name)
-    # the same solves, each from the same start, whatever the thread count
+    for name in SOLVE_REPORTS[:-1]:
+        assert (runs["again"] / name).read_bytes() == (runs["first"] / name).read_bytes(), name
+    # the same solves, each from the same start
     solves = {label: [(r["model"], r["status"], r["warm_start"], r["simplex_iterations"])
                       for r in json.loads((out / "timings.json").read_text())["solves"]]
               for label, out in runs.items()}
-    assert solves["again"] == solves["first"] == solves["threads"]
+    assert solves["again"] == solves["first"]
 
 
 def test_solve_prosumer_with_jobs(cfg_file, tmp_path, capsys):
@@ -280,6 +278,19 @@ def test_solve_prosumer_with_jobs(cfg_file, tmp_path, capsys):
                      *flags, "--out", str(tmp_path / "pro")])
         assert code == 0
         assert "prosumer: community cost" in capsys.readouterr().out
+
+
+def test_jobs_is_accepted_and_ignored(cfg_file, tmp_path):
+    """``--jobs`` still parses, and changes no report byte (wall times aside)."""
+    runs = {}
+    for flags in ([], ["--jobs", "1"], ["--jobs", "2"]):
+        out = tmp_path / "_".join(["compare", *flags])
+        assert main(["compare", "--config", cfg_file, *flags, "--out", str(out)]) == 0
+        runs[tuple(flags)] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"}
+    first = runs[()]
+    assert first
+    for flags, files in runs.items():
+        assert files == first, flags
 
 
 def test_solver_failure_exit_codes(infeasible_cfg_file, tmp_path, capsys):

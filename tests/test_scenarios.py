@@ -113,15 +113,6 @@ def test_infeasible_home_surfaces_with_id():
         run_scenario("none", cfg)
 
 
-def test_parallel_stage_one_matches_serial():
-    cfg = small_der_config()
-    serial = run_scenario("prosumer", cfg, jobs=1)
-    parallel = run_scenario("prosumer", cfg, jobs=2)
-    assert parallel.community_cost == pytest.approx(serial.community_cost, abs=1e-9)
-    assert parallel.schedule.homes == serial.schedule.homes
-    np.testing.assert_allclose(parallel.schedule.net, serial.schedule.net, atol=1e-9)
-
-
 def _assert_same_result(a, b):
     assert a.kind == b.kind
     assert a.community_cost == b.community_cost
@@ -175,7 +166,7 @@ def test_compare_solves_the_selfish_stage_once(monkeypatch):
     assert results[1].feasibility is results[2].feasibility
 
     calls.clear()
-    run_scenarios(cfg, ("none", "prosumer"), jobs=2)
+    run_scenarios(cfg, ("none", "prosumer"))
     assert len(calls) == n
     calls.clear()
     run_scenario("prosumer", cfg)
@@ -408,6 +399,36 @@ def test_selfish_chains_match_cold_solves(forty_homes, monkeypatch):
     _assert_matches(chained, cold, atol=1e-12)
     assert (sum(s.simplex_iterations for s in chained[0].solves)
             < sum(s.simplex_iterations for s in cold[0].solves))
+
+
+def test_a_failed_lp_keeps_its_mix_on_the_last_optimal_basis(forty_homes, monkeypatch):
+    cfg = forty_homes
+    mix = [i for i, home in enumerate(cfg.homes) if home.archetype == cfg.homes[0].archetype]
+    # a mid-mix home, with homes of other mixes between its mix neighbours
+    before, failed, after = next((a, b, c) for a, b, c in zip(mix, mix[1:], mix[2:]) if c - a > 2)
+    lp_name = {i: f"home_{cfg.homes[i].id}_relaxed" for i in range(len(cfg.homes))}
+    real = cems.scenarios.solve_model
+    starts, solutions = {}, {}
+
+    def solve(model, options=None, start=None):
+        if model.name == lp_name[failed]:
+            solution = Solution(model=model.name, status="time_limit", objective=None, x=None,
+                                solve_time=0.0)
+        else:
+            solution = real(model, options, start=start)
+        starts[model.name], solutions[model.name] = start, solution
+        return solution
+
+    monkeypatch.setattr(cems.scenarios, "solve_model", solve)
+    result = run_scenario("prosumer", cfg)
+    assert (result.solve_path, result.fallback_reason) == (MILP_FALLBACK, "lp_time_limit")
+    basis = solutions[lp_name[before]].basis
+    assert basis is not None
+    assert starts[lp_name[failed]] is basis
+    assert starts[lp_name[after]] is basis
+    between = [i for i in range(before + 1, after) if i != failed]
+    assert between and all(cfg.homes[i].archetype != cfg.homes[before].archetype for i in between)
+    assert all(solutions[lp_name[i]].basis is not None for i in between)
 
 
 def test_rejected_start_runs_cold(forty_homes, monkeypatch):

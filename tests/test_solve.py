@@ -210,6 +210,29 @@ def test_checker_missing_home(replication, system_result):
     assert "missing_home" in _families(check_schedule_feasibility(sched, replication))
 
 
+def test_checker_reports_homes_the_config_lacks(replication, system_result):
+    """A schedule row of a home outside the community is one violation:
+    after the config homes' breaches, in row order, before the community's."""
+    part = dataclasses.replace(replication, homes=replication.homes[:8])
+    report = check_schedule_feasibility(system_result.schedule, part)
+    assert [(v.family, v.home, v.slot, v.magnitude) for v in report.violations] == [
+        ("unknown_home", "home9", None, np.inf), ("unknown_home", "home10", None, np.inf)]
+    assert not report.ok and report.max_violation == np.inf
+
+    # rows out of config order, a breach at home1, home3 missing, a net drift
+    sched = _without(system_result.schedule, "home3")
+    homes = ("home10", *[h for h in sched.homes if h != "home10"])
+    rows = [sched.homes.index(h) for h in homes]
+    sched = dataclasses.replace(sched, homes=homes, community_net=sched.community_net * 0.5,
+                                **{role: getattr(sched, role)[rows] for role in SCHEDULE_ROLES})
+    sched.hvac_power[homes.index("home1"), 7] = -0.5
+    report = check_schedule_feasibility(sched, part)
+    order = [(v.family, v.home) for v in report.violations if v.home != "home1"]
+    assert order[:3] == [("missing_home", "home3"), ("unknown_home", "home10"), ("unknown_home", "home9")]
+    assert {family for family, home in order[3:]} == {"community_net"}
+    assert {v.home for v in report.violations[:-len(order)]} == {"home1"}
+
+
 @pytest.mark.parametrize("home, role, index, expected", [
     ("home1", "com_charge", 2, {"nonnegative_flow", "ess_charge_rate", "buy_sell_definition"}),
     ("home1", "ess_level", 4, {"ess_level_recursion"}),
@@ -452,6 +475,18 @@ def test_schedule_from_dict_rejects_homes_the_config_lacks(replication, system_r
     with pytest.raises(ValueError, match=r"^schedule has home 'home9', which the config lacks$"):
         schedule_from_dict(doc, part)
     assert schedule_from_dict(doc, replication).homes == system_result.schedule.homes
+
+
+def test_extract_rejects_model_homes_the_config_lacks(replication, system_result):
+    """A schedule extracted for part of the model's homes would leave the
+    rest out of its net but keep the whole model's community values; the
+    first model home the config lacks is named instead."""
+    model = build_system_centric_model(replication)
+    solution = system_result.solves[0]
+    part = dataclasses.replace(replication, homes=replication.homes[:8])
+    with pytest.raises(ValueError, match=r"^model has home 'home9', which the config lacks$"):
+        extract_schedule(solution, model, part)
+    assert extract_schedule(solution, model, replication).homes == system_result.schedule.homes
 
 
 @pytest.mark.parametrize("value", ["1.5", True, None, float("nan"), float("inf"), float("-inf"), 10**400])
