@@ -25,6 +25,7 @@ from .milp import (
     MilpModel,
     big_m_value,
     build_home_model,
+    build_home_models,
     build_system_centric_model,
     relaxed,
     write_lp,
@@ -48,6 +49,7 @@ from .solve import (
     SolverOptions,
     check_schedule_feasibility,
     extract_schedule,
+    extract_schedules,
     solve_model,
 )
 from .thermal import pv_output_energy, simulate_indoor_trajectory

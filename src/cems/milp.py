@@ -16,7 +16,8 @@ net exchange of the whole community: the per-slot cost is ``P * E`` when the
 community imports ``E`` and ``alpha * P * E`` when it exports, made linear
 with one status binary per slot and a four-sided big-M envelope around the
 slot cost.  :func:`build_home_model` is the selfish counterpart used by the
-baselines: one home, priced at the external buy/sell prices directly.
+baselines: one home, priced at the external buy/sell prices directly;
+:func:`build_home_models` builds every home's at once.
 
 Homes with the same DER mix share one sparsity pattern, made once per mix
 and horizon.  A model tiles the patterns over its homes with NumPy index
@@ -187,18 +188,6 @@ class MilpModel:
         self._validate_structure()
         self._validate_numbers()
 
-    def _validate_like(self, reference: MilpModel) -> None:
-        """:meth:`validate` for a model whose structure arrays are those of
-        ``reference``, which passed it: only this model's own row pointers
-        and home codes are compared, and its numbers checked."""
-        lay, ref = self.layout, reference.layout
-        self._validate_sizes()
-        if not (np.array_equal(self.indptr, reference.indptr)
-                and np.array_equal(lay.var_home, ref.var_home)
-                and np.array_equal(lay.row_home, ref.row_home)):
-            raise ModelBuildError("row pointers or home codes differ from the model's pattern")
-        self._validate_numbers()
-
     def _validate_sizes(self) -> None:
         """Every array's length, and one unique tag per home."""
         lay = self.layout
@@ -276,22 +265,39 @@ class MilpModel:
         """Finite coefficients, sane column and row bounds, and a cost on
         no column the written objective leaves out."""
         lay = self.layout
-        if not (np.isfinite(self.data).all() and np.isfinite(self.c).all()):
+        faults = _number_faults(self.c, self.lb, self.ub, self.integrality == 1, self.row_lower,
+                                self.row_upper, self.data)
+        if faults["cost"].any() or faults["coefficient"].any():
             raise ModelBuildError("non-finite coefficient")
-        lb, ub, binary = self.lb, self.ub, self.integrality == 1
-        if not (lb <= ub).all():
-            j = _first(~(lb <= ub))
+        lb, ub = self.lb, self.ub
+        if faults["bounds"].any():
+            j = _first(faults["bounds"])
             raise ModelBuildError(f"{lay.variable_names()[j]}: lb {lb[j]} > ub {ub[j]}")
-        if not ((lb[binary] == 0.0).all() and (ub[binary] == 1.0).all()):
-            j = _first(binary & ((lb != 0.0) | (ub != 1.0)))
+        if faults["binary"].any():
+            j = _first(faults["binary"])
             raise ModelBuildError(f"{lay.variable_names()[j]}: binary variables must have bounds [0, 1]")
-        lo, hi = self.row_lower, self.row_upper
-        if len(lo) and not ((lo <= hi).all() and lo.max() < INF and hi.min() > -INF
-                            and not ((lo == -INF) & (hi == INF)).any()):
-            i = _first(~(lo <= hi) | (lo == INF) | (hi == -INF) | ((lo == -INF) & (hi == INF)))
-            raise ModelBuildError(f"{lay.row_names()[i]}: bounds [{lo[i]}, {hi[i]}] bound no row")
+        if faults["rows"].any():
+            i = _first(faults["rows"])
+            raise ModelBuildError(f"{lay.row_names()[i]}: bounds [{self.row_lower[i]}, "
+                                  f"{self.row_upper[i]}] bound no row")
         if np.count_nonzero(self.c) > np.count_nonzero(self.c[lay.objective_order]):
             raise ModelBuildError("objective_order must list each column with a nonzero cost once")
+
+
+def _number_faults(c, lb, ub, binary, row_lower, row_upper, data) -> dict[str, np.ndarray]:
+    """Masks of the numbers :meth:`MilpModel.validate` rejects, by kind:
+    non-finite costs and coefficients, column bounds that cross, binary
+    columns not bounded by [0, 1], and row bounds that bound no row.  The
+    arrays may have a leading axis of models of one structure; ``binary``
+    is per column."""
+    lo, hi = row_lower, row_upper
+    return {
+        "cost": ~np.isfinite(c),
+        "coefficient": ~np.isfinite(data),
+        "bounds": ~(lb <= ub),
+        "binary": binary & ((lb != 0.0) | (ub != 1.0)),
+        "rows": ~(lo <= hi) | (lo == INF) | (hi == -INF) | ((lo == -INF) & (hi == INF)),
+    }
 
 
 def relaxed(model: MilpModel) -> MilpModel:
@@ -619,10 +625,9 @@ def _fill_homes(out: dict[str, np.ndarray], patterns: Sequence[_Pattern], sizes:
 
 
 def _model(name: str, homes: Sequence[HomeConfig], arrays: dict[str, np.ndarray],
-           objective: tuple[np.ndarray, np.ndarray], like: MilpModel | None = None) -> MilpModel:
+           objective: tuple[np.ndarray, np.ndarray]) -> MilpModel:
     """The model made of the filled ``arrays`` and the written objective
-    terms ``(columns, coefficients)``, read-only and validated; against
-    ``like`` when the structure arrays are that validated model's."""
+    terms ``(columns, coefficients)``, read-only and validated."""
     row_len = arrays.pop("row_len")
     indptr = np.zeros(len(row_len) + 1, dtype=np.int32)
     np.cumsum(row_len, out=indptr[1:])
@@ -639,10 +644,7 @@ def _model(name: str, homes: Sequence[HomeConfig], arrays: dict[str, np.ndarray]
     for value in (*vars(model).values(), *vars(layout).values()):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    if like is None:
-        model.validate()
-    else:
-        model._validate_like(like)
+    model.validate()
     return model
 
 
@@ -757,27 +759,75 @@ def build_home_model(config: CommunityConfig, home_id: str) -> MilpModel:
     Same physics as the system model restricted to one home, plus the
     per-home cap on the traded amount.  The per-home cap also serves as the
     big-M in the buy/sell exclusivity rows, which it dominates by
-    construction.  Objective: ``sum(P * buy - alpha * P * sell)``.
+    construction.  Objective: ``sum(P * buy - alpha * P * sell)``.  This is
+    :func:`build_home_models` for the one home.
     """
-    home = config.home(home_id)
+    return _home_models(config, [config.home(home_id)])[0]
+
+
+def build_home_models(config: CommunityConfig) -> list[MilpModel]:
+    """Every home's :func:`build_home_model`, in config order, built as one
+    batch: one value table for all homes, and per DER pattern one set of
+    structure arrays, one objective vector and one check of every home's
+    numbers at once."""
+    return _home_models(config, config.homes)
+
+
+def _home_models(config: CommunityConfig, homes: Sequence[HomeConfig]) -> list[MilpModel]:
+    """The selfish models of ``homes``.  Each home's numbers are cut from
+    its row of the value table by its pattern's table columns, and every
+    array a pattern fixes is shared by its homes' models.  A pattern's
+    structure is checked with the first model built on it; a bad number or
+    tag raises the :class:`ModelBuildError` of the first home at fault."""
     T = config.horizon_slots
-    # one home from column 0: its pattern's structure is the model's
-    pattern = _home_pattern(home.ess is not None, home.pv is not None, T, True)
-    (values,) = _home_values([home], config, selfish=True)
-    arrays = {name: getattr(pattern, name) for name in _STRUCTURE}
-    arrays.update({name: values[getattr(pattern, name)] for name in _NUMBERS})
-    arrays.update(var_home=np.zeros(len(pattern.var_role), dtype=np.int32),
-                  row_home=np.zeros(len(pattern.row_family), dtype=np.int32))
+    values = _home_values(homes, config, selfish=True)
     prices = np.column_stack([config.buy_price, -config.alpha * config.buy_price]).ravel()
-    model = _model(f"home_{home_id}", [home], arrays, (pattern.objective, prices),
-                   _validated_home_models.get(pattern))
-    _validated_home_models.setdefault(pattern, model)
-    return model
+    tags = [lp_tag(home.id) for home in homes]
+    groups: dict[_Pattern, list[int]] = {}
+    for i, home in enumerate(homes):
+        groups.setdefault(_home_pattern(home.ess is not None, home.pv is not None, T, True), []).append(i)
+    models: dict[int, MilpModel] = {}
+    faulted = [i for i, tag in enumerate(tags) if tag == COMMUNITY_TAG]
+    for pattern, members in groups.items():
+        # (homes, entries) arrays of the group's numbers, one row per home
+        rows = np.array(members)[:, None]
+        numbers = {name: values[rows, getattr(pattern, name)] for name in _NUMBERS}
+        indptr = np.zeros(len(pattern.row_len) + 1, dtype=np.int32)
+        np.cumsum(pattern.row_len, out=indptr[1:])
+        c = np.zeros(len(pattern.var_role))
+        c[pattern.objective] = prices
+        # one home, from column 0
+        var_home = np.zeros(len(pattern.var_role), dtype=np.int32)
+        row_home = np.zeros(len(pattern.row_family), dtype=np.int32)
+        for value in (*numbers.values(), indptr, c, var_home, row_home):
+            value.flags.writeable = False
+        faults = _number_faults(c, numbers["lb"], numbers["ub"], pattern.integrality == 1,
+                                numbers["row_lower"], numbers["row_upper"], numbers["data"])
+        bad = faults.pop("cost").any() | np.any([f.any(axis=-1) for f in faults.values()], axis=0)
+        faulted += [members[k] for k in np.flatnonzero(bad)]
+        for k, i in enumerate(members):
+            layout = Layout(
+                homes=(homes[i].id,), tags=(tags[i],), var_home=var_home, var_role=pattern.var_role,
+                var_slot=pattern.var_slot, row_home=row_home, row_family=pattern.row_family,
+                row_slot=pattern.row_slot, term_order=pattern.term_order,
+                objective_order=pattern.objective,
+            )
+            models[i] = MilpModel(
+                name=f"home_{homes[i].id}", c=c, integrality=pattern.integrality, indptr=indptr,
+                indices=pattern.indices, layout=layout, **{name: a[k] for name, a in numbers.items()},
+            )
+    if faulted:
+        models[min(faulted)].validate()  # raises, naming the home's column or row
+    for pattern, members in groups.items():
+        if pattern not in _validated_patterns:
+            models[members[0]].validate()
+            _validated_patterns.add(pattern)
+    return [models[i] for i in range(len(homes))]
 
 
-# per DER pattern, the first one-home model built on it: its structure
-# arrays are the pattern's, and they passed MilpModel.validate once
-_validated_home_models: dict[_Pattern, MilpModel] = {}
+# the DER patterns whose structure arrays passed MilpModel.validate, with
+# the first one-home model built on them
+_validated_patterns: set[_Pattern] = set()
 
 
 # ---------------------------------------------------------------------------

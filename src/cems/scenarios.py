@@ -37,8 +37,17 @@ from typing import IO, Sequence
 import numpy as np
 
 from .domain import CommunityConfig, generate_synthetic_community
-from .milp import MilpModel, build_home_model, build_system_centric_model, relaxed
-from .solve import (
+# build_home_model and extract_schedule are not called here; they stay
+# importable from this module because the benchmark's tracer
+# (perfbench/spans.py) wraps them at this module
+from .milp import (  # noqa: F401
+    MilpModel,
+    build_home_model,
+    build_home_models,
+    build_system_centric_model,
+    relaxed,
+)
+from .solve import (  # noqa: F401
     SCHEDULE_ROLES,
     CommunitySchedule,
     FeasibilityReport,
@@ -47,6 +56,7 @@ from .solve import (
     SolverOptions,
     check_schedule_feasibility,
     extract_schedule,
+    extract_schedules,
     solve_model,
 )
 from .trading import SettlementReport, settle_day, settle_day_at_external_prices
@@ -100,25 +110,36 @@ class ScenarioResult(_Scheduled):
     community_cost: float
 
 
-def _binaries_from_flows(s: CommunitySchedule) -> CommunitySchedule:
-    """Set every binary of schedule ``s`` from the flows it gates: a home's
-    storage mode is 1 where it charges more than it discharges, its trading
-    mode is 1 where it buys more than it sells, and the community status is
-    1 where the community imports."""
+def _binaries_from_flows(s: CommunitySchedule, rows: np.ndarray) -> CommunitySchedule:
+    """Set the binaries of schedule ``s``'s ``rows`` (a mask over its
+    homes) from the flows they gate: a home's storage mode is 1 where it
+    charges more than it discharges, and its trading mode is 1 where it
+    buys more than it sells.  When every row is set, so is the community
+    status: 1 where the community imports."""
+    rows = rows[:, None]
     return replace(
         s,
-        mode_home=(s.com_buy > s.com_sell).astype(float),
-        mode_ess=(s.res_charge + s.com_charge > s.ess_load + s.ess_sell).astype(float),
-        status_flags=None if s.status_flags is None else (s.community_net > 0).astype(float),
+        mode_home=np.where(rows, s.com_buy > s.com_sell, s.mode_home),
+        mode_ess=np.where(rows, s.res_charge + s.com_charge > s.ess_load + s.ess_sell, s.mode_ess),
+        status_flags=s.status_flags if s.status_flags is None or not rows.all()
+        else (s.community_net > 0).astype(float),
     )
 
 
-def _assemble(schedules: Sequence[CommunitySchedule]) -> CommunitySchedule:
-    """The schedules' homes in one schedule, row after row."""
-    if len(schedules) == 1:
-        return schedules[0]
-    arrays = {role: np.concatenate([getattr(s, role) for s in schedules]) for role in SCHEDULE_ROLES}
-    return CommunitySchedule(homes=tuple(hid for s in schedules for hid in s.homes), **arrays)
+def _with_rows(s: CommunitySchedule, part: CommunitySchedule) -> CommunitySchedule:
+    """Schedule ``s`` with the rows of ``part``'s homes, and any community
+    status and slot costs, taken from ``part``."""
+    row = {hid: i for i, hid in enumerate(s.homes)}
+    at = [row[hid] for hid in part.homes]
+    arrays = {role: getattr(s, role).copy() for role in SCHEDULE_ROLES}
+    for role, values in arrays.items():
+        values[at] = getattr(part, role)
+    return CommunitySchedule(
+        homes=s.homes,
+        **arrays,
+        status_flags=s.status_flags if part.status_flags is None else part.status_flags,
+        slot_costs=s.slot_costs if part.slot_costs is None else part.slot_costs,
+    )
 
 
 def _faulted(
@@ -148,14 +169,17 @@ def _solve_lp_first(
     """The schedule step: solve its built models (the pooled model, or one
     per home) LP first, and check the schedule they make together once.
 
-    Each model's LP relaxation is solved and its binaries are set from its
-    flows.  The LP value bounds the MILP optimum from below, so a schedule
-    that passes the checker at the LP's cost is an optimal MILP solution.
-    A model whose LP is not ``optimal``, or that the checker faults, is
-    re-solved as the exact MILP, and the schedule is checked again.  The
-    pooled LP objective is the checker's cost reference; a selfish home's
-    bill is linear in its flows, which the binaries do not change, and its
-    models never saw the community band, so a breach of it is a warning.
+    Each model's LP relaxation is solved, the solutions are extracted into
+    one schedule at once, and the binaries of the rows solved as LPs are
+    set from their flows.  The LP value bounds the MILP optimum from below,
+    so a schedule that passes the checker at the LP's cost is an optimal
+    MILP solution.  A model whose LP is not ``optimal``, or that the
+    checker faults, is re-solved as the exact MILP; its rows, with the
+    MILP's own binaries, replace its LP rows, and the schedule is checked
+    again.  The pooled LP objective is the checker's cost reference; a
+    selfish home's bill is linear in its flows, which the binaries do not
+    change, and its models never saw the community band, so a breach of it
+    is a warning.
 
     The models are solved one after another in the order given.  Each LP
     starts from the optimal basis of the last LP before it of the same
@@ -169,9 +193,9 @@ def _solve_lp_first(
     model and :class:`InfeasibleHomeError` for a home.
     """
     solutions: dict[int, Solution] = {}  # the last solve of each model
-    schedules: dict[int, CommunitySchedule] = {}
     exact: dict[int, set[str]] = {}  # models re-solved as the MILP, and why
     solves: list[Solution] = []
+    owner = {hid: i for i, m in enumerate(models) for hid in m.layout.homes}
 
     def solve(batch: dict[int, MilpModel]) -> None:
         bases: dict[tuple, object] = {}  # the last optimal basis of each structure
@@ -192,11 +216,9 @@ def _solve_lp_first(
                 if selfish:
                     raise InfeasibleHomeError(models[i].layout.homes[0], solution.status)
                 raise SolverError(f"system-centric model ended {solution.status}", solution.status)
-            schedules[i] = extract_schedule(solution, models[i], config)
 
-    def check() -> tuple[CommunitySchedule, FeasibilityReport]:
-        schedule = _assemble([schedules[i] for i in range(len(models))])
-        return schedule, check_schedule_feasibility(
+    def check(schedule: CommunitySchedule) -> FeasibilityReport:
+        return check_schedule_feasibility(
             schedule,
             config,
             reference_objective=None if selfish else solutions[0].objective,
@@ -204,18 +226,22 @@ def _solve_lp_first(
         )
 
     solve({i: relaxed(m) for i, m in enumerate(models)})
-    for i, solution in solutions.items():
-        if solution.status == "optimal":
-            schedules[i] = _binaries_from_flows(extract_schedule(solution, models[i], config))
-    unsolved = {i: {f"lp_{s.status}"} for i, s in solutions.items() if i not in schedules}
+    unsolved = {i: {f"lp_{s.status}"} for i, s in solutions.items() if s.status != "optimal"}
     if unsolved:
         fall_back(unsolved)
-    schedule, feasibility = check()
-    owner = {hid: i for i, s in schedules.items() for hid in s.homes}
+    schedule = extract_schedules([solutions[i] for i in range(len(models))], models, config)
+    lp_rows = np.array([owner[hid] not in exact for hid in schedule.homes])
+    if lp_rows.any():
+        schedule = _binaries_from_flows(schedule, lp_rows)
+    feasibility = check(schedule)
     faulted = _faulted(feasibility, owner, set(range(len(models))) - set(exact))
     if faulted:
         fall_back(faulted)
-        schedule, feasibility = check()
+        redone = sorted(faulted)
+        # only the re-solved models' rows change, with the MILP's own binaries
+        schedule = _with_rows(schedule, extract_schedules(
+            [solutions[i] for i in redone], [models[i] for i in redone], config))
+        feasibility = check(schedule)
 
     final = [solutions[i] for i in range(len(models))]
     return _Scheduled(
@@ -281,7 +307,7 @@ def run_scenarios(
         if selfish not in steps:
             start = time.perf_counter()
             if selfish:
-                models = [build_home_model(config, home.id) for home in config.homes]
+                models = build_home_models(config)
             else:
                 models = [build_system_centric_model(config)]
             build_time = time.perf_counter() - start

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import sys
 import time
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +42,7 @@ from .thermal import indoor_temperatures, pv_output_energy
 from .trading import community_cost
 
 _MS = _highs.HighsModelStatus
-# column types by integrality code: 0 continuous, 1 integer (a binary, by its bounds)
-_VAR_TYPES = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 MODE_ROUND_TOL = 1e-6
 # the checker's one tolerance: a magnitude not within it is a breach
@@ -112,9 +111,13 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None,
                 start: object = None) -> Solution:
     """Solve a model with the bundled HiGHS backend.
 
-    The model's arrays go straight into a HiGHS model: the CSR matrix
-    row-wise, the column types only when the model has a binary.  The
-    builders validated them, so nothing is re-checked or re-shaped here.
+    The model's arrays go straight into HiGHS through the NumPy-array
+    overload of the bindings' ``passModel``, with no copy into Python
+    lists: the CSR matrix row-wise, and ``integrality`` as one int32 per
+    column, whose codes (0 continuous, 1 integer, a binary by its bounds)
+    are HiGHS's own column types.  An LP passes all zeros; HiGHS rejects
+    an empty array.  The builders validated the arrays, so nothing is
+    re-checked or re-shaped here.
     Each solve runs on a fresh solver instance.  ``start``, the ``basis``
     of an earlier :class:`Solution`, is given to an LP as its starting
     basis; a MILP ignores it.  A start HiGHS rejects (one of another
@@ -123,22 +126,13 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None,
     ``solve_time`` is HiGHS's own ``run()``.
     """
     is_mip = model.n_binaries > 0
-    # Python lists cross into the bindings' vectors faster than arrays
-    lp = _highs.HighsLp()
-    lp.num_col_, lp.num_row_ = model.n_variables, model.n_constraints
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = model.c.tolist(), model.lb.tolist(), model.ub.tolist()
-    lp.row_lower_, lp.row_upper_ = model.row_lower.tolist(), model.row_upper.tolist()
-    matrix = lp.a_matrix_
-    matrix.format_ = _highs.MatrixFormat.kRowwise
-    matrix.num_col_, matrix.num_row_ = model.n_variables, model.n_constraints
-    matrix.start_, matrix.index_, matrix.value_ = (
-        model.indptr.tolist(), model.indices.tolist(), model.data.tolist())
-    if is_mip:
-        lp.integrality_ = [_VAR_TYPES[k] for k in model.integrality.tolist()]
-
     highs = _highs._Highs()
     if (highs.passOptions(_highs_options(options or SolverOptions())) == _highs.HighsStatus.kError
-            or highs.passModel(lp) == _highs.HighsStatus.kError):
+            or highs.passModel(
+                model.n_variables, model.n_constraints, model.nnz, _highs.MatrixFormat.kRowwise,
+                _MINIMIZE, 0.0, model.c, model.lb, model.ub, model.row_lower, model.row_upper,
+                model.indptr[:-1], model.indices, model.data, model.integrality.astype(np.int32),
+            ) == _highs.HighsStatus.kError):
         raise SolverError(f"solver failed on {model.name}: HiGHS rejected the model or its options")
     # HiGHS checks a start against the model and leaves itself cold on a misfit
     warm = start is not None and not is_mip and highs.setBasis(start) != _highs.HighsStatus.kError
@@ -242,32 +236,52 @@ def _round_mode(x: np.ndarray) -> np.ndarray:
 
 
 def extract_schedule(solution: Solution, model: MilpModel, config: CommunityConfig) -> CommunitySchedule:
-    """Turn raw variable values into a schedule of the model's homes.
+    """Turn raw variable values into a schedule of the model's homes:
+    :func:`extract_schedules` for one model.  A home model yields a
+    one-home schedule."""
+    return extract_schedules([solution], [model], config)
 
-    Works for both model kinds; a home model yields a one-home schedule.
-    The values are scattered into a (role, home, slot) grid through the
-    model's column codes, and each role's rows, in config order, are taken
-    at once.  Mode and status values within ``1e-6`` of an integer are
-    rounded to it; values farther away are left for the checker to flag.
-    A model home the config lacks raises ``ValueError``, naming the first
-    in model order.
+
+def extract_schedules(solutions: Sequence[Solution], models: Sequence[MilpModel],
+                      config: CommunityConfig) -> CommunitySchedule:
+    """One schedule of the homes of several models, each solved by the
+    solution at its position.
+
+    Works for both model kinds.  The values of every model are scattered
+    at once into a (role, home, slot) grid through the models' column
+    codes, each model's homes numbered after the previous models', and each
+    role's rows, in config order, are taken at once.  Mode and status
+    values within ``1e-6`` of an integer are rounded to it; values farther
+    away are left for the checker to flag.  The community's columns (of
+    the pooled model) give the status flags and slot costs.  A solution
+    without values raises ``ValueError``, and so does a model home the
+    config lacks (the first in model order) or one that two models share.
     """
-    x = solution.x
-    if x is None:
-        raise ValueError(f"solution has status {solution.status!r} and carries no values")
+    for solution in solutions:
+        if solution.x is None:
+            raise ValueError(f"solution has status {solution.status!r} and carries no values")
     T = config.horizon_slots
-    layout = model.layout
+    homes = [hid for model in models for hid in model.layout.homes]
     ids = {home.id for home in config.homes}
-    unknown = next((hid for hid in layout.homes if hid not in ids), None)
+    unknown = next((hid for hid in homes if hid not in ids), None)
     if unknown is not None:
         raise ValueError(f"model has home {unknown!r}, which the config lacks")
-    # the community's entries land in the last home position
-    grid = np.zeros((len(ROLES), len(layout.homes) + 1, T))
-    grid[layout.var_role, layout.var_home, layout.var_slot - 1] = x
-    position = {hid: code for code, hid in enumerate(layout.homes)}
+    position = {hid: code for code, hid in enumerate(homes)}
+    if len(position) < len(homes):
+        raise ValueError("a home is in more than one model")
     present = [home for home in config.homes if home.id in position]
     if not present:
         raise ValueError("model names no home of this config")
+
+    layouts = [model.layout for model in models]
+    var_home = np.concatenate([lay.var_home for lay in layouts])
+    first = np.cumsum([0] + [len(lay.homes) for lay in layouts[:-1]])
+    owner = np.repeat(first, [len(lay.var_home) for lay in layouts])
+    # the community's entries land in the last home position
+    grid = np.zeros((len(ROLES), len(homes) + 1, T))
+    grid[np.concatenate([lay.var_role for lay in layouts]),
+         np.where(var_home == COMMUNITY, COMMUNITY, var_home + owner),
+         np.concatenate([lay.var_slot for lay in layouts]) - 1] = np.concatenate([s.x for s in solutions])
 
     block = grid[:, [position[home.id] for home in present]]
     arrays = {role: block[ROLE[role]] for role in SCHEDULE_ROLES if role != "indoor_temp"}
@@ -275,7 +289,7 @@ def extract_schedule(solution: Solution, model: MilpModel, config: CommunityConf
     arrays["indoor_temp"] = np.empty((len(present), T + 1))
     arrays["indoor_temp"][:, 0] = [home.hvac.t_in_initial for home in present]
     arrays["indoor_temp"][:, 1:] = block[ROLE["temp_in"]]
-    has_community = bool(np.any(layout.var_home == COMMUNITY))
+    has_community = bool(np.any(var_home == COMMUNITY))
     return CommunitySchedule(
         homes=tuple(home.id for home in present),
         **arrays,

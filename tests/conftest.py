@@ -14,6 +14,8 @@ from cems import (
     HomeConfig,
     HvacParams,
     PvParams,
+    archetype_counts,
+    generate_synthetic_community,
     replication_config,
     run_scenario,
 )
@@ -121,3 +123,10 @@ def prosumer_result(replication):
 @pytest.fixture(scope="session")
 def no_cems_result(replication):
     return run_scenario("none", replication)
+
+
+@pytest.fixture(scope="session")
+def forty_homes():
+    cfg = generate_synthetic_community(40, 3, replication_config())
+    assert min(archetype_counts(cfg).values()) > 0  # all four DER mixes
+    return cfg

@@ -9,6 +9,7 @@ import pytest
 
 from cems import (
     build_home_model,
+    build_home_models,
     build_system_centric_model,
     config_to_dict,
     load_community_config,
@@ -16,7 +17,8 @@ from cems import (
     solve_model,
     write_lp,
 )
-from cems.milp import ModelBuildError, big_m_value
+from cems.domain import lp_tag
+from cems.milp import ModelBuildError, _home_pattern, big_m_value
 from cems.solve import SolverOptions
 
 from conftest import make_community, make_ess, make_home, make_hvac, random_small_config
@@ -208,6 +210,9 @@ def test_reserved_community_tag():
     cfg = make_community([make_home("com", 2)], [2.0, 2.0])
     with pytest.raises(ModelBuildError):
         build_system_centric_model(cfg)
+    mixed = make_community([make_home("a", 2), make_home("com", 2)], [2.0, 2.0])
+    with pytest.raises(ModelBuildError, match="not the community's"):
+        build_home_models(mixed)
 
 
 def _broken(model, **arrays):
@@ -276,13 +281,65 @@ def test_home_models_of_one_pattern_check_their_structure_once(replication, monk
     with pytest.raises(ModelBuildError, match="temp_in_home2_1: lb"):
         build_home_model(cold, "home2")
 
-    indptr = model.indptr.copy()
-    indptr[1] += 1
-    with pytest.raises(ModelBuildError, match="row pointers"):
-        _broken(model, indptr=indptr)._validate_like(reference)
-    homes = np.full_like(model.layout.var_home, -1)
-    with pytest.raises(ModelBuildError, match="home codes"):
-        _broken(model, layout_var_home=homes)._validate_like(reference)
+    # the arrays the skipped check would compare are made from the pattern
+    # alone: the same row pointers and home codes as the checked model's
+    for ours, theirs in ((model.indptr, reference.indptr),
+                         (model.layout.var_home, reference.layout.var_home),
+                         (model.layout.row_home, reference.layout.row_home)):
+        np.testing.assert_array_equal(ours, theirs)
+
+
+_MODEL_ARRAYS = ("c", "lb", "ub", "integrality", "indptr", "indices", "data", "row_lower", "row_upper")
+_LAYOUT_ARRAYS = ("var_home", "var_role", "var_slot", "row_home", "row_family", "row_slot",
+                  "term_order", "objective_order")
+
+
+def test_home_models_are_built_as_one_batch(forty_homes, monkeypatch):
+    cfg = forty_homes
+    batch = build_home_models(cfg)
+    assert len(batch) == len(cfg.homes)
+    first_of = {}  # per pattern, the batch's first model on it
+    for home, model in zip(cfg.homes, batch):
+        alone = build_home_model(cfg, home.id)
+        assert (model.name, model.layout.homes, model.layout.tags) == (
+            alone.name, alone.layout.homes, alone.layout.tags)
+        for ours, theirs, name in [(model, alone, n) for n in _MODEL_ARRAYS] + [
+                (model.layout, alone.layout, n) for n in _LAYOUT_ARRAYS]:
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        pattern = _home_pattern(home.ess is not None, home.pv is not None, cfg.horizon_slots, True)
+        assert model.indices is pattern.indices and model.integrality is pattern.integrality
+        for name in ("var_role", "var_slot", "row_family", "row_slot", "term_order"):
+            assert getattr(model.layout, name) is getattr(pattern, name), name
+        assert model.layout.objective_order is pattern.objective
+        # the arrays a pattern fixes are made once per batch
+        first = first_of.setdefault(pattern, model)
+        assert model.c is first.c and model.indptr is first.indptr
+        assert model.layout.var_home is first.layout.var_home
+    assert len(first_of) == 4
+
+    # every pattern passed its structure check already
+    checked = []
+    monkeypatch.setattr(type(batch[0]), "_validate_structure", lambda self: checked.append(self.name))
+    build_home_models(cfg)
+    assert checked == []
+
+
+def test_a_batch_names_its_first_home_with_a_bad_number(forty_homes):
+    cfg = forty_homes
+    homes = list(cfg.homes)
+    # a bad home of a later pattern comes first in config order, before a
+    # bad home of the first home's pattern
+    first = next(i for i, h in enumerate(homes) if h.archetype != homes[0].archetype)
+    later = next(i for i in range(first + 1, len(homes)) if homes[i].archetype == homes[0].archetype)
+    for i in (first, later):
+        hvac = dataclasses.replace(homes[i].hvac, t_min=homes[i].hvac.t_max + 1.0)
+        homes[i] = dataclasses.replace(homes[i], hvac=hvac)
+    cold = dataclasses.replace(cfg, homes=tuple(homes))
+    with pytest.raises(ModelBuildError, match=f"^temp_in_{lp_tag(homes[first].id)}_1: lb "):
+        build_home_models(cold)
+    with pytest.raises(ModelBuildError, match=f"^temp_in_{lp_tag(homes[later].id)}_1: lb "):
+        build_home_model(cold, homes[later].id)
 
 
 def test_views_agree_with_the_arrays(replication):

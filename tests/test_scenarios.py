@@ -10,13 +10,11 @@ from cems import (
     SCENARIO_KINDS,
     InfeasibleHomeError,
     PvParams,
-    archetype_counts,
     bench_scaling,
     build_home_model,
     build_system_centric_model,
     compare,
     extract_schedule,
-    generate_synthetic_community,
     relaxed,
     replication_config,
     run_scenario,
@@ -261,6 +259,8 @@ def test_selfish_fallback_resolves_only_the_named_home(monkeypatch):
     assert (result.solve_path, result.fallback_reason) == (MILP_FALLBACK, "home_balance")
     assert result.per_home_objective["b"] == exact.objective
     assert result.feasibility.ok
+    np.testing.assert_array_equal(result.solves[-1].x, exact.x)
+    _assert_rows_come_from(result, cfg, milp_home="b")
 
 
 def test_lp_that_is_not_optimal_falls_back(monkeypatch):
@@ -278,6 +278,26 @@ def test_lp_that_is_not_optimal_falls_back(monkeypatch):
     assert (result.solve_path, result.fallback_reason) == (MILP_FALLBACK, "lp_time_limit")
     assert result.per_home_objective["a"] == solve_model(build_home_model(cfg, "a")).objective
     assert result.feasibility.ok
+    _assert_rows_come_from(result, cfg, milp_home="a")
+
+
+def _assert_rows_come_from(result, cfg, milp_home):
+    """Each row of the step's schedule, byte for byte: ``milp_home``'s is
+    its MILP solution as extracted, binaries included; every other home's
+    is its certified LP solution, with binaries set from its flows."""
+    solved = {s.model: s for s in result.solves}
+    assert result.schedule.homes == tuple(h.id for h in cfg.homes)
+    for row, home in enumerate(cfg.homes):
+        solution = solved[f"home_{home.id}" if home.id == milp_home else f"home_{home.id}_relaxed"]
+        expected = extract_schedule(solution, build_home_model(cfg, home.id), cfg)
+        arrays = {role: getattr(expected, role) for role in SCHEDULE_ROLES}
+        if home.id != milp_home:
+            arrays["mode_home"] = (expected.com_buy > expected.com_sell).astype(float)
+            arrays["mode_ess"] = (expected.res_charge + expected.com_charge
+                                  > expected.ess_load + expected.ess_sell).astype(float)
+        for role, values in arrays.items():
+            assert getattr(result.schedule, role)[row].tobytes() == values[0].tobytes(), (home.id, role)
+    assert result.schedule.community_net.tobytes() == np.sum(result.schedule.net, axis=0).tobytes()
 
 
 def test_system_run_matches_the_milp_on_the_random_sweep():
@@ -344,13 +364,6 @@ def test_solver_is_deterministic():
 
 
 # -- selfish chains: each home's LP warm-started from its predecessor's basis --
-
-@pytest.fixture(scope="module")
-def forty_homes():
-    cfg = generate_synthetic_community(40, 3, replication_config())
-    assert min(archetype_counts(cfg).values()) > 0  # all four DER mixes
-    return cfg
-
 
 def _run_with_starts(monkeypatch, cfg, pick_start):
     """The selfish stage with each LP's start replaced by ``pick_start(start)``."""

@@ -9,10 +9,12 @@ import cems.solve
 from cems import (
     PvParams,
     build_home_model,
+    build_home_models,
     build_system_centric_model,
     check_schedule_feasibility,
     community_cost,
     extract_schedule,
+    extract_schedules,
     relaxed,
     solve_model,
 )
@@ -487,6 +489,29 @@ def test_extract_rejects_model_homes_the_config_lacks(replication, system_result
     with pytest.raises(ValueError, match=r"^model has home 'home9', which the config lacks$"):
         extract_schedule(solution, model, part)
     assert extract_schedule(solution, model, replication).homes == system_result.schedule.homes
+
+
+def test_extract_schedules_scatters_several_models_at_once(replication, no_cems_result):
+    # the selfish step's LP solutions, one per home model
+    models = build_home_models(replication)
+    solutions = list(no_cems_result.solves)
+    assert [s.model for s in solutions] == [f"{m.name}_relaxed" for m in models]
+    alone = [extract_schedule(s, m, replication) for s, m in zip(solutions, models)]
+    # rows come out in config order, whatever the order of the models
+    for order in (slice(None), slice(None, None, -1)):
+        together = extract_schedules(solutions[order], models[order], replication)
+        assert together.homes == tuple(h.id for h in replication.homes)
+        assert together.status_flags is None and together.slot_costs is None
+        for row, one in enumerate(alone):
+            for role in SCHEDULE_ROLES:
+                assert getattr(together, role)[row].tobytes() == getattr(one, role)[0].tobytes(), role
+        assert together.community_net.tobytes() == np.sum(together.net, axis=0).tobytes()
+
+    with pytest.raises(ValueError, match="more than one model"):
+        extract_schedules(solutions[:2] + solutions[:1], models[:2] + models[:1], replication)
+    stopped = dataclasses.replace(solutions[3], status="time_limit", x=None)
+    with pytest.raises(ValueError, match="'time_limit' and carries no values"):
+        extract_schedules(solutions[:3] + [stopped], models[:4], replication)
 
 
 @pytest.mark.parametrize("value", ["1.5", True, None, float("nan"), float("inf"), float("-inf"), 10**400])
