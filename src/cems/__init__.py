@@ -22,6 +22,7 @@ from .domain import (
     validate_config,
 )
 from .milp import (
+    HomeModelBatch,
     MilpModel,
     big_m_value,
     build_home_model,
@@ -49,7 +50,6 @@ from .solve import (
     SolverOptions,
     check_schedule_feasibility,
     extract_schedule,
-    extract_schedules,
     solve_model,
 )
 from .thermal import pv_output_energy, simulate_indoor_trajectory

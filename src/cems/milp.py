@@ -17,7 +17,8 @@ community imports ``E`` and ``alpha * P * E`` when it exports, made linear
 with one status binary per slot and a four-sided big-M envelope around the
 slot cost.  :func:`build_home_model` is the selfish counterpart used by the
 baselines: one home, priced at the external buy/sell prices directly;
-:func:`build_home_models` builds every home's at once.
+:func:`build_home_models` builds every home's from one
+:class:`HomeModelBatch`.
 
 Homes with the same DER mix share one sparsity pattern, made once per mix
 and horizon.  A model tiles the patterns over its homes with NumPy index
@@ -753,80 +754,110 @@ def build_system_centric_model(config: CommunityConfig) -> MilpModel:
     return _model("system_centric", homes, arrays, (cost, np.ones(T)))
 
 
-def build_home_model(config: CommunityConfig, home_id: str) -> MilpModel:
+def build_home_model(config: CommunityConfig, home_id: str,
+                     batch: HomeModelBatch | None = None) -> MilpModel:
     """Single-home model: minimize the home's own bill at external prices.
 
     Same physics as the system model restricted to one home, plus the
     per-home cap on the traded amount.  The per-home cap also serves as the
     big-M in the buy/sell exclusivity rows, which it dominates by
-    construction.  Objective: ``sum(P * buy - alpha * P * sell)``.  This is
-    :func:`build_home_models` for the one home.
+    construction.  Objective: ``sum(P * buy - alpha * P * sell)``.  The
+    home's numbers come from ``batch``, a :class:`HomeModelBatch` of
+    ``config``'s homes; without one, the home is a batch of one.
     """
-    return _home_models(config, [config.home(home_id)])[0]
+    if batch is None:
+        batch = HomeModelBatch(config, [config.home(home_id)])
+    return batch.model(home_id)
 
 
 def build_home_models(config: CommunityConfig) -> list[MilpModel]:
-    """Every home's :func:`build_home_model`, in config order, built as one
-    batch: one value table for all homes, and per DER pattern one set of
-    structure arrays, one objective vector and one check of every home's
-    numbers at once."""
-    return _home_models(config, config.homes)
+    """Every home's :func:`build_home_model`, in config order, from one
+    :class:`HomeModelBatch`."""
+    batch = HomeModelBatch(config)
+    return [batch.model(home.id) for home in config.homes]
 
 
-def _home_models(config: CommunityConfig, homes: Sequence[HomeConfig]) -> list[MilpModel]:
-    """The selfish models of ``homes``.  Each home's numbers are cut from
-    its row of the value table by its pattern's table columns, and every
-    array a pattern fixes is shared by its homes' models.  A pattern's
-    structure is checked with the first model built on it; a bad number or
-    tag raises the :class:`ModelBuildError` of the first home at fault."""
-    T = config.horizon_slots
-    values = _home_values(homes, config, selfish=True)
-    prices = np.column_stack([config.buy_price, -config.alpha * config.buy_price]).ravel()
-    tags = [lp_tag(home.id) for home in homes]
-    groups: dict[_Pattern, list[int]] = {}
-    for i, home in enumerate(homes):
-        groups.setdefault(_home_pattern(home.ess is not None, home.pv is not None, T, True), []).append(i)
-    models: dict[int, MilpModel] = {}
-    faulted = [i for i, tag in enumerate(tags) if tag == COMMUNITY_TAG]
-    for pattern, members in groups.items():
-        # (homes, entries) arrays of the group's numbers, one row per home
-        rows = np.array(members)[:, None]
-        numbers = {name: values[rows, getattr(pattern, name)] for name in _NUMBERS}
-        indptr = np.zeros(len(pattern.row_len) + 1, dtype=np.int32)
-        np.cumsum(pattern.row_len, out=indptr[1:])
-        c = np.zeros(len(pattern.var_role))
-        c[pattern.objective] = prices
-        # one home, from column 0
-        var_home = np.zeros(len(pattern.var_role), dtype=np.int32)
-        row_home = np.zeros(len(pattern.row_family), dtype=np.int32)
-        for value in (*numbers.values(), indptr, c, var_home, row_home):
-            value.flags.writeable = False
-        faults = _number_faults(c, numbers["lb"], numbers["ub"], pattern.integrality == 1,
-                                numbers["row_lower"], numbers["row_upper"], numbers["data"])
-        bad = faults.pop("cost").any() | np.any([f.any(axis=-1) for f in faults.values()], axis=0)
-        faulted += [members[k] for k in np.flatnonzero(bad)]
-        for k, i in enumerate(members):
-            layout = Layout(
-                homes=(homes[i].id,), tags=(tags[i],), var_home=var_home, var_role=pattern.var_role,
-                var_slot=pattern.var_slot, row_home=row_home, row_family=pattern.row_family,
-                row_slot=pattern.row_slot, term_order=pattern.term_order,
-                objective_order=pattern.objective,
-            )
-            models[i] = MilpModel(
-                name=f"home_{homes[i].id}", c=c, integrality=pattern.integrality, indptr=indptr,
-                indices=pattern.indices, layout=layout, **{name: a[k] for name, a in numbers.items()},
-            )
-    if faulted:
-        models[min(faulted)].validate()  # raises, naming the home's column or row
-    for pattern, members in groups.items():
+@dataclass(frozen=True, eq=False)
+class _PatternHomes:
+    """The homes of one DER pattern in a :class:`HomeModelBatch`: the
+    arrays the pattern fixes for every one of their models, and their
+    numbers as (homes, entries) arrays, one row per home."""
+
+    pattern: _Pattern
+    c: np.ndarray
+    indptr: np.ndarray
+    var_home: np.ndarray
+    row_home: np.ndarray
+    numbers: dict[str, np.ndarray]
+
+
+class HomeModelBatch:
+    """The numbers of the selfish models of ``homes`` (by default every
+    home of ``config``), made as one batch: one value table for all homes,
+    from whose rows each home's numbers are cut by its pattern's table
+    columns, and per DER pattern one objective vector, one set of row
+    pointers and one check of all its homes' numbers at once.  A bad
+    number or tag raises the :class:`ModelBuildError` of the first home at
+    fault, naming its column or row; :meth:`model` then makes any home's
+    model without checking its numbers again."""
+
+    def __init__(self, config: CommunityConfig, homes: Sequence[HomeConfig] | None = None):
+        homes = config.homes if homes is None else homes
+        T = config.horizon_slots
+        values = _home_values(homes, config, selfish=True)
+        prices = np.column_stack([config.buy_price, -config.alpha * config.buy_price]).ravel()
+        members: dict[_Pattern, list[int]] = {}
+        for i, home in enumerate(homes):
+            members.setdefault(_home_pattern(home.ess is not None, home.pv is not None, T, True),
+                               []).append(i)
+        tags = [lp_tag(home.id) for home in homes]
+        faulted = [i for i, tag in enumerate(tags) if tag == COMMUNITY_TAG]
+        self._at: dict[str, tuple[_PatternHomes, int, str]] = {}
+        for pattern, rows in members.items():
+            numbers = {name: values[np.array(rows)[:, None], getattr(pattern, name)]
+                       for name in _NUMBERS}
+            indptr = np.zeros(len(pattern.row_len) + 1, dtype=np.int32)
+            np.cumsum(pattern.row_len, out=indptr[1:])
+            c = np.zeros(len(pattern.var_role))
+            c[pattern.objective] = prices
+            # one home, from column 0
+            group = _PatternHomes(pattern, c, indptr, np.zeros(len(pattern.var_role), dtype=np.int32),
+                                  np.zeros(len(pattern.row_family), dtype=np.int32), numbers)
+            for value in (*numbers.values(), c, indptr, group.var_home, group.row_home):
+                value.flags.writeable = False
+            faults = _number_faults(c, numbers["lb"], numbers["ub"], pattern.integrality == 1,
+                                    numbers["row_lower"], numbers["row_upper"], numbers["data"])
+            bad = faults.pop("cost").any() | np.any([f.any(axis=-1) for f in faults.values()], axis=0)
+            faulted += [rows[k] for k in np.flatnonzero(bad)]
+            self._at.update((homes[i].id, (group, k, tags[i])) for k, i in enumerate(rows))
+        if faulted:
+            self.model(homes[min(faulted)].id).validate()  # raises, naming the home's column or row
+
+    def model(self, home_id: str) -> MilpModel:
+        """The selfish model of the batch's home ``home_id``.  Every array
+        its pattern fixes is shared with the pattern's other models, and a
+        pattern's structure is checked with the first model made on it."""
+        group, k, tag = self._at[home_id]
+        pattern = group.pattern
+        layout = Layout(
+            homes=(home_id,), tags=(tag,), var_home=group.var_home, var_role=pattern.var_role,
+            var_slot=pattern.var_slot, row_home=group.row_home, row_family=pattern.row_family,
+            row_slot=pattern.row_slot, term_order=pattern.term_order,
+            objective_order=pattern.objective,
+        )
+        model = MilpModel(
+            name=f"home_{home_id}", c=group.c, integrality=pattern.integrality, indptr=group.indptr,
+            indices=pattern.indices, layout=layout,
+            **{name: a[k] for name, a in group.numbers.items()},
+        )
         if pattern not in _validated_patterns:
-            models[members[0]].validate()
+            model.validate()
             _validated_patterns.add(pattern)
-    return [models[i] for i in range(len(homes))]
+        return model
 
 
 # the DER patterns whose structure arrays passed MilpModel.validate, with
-# the first one-home model built on them
+# the first one-home model made on them
 _validated_patterns: set[_Pattern] = set()
 
 

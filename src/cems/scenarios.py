@@ -37,18 +37,14 @@ from typing import IO, Sequence
 import numpy as np
 
 from .domain import CommunityConfig, generate_synthetic_community
-# build_home_model and extract_schedule are not called here; they stay
-# importable from this module because the benchmark's tracer
-# (perfbench/spans.py) wraps them at this module
-from .milp import (  # noqa: F401
+from .milp import (
+    HomeModelBatch,
     MilpModel,
     build_home_model,
-    build_home_models,
     build_system_centric_model,
     relaxed,
 )
-from .solve import (  # noqa: F401
-    SCHEDULE_ROLES,
+from .solve import (
     CommunitySchedule,
     FeasibilityReport,
     Solution,
@@ -56,7 +52,6 @@ from .solve import (  # noqa: F401
     SolverOptions,
     check_schedule_feasibility,
     extract_schedule,
-    extract_schedules,
     solve_model,
 )
 from .trading import SettlementReport, settle_day, settle_day_at_external_prices
@@ -123,22 +118,6 @@ def _binaries_from_flows(s: CommunitySchedule, rows: np.ndarray) -> CommunitySch
         mode_ess=np.where(rows, s.res_charge + s.com_charge > s.ess_load + s.ess_sell, s.mode_ess),
         status_flags=s.status_flags if s.status_flags is None or not rows.all()
         else (s.community_net > 0).astype(float),
-    )
-
-
-def _with_rows(s: CommunitySchedule, part: CommunitySchedule) -> CommunitySchedule:
-    """Schedule ``s`` with the rows of ``part``'s homes, and any community
-    status and slot costs, taken from ``part``."""
-    row = {hid: i for i, hid in enumerate(s.homes)}
-    at = [row[hid] for hid in part.homes]
-    arrays = {role: getattr(s, role).copy() for role in SCHEDULE_ROLES}
-    for role, values in arrays.items():
-        values[at] = getattr(part, role)
-    return CommunitySchedule(
-        homes=s.homes,
-        **arrays,
-        status_flags=s.status_flags if part.status_flags is None else part.status_flags,
-        slot_costs=s.slot_costs if part.slot_costs is None else part.slot_costs,
     )
 
 
@@ -217,6 +196,13 @@ def _solve_lp_first(
                     raise InfeasibleHomeError(models[i].layout.homes[0], solution.status)
                 raise SolverError(f"system-centric model ended {solution.status}", solution.status)
 
+    def assemble() -> CommunitySchedule:
+        """The schedule of every model's last solve, extracted at once,
+        with the binaries of the rows solved as LPs set from their flows;
+        a re-solved model's rows keep the MILP's own binaries."""
+        schedule = extract_schedule([solutions[i] for i in range(len(models))], models, config)
+        return _binaries_from_flows(schedule, np.array([owner[hid] not in exact for hid in schedule.homes]))
+
     def check(schedule: CommunitySchedule) -> FeasibilityReport:
         return check_schedule_feasibility(
             schedule,
@@ -229,18 +215,12 @@ def _solve_lp_first(
     unsolved = {i: {f"lp_{s.status}"} for i, s in solutions.items() if s.status != "optimal"}
     if unsolved:
         fall_back(unsolved)
-    schedule = extract_schedules([solutions[i] for i in range(len(models))], models, config)
-    lp_rows = np.array([owner[hid] not in exact for hid in schedule.homes])
-    if lp_rows.any():
-        schedule = _binaries_from_flows(schedule, lp_rows)
+    schedule = assemble()
     feasibility = check(schedule)
     faulted = _faulted(feasibility, owner, set(range(len(models))) - set(exact))
     if faulted:
         fall_back(faulted)
-        redone = sorted(faulted)
-        # only the re-solved models' rows change, with the MILP's own binaries
-        schedule = _with_rows(schedule, extract_schedules(
-            [solutions[i] for i in redone], [models[i] for i in redone], config))
+        schedule = assemble()
         feasibility = check(schedule)
 
     final = [solutions[i] for i in range(len(models))]
@@ -307,7 +287,11 @@ def run_scenarios(
         if selfish not in steps:
             start = time.perf_counter()
             if selfish:
-                models = build_home_models(config)
+                # home by home through this module's build_home_model, which
+                # the benchmark's tracer (perfbench/spans.py) wraps to time
+                # and count every model, cut from one batch of numbers
+                batch = HomeModelBatch(config)
+                models = [build_home_model(config, home.id, batch) for home in config.homes]
             else:
                 models = [build_system_centric_model(config)]
             build_time = time.perf_counter() - start

@@ -235,28 +235,24 @@ def _round_mode(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x - rounded) <= MODE_ROUND_TOL, rounded, x)
 
 
-def extract_schedule(solution: Solution, model: MilpModel, config: CommunityConfig) -> CommunitySchedule:
-    """Turn raw variable values into a schedule of the model's homes:
-    :func:`extract_schedules` for one model.  A home model yields a
-    one-home schedule."""
-    return extract_schedules([solution], [model], config)
+def extract_schedule(solution: Solution | Sequence[Solution], model: MilpModel | Sequence[MilpModel],
+                     config: CommunityConfig) -> CommunitySchedule:
+    """Turn raw variable values into a schedule of the model's homes.
 
-
-def extract_schedules(solutions: Sequence[Solution], models: Sequence[MilpModel],
-                      config: CommunityConfig) -> CommunitySchedule:
-    """One schedule of the homes of several models, each solved by the
-    solution at its position.
-
-    Works for both model kinds.  The values of every model are scattered
-    at once into a (role, home, slot) grid through the models' column
-    codes, each model's homes numbered after the previous models', and each
-    role's rows, in config order, are taken at once.  Mode and status
-    values within ``1e-6`` of an integer are rounded to it; values farther
-    away are left for the checker to flag.  The community's columns (of
-    the pooled model) give the status flags and slot costs.  A solution
+    ``solution`` and ``model`` are one model and its solve, or sequences of
+    several models and the solve of each, which make one schedule of all
+    their homes; a home model alone yields a one-home schedule.  Works for
+    both model kinds.  The values of every model are scattered at once
+    into a (role, home, slot) grid through the models' column codes, each
+    model's homes numbered after the previous models', and each role's
+    rows, in config order, are taken at once.  Mode and status values
+    within ``1e-6`` of an integer are rounded to it; values farther away
+    are left for the checker to flag.  The community's columns (of the
+    pooled model) give the status flags and slot costs.  A solution
     without values raises ``ValueError``, and so does a model home the
     config lacks (the first in model order) or one that two models share.
     """
+    solutions, models = ([solution], [model]) if isinstance(model, MilpModel) else (solution, model)
     for solution in solutions:
         if solution.x is None:
             raise ValueError(f"solution has status {solution.status!r} and carries no values")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cems import (
+    HomeModelBatch,
     build_home_model,
     build_home_models,
     build_system_centric_model,
@@ -298,15 +299,17 @@ def test_home_models_are_built_as_one_batch(forty_homes, monkeypatch):
     cfg = forty_homes
     batch = build_home_models(cfg)
     assert len(batch) == len(cfg.homes)
+    shared = HomeModelBatch(cfg)
     first_of = {}  # per pattern, the batch's first model on it
     for home, model in zip(cfg.homes, batch):
         alone = build_home_model(cfg, home.id)
-        assert (model.name, model.layout.homes, model.layout.tags) == (
-            alone.name, alone.layout.homes, alone.layout.tags)
-        for ours, theirs, name in [(model, alone, n) for n in _MODEL_ARRAYS] + [
-                (model.layout, alone.layout, n) for n in _LAYOUT_ARRAYS]:
-            a, b = getattr(ours, name), getattr(theirs, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        for other in (alone, build_home_model(cfg, home.id, shared)):
+            assert (model.name, model.layout.homes, model.layout.tags) == (
+                other.name, other.layout.homes, other.layout.tags)
+            for ours, theirs, name in [(model, other, n) for n in _MODEL_ARRAYS] + [
+                    (model.layout, other.layout, n) for n in _LAYOUT_ARRAYS]:
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         pattern = _home_pattern(home.ess is not None, home.pv is not None, cfg.horizon_slots, True)
         assert model.indices is pattern.indices and model.integrality is pattern.integrality
         for name in ("var_role", "var_slot", "row_family", "row_slot", "term_order"):
@@ -338,6 +341,8 @@ def test_a_batch_names_its_first_home_with_a_bad_number(forty_homes):
     cold = dataclasses.replace(cfg, homes=tuple(homes))
     with pytest.raises(ModelBuildError, match=f"^temp_in_{lp_tag(homes[first].id)}_1: lb "):
         build_home_models(cold)
+    with pytest.raises(ModelBuildError, match=f"^temp_in_{lp_tag(homes[first].id)}_1: lb "):
+        HomeModelBatch(cold)
     with pytest.raises(ModelBuildError, match=f"^temp_in_{lp_tag(homes[later].id)}_1: lb "):
         build_home_model(cold, homes[later].id)
 

@@ -14,7 +14,6 @@ from cems import (
     check_schedule_feasibility,
     community_cost,
     extract_schedule,
-    extract_schedules,
     relaxed,
     solve_model,
 )
@@ -491,7 +490,7 @@ def test_extract_rejects_model_homes_the_config_lacks(replication, system_result
     assert extract_schedule(solution, model, replication).homes == system_result.schedule.homes
 
 
-def test_extract_schedules_scatters_several_models_at_once(replication, no_cems_result):
+def test_extract_schedule_scatters_several_models_at_once(replication, no_cems_result):
     # the selfish step's LP solutions, one per home model
     models = build_home_models(replication)
     solutions = list(no_cems_result.solves)
@@ -499,7 +498,7 @@ def test_extract_schedules_scatters_several_models_at_once(replication, no_cems_
     alone = [extract_schedule(s, m, replication) for s, m in zip(solutions, models)]
     # rows come out in config order, whatever the order of the models
     for order in (slice(None), slice(None, None, -1)):
-        together = extract_schedules(solutions[order], models[order], replication)
+        together = extract_schedule(solutions[order], models[order], replication)
         assert together.homes == tuple(h.id for h in replication.homes)
         assert together.status_flags is None and together.slot_costs is None
         for row, one in enumerate(alone):
@@ -508,10 +507,10 @@ def test_extract_schedules_scatters_several_models_at_once(replication, no_cems_
         assert together.community_net.tobytes() == np.sum(together.net, axis=0).tobytes()
 
     with pytest.raises(ValueError, match="more than one model"):
-        extract_schedules(solutions[:2] + solutions[:1], models[:2] + models[:1], replication)
+        extract_schedule(solutions[:2] + solutions[:1], models[:2] + models[:1], replication)
     stopped = dataclasses.replace(solutions[3], status="time_limit", x=None)
     with pytest.raises(ValueError, match="'time_limit' and carries no values"):
-        extract_schedules(solutions[:3] + [stopped], models[:4], replication)
+        extract_schedule(solutions[:3] + [stopped], models[:4], replication)
 
 
 @pytest.mark.parametrize("value", ["1.5", True, None, float("nan"), float("inf"), float("-inf"), 10**400])
