@@ -28,7 +28,6 @@ from .milp import (
     build_home_model,
     build_home_models,
     build_system_centric_model,
-    relaxed,
     write_lp,
 )
 from .scenarios import (

@@ -93,7 +93,10 @@ _JOBS = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI's parser, built once per process: each ``parse_args`` call
+    makes its own namespace, so calls do not share parsed values."""
     parser = _Parser(prog="cems", description="Day-ahead community energy scheduling")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 

@@ -20,6 +20,14 @@ baselines: one home, priced at the external buy/sell prices directly;
 :func:`build_home_models` builds every home's from one
 :class:`HomeModelBatch`.
 
+Each builder makes the MILP or, with ``lp=True``, its binary-free LP from
+the same pattern code: the LP has no binary column (the home and storage
+modes, the community status) and none of the rows that gate one (the
+homes' buy/sell exclusivity, the status and slot-cost envelope rows); its
+storage rate rows are plain caps.  The LP keeps every flow row, the band
+and the slot-cost hull, so it is a relaxation of the MILP, and a schedule
+that is feasible for the MILP at the LP's cost is MILP-optimal.
+
 Homes with the same DER mix share one sparsity pattern, made once per mix
 and horizon.  A model tiles the patterns over its homes with NumPy index
 arithmetic, fills in each home's numbers, and appends the community's
@@ -28,7 +36,7 @@ coupling rows as array slices.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -134,8 +142,8 @@ class MilpModel:
 
     ``A`` is in canonical CSR form: each row's terms sit at
     ``indptr[i]:indptr[i + 1]`` of ``indices`` and ``data``, in increasing
-    column order.  The builders mark every array read-only, so a model and
-    its :func:`relaxed` copy can share them.
+    column order.  The builders mark every array read-only, so models of
+    one structure can share them.
     """
 
     name: str
@@ -301,13 +309,6 @@ def _number_faults(c, lb, ub, binary, row_lower, row_upper, data) -> dict[str, n
     }
 
 
-def relaxed(model: MilpModel) -> MilpModel:
-    """The LP relaxation: the model's own arrays with every column continuous."""
-    integrality = np.zeros_like(model.integrality)
-    integrality.flags.writeable = False
-    return replace(model, name=f"{model.name}_relaxed", integrality=integrality)
-
-
 def big_m_value(config: CommunityConfig) -> float:
     """Big-M constant for the community status and slot-cost envelope rows.
 
@@ -327,7 +328,7 @@ def big_m_value(config: CommunityConfig) -> float:
 # three per-slot series.  Patterns name their bounds, coefficients and row
 # bounds by table column.
 _SCALARS = (
-    "0", "1", "-1", "inf", "-inf", "-gain", "-eps", "-dt", "1/eta", "-eta", "-charge",
+    "0", "1", "-1", "inf", "-inf", "-gain", "-eps", "-dt", "1/eta", "-eta", "charge", "-charge",
     "discharge", "-M", "M", "peak", "-peak", "p_max", "t_min", "t_max", "level_min",
     "level_max", "level0",
 )
@@ -380,10 +381,10 @@ def _home_values(homes: Sequence[HomeConfig], config: CommunityConfig, selfish: 
     scalars = {
         "0": 0.0, "1": 1.0, "-1": -1.0, "inf": INF, "-inf": -INF,
         "-gain": -((1.0 - eps) * eta_hvac / conductivity), "-eps": -eps, "-dt": -dt,
-        "1/eta": 1.0 / eta, "-eta": -eta, "-charge": -charge * dt, "discharge": discharge * dt,
-        "-M": -big_m, "M": big_m, "peak": peak, "-peak": -peak, "p_max": p_max,
-        "t_min": t_min, "t_max": t_max, "level_min": level_min, "level_max": level_max,
-        "level0": level0,
+        "1/eta": 1.0 / eta, "-eta": -eta, "charge": charge * dt, "-charge": -charge * dt,
+        "discharge": discharge * dt, "-M": -big_m, "M": big_m, "peak": peak, "-peak": -peak,
+        "p_max": p_max, "t_min": t_min, "t_max": t_max, "level_min": level_min,
+        "level_max": level_max, "level0": level0,
     }
     table = np.empty((len(homes), len(_SCALARS) + len(_SERIES) * T))
     for column, name in enumerate(_SCALARS):
@@ -431,21 +432,24 @@ class _Pattern:
 
 
 @functools.lru_cache(maxsize=None)
-def _home_roles(has_ess: bool, has_pv: bool) -> tuple[str, ...]:
-    """A home's column roles in column order; each takes one column per slot."""
+def _home_roles(has_ess: bool, has_pv: bool, lp: bool) -> tuple[str, ...]:
+    """A home's column roles in column order; each takes one column per slot.
+    The binary-free LP (``lp``) has no mode columns."""
     roles = ("hvac_power", "temp_in", "com_load", "com_buy", "com_sell", "mode_home")
     if has_ess:
         roles += ("ess_level", "ess_load", "ess_sell", "com_charge", "mode_ess")
     if has_pv:
         roles += ("res_load", "res_sell") + (("res_charge",) if has_ess else ())
-    return roles
+    return tuple(r for r in roles if r not in _BINARY_ROLES) if lp else roles
 
 
 @functools.lru_cache(maxsize=None)
-def _home_pattern(has_ess: bool, has_pv: bool, T: int, selfish: bool) -> _Pattern:
+def _home_pattern(has_ess: bool, has_pv: bool, T: int, selfish: bool, lp: bool) -> _Pattern:
     """Physics and coupling rows of one home, plus its own trading band
     when it is scheduled alone (``selfish``).  Terms are ``(role, slot,
-    coefficient)`` with the coefficient a value-table name."""
+    coefficient)`` with the coefficient a value-table name.  The
+    binary-free LP (``lp``) drops the mode columns and the exclusivity
+    rows, and caps the storage rates without a mode."""
     rows: list[tuple[str, int, list, str, object]] = []
 
     def row(family: str, slot: int, terms: list, sense: str, rhs) -> None:
@@ -477,8 +481,8 @@ def _home_pattern(has_ess: bool, has_pv: bool, T: int, selfish: bool) -> _Patter
             row("res_split", t, terms, "=", ("pv", t))
 
     # storage: level recursion (discharge divided by the efficiency, charge
-    # multiplied by it), rate caps gated by the charge/discharge mode binary,
-    # and the end-of-day level restored
+    # multiplied by it), rate caps gated by the charge/discharge mode binary
+    # (plain caps in the LP), and the end-of-day level restored
     if has_ess:
         for t in slots:
             terms = [("ess_level", t, "1"), ("ess_load", t, "1/eta"), ("ess_sell", t, "1/eta"),
@@ -488,12 +492,16 @@ def _home_pattern(has_ess: bool, has_pv: bool, T: int, selfish: bool) -> _Patter
             if t > 1:
                 terms.append(("ess_level", t - 1, "-1"))
             row("ess_level", t, terms, "=", "level0" if t == 1 else "0")
-            charge = [("com_charge", t, "1"), ("mode_ess", t, "-charge")]
+            charge = [("com_charge", t, "1")]
             if has_pv:
-                charge.insert(1, ("res_charge", t, "1"))
-            row("ess_charge", t, charge, "<=", "0")
-            row("ess_discharge", t, [("ess_load", t, "1"), ("ess_sell", t, "1"),
-                                     ("mode_ess", t, "discharge")], "<=", "discharge")
+                charge.append(("res_charge", t, "1"))
+            discharge = [("ess_load", t, "1"), ("ess_sell", t, "1")]
+            if lp:
+                row("ess_charge", t, charge, "<=", "charge")
+                row("ess_discharge", t, discharge, "<=", "discharge")
+            else:
+                row("ess_charge", t, charge + [("mode_ess", t, "-charge")], "<=", "0")
+                row("ess_discharge", t, discharge + [("mode_ess", t, "discharge")], "<=", "discharge")
         row("ess_terminal", 0, [("ess_level", T, "1")], "=", "level0")
 
     # net exchanged with the community, one direction at a time
@@ -508,8 +516,9 @@ def _home_pattern(has_ess: bool, has_pv: bool, T: int, selfish: bool) -> _Patter
         if has_ess:
             sell.append(("ess_sell", t, "-1"))
         row("sell_def", t, sell, "=", "0")
-        row("buy_mode", t, [("com_buy", t, "1"), ("mode_home", t, "-M")], "<=", "0")
-        row("sell_mode", t, [("com_sell", t, "1"), ("mode_home", t, "M")], "<=", "M")
+        if not lp:
+            row("buy_mode", t, [("com_buy", t, "1"), ("mode_home", t, "-M")], "<=", "0")
+            row("sell_mode", t, [("com_sell", t, "1"), ("mode_home", t, "M")], "<=", "M")
 
     # a home scheduled alone keeps its own net within its trading cap
     if selfish:
@@ -518,7 +527,7 @@ def _home_pattern(has_ess: bool, has_pv: bool, T: int, selfish: bool) -> _Patter
             row("peak_hi", t, gap, "<=", "peak")
             row("peak_lo", t, gap, ">=", "-peak")
 
-    return _finish_pattern(_home_roles(has_ess, has_pv), T, rows)
+    return _finish_pattern(_home_roles(has_ess, has_pv, lp), T, rows)
 
 
 def _finish_pattern(roles: tuple[str, ...], T: int, rows: list) -> _Pattern:
@@ -649,13 +658,19 @@ def _model(name: str, homes: Sequence[HomeConfig], arrays: dict[str, np.ndarray]
     return model
 
 
-def _role_columns(homes: Sequence[HomeConfig], col0: np.ndarray, role: str, T: int) -> np.ndarray:
+def _role_columns(homes: Sequence[HomeConfig], col0: np.ndarray, role: str, T: int,
+                  lp: bool) -> np.ndarray:
     """``(homes, T)`` global columns of ``role`` in each home."""
-    first = np.array([_home_roles(h.ess is not None, h.pv is not None).index(role) * T for h in homes])
+    first = np.array([_home_roles(h.ess is not None, h.pv is not None, lp).index(role) * T
+                      for h in homes])
     return (col0 + first)[:, None] + np.arange(T)
 
 
-def build_system_centric_model(config: CommunityConfig) -> MilpModel:
+# the community's columns, one per slot each: lower and upper bound, integrality
+_COMMUNITY_COLUMNS = {"status": (0.0, 1.0, 1), "slot_cost": (-INF, INF, 0)}
+
+
+def build_system_centric_model(config: CommunityConfig, *, lp: bool = False) -> MilpModel:
     """Whole-community model minimizing the pooled day-ahead cost.
 
     Per home and slot: HVAC power within rating, comfort via temperature
@@ -666,6 +681,12 @@ def build_system_centric_model(config: CommunityConfig) -> MilpModel:
     binary per slot.  Both big-M constants are derived from the config:
     :func:`big_m_value` for the community rows, a tighter one per home for
     its exclusivity rows (:func:`_home_values`).
+
+    With ``lp``, the binary-free LP of the same model, named
+    ``system_centric_relaxed``: no mode or status column, no exclusivity,
+    status or envelope row, plain storage rate caps; the band and the two
+    hull rows, which price each slot at ``max(P * gap, alpha * P * gap)``,
+    stay.
     """
     T = config.horizon_slots
     homes = config.homes
@@ -695,31 +716,37 @@ def build_system_centric_model(config: CommunityConfig) -> MilpModel:
         ("cost_hull_imp", -price, None, True, 0.0, INF),
         ("cost_hull_exp", -sell_price, None, True, 0.0, INF),
     )
+    com_roles = ("slot_cost",) if lp else ("status", "slot_cost")
+    if lp:
+        # the LP keeps the rows the status binary does not gate
+        kinds = tuple(k for k in kinds if k[2] is None)
     lengths = [2 * n + (s is not None) + lead for _, _, s, lead, _, _ in kinds]
     per_slot = sum(lengths)
-    patterns = [_home_pattern(h.ess is not None, h.pv is not None, T, False) for h in homes]
+    patterns = [_home_pattern(h.ess is not None, h.pv is not None, T, False, lp) for h in homes]
     sizes = np.array([(len(p.var_role), len(p.row_family), len(p.indices)) for p in patterns],
                      dtype=np.int32).reshape(-1, 3)
     n0, m0, nnz0 = (int(x) for x in sizes.sum(axis=0))
-    arrays = _allocate(n0 + 2 * T, m0 + len(kinds) * T, nnz0 + per_slot * T)
+    arrays = _allocate(n0 + len(com_roles) * T, m0 + len(kinds) * T, nnz0 + per_slot * T)
     col0 = _fill_homes(_part(arrays, slice(0, n0), slice(0, m0), slice(0, nnz0)), patterns, sizes,
                        homes, config)
     com = _part(arrays, slice(n0, None), slice(m0, None), slice(nnz0, None))
 
-    # community columns: one status binary and one free slot cost per slot
+    # community columns: one status binary (not in the LP) and one free
+    # slot cost per slot, the slot cost last
     slots = np.arange(1, T + 1)
     status = n0 + slots - 1
-    cost = n0 + T + slots - 1
-    com["lb"][:] = np.repeat([0.0, -INF], T)
-    com["ub"][:] = np.repeat([1.0, INF], T)
-    com["integrality"][:] = np.repeat([1, 0], T)
+    cost = n0 + (len(com_roles) - 1) * T + slots - 1
+    lb, ub, integral = zip(*(_COMMUNITY_COLUMNS[role] for role in com_roles))
+    com["lb"][:] = np.repeat(lb, T)
+    com["ub"][:] = np.repeat(ub, T)
+    com["integrality"][:] = np.repeat(integral, T)
     com["var_home"][:] = COMMUNITY
-    com["var_role"][:] = np.repeat([ROLE["status"], ROLE["slot_cost"]], T)
-    com["var_slot"][:] = np.tile(slots, 2)
+    com["var_role"][:] = np.repeat([ROLE[role] for role in com_roles], T)
+    com["var_slot"][:] = np.tile(slots, len(com_roles))
 
     # the gap's terms are written purchases first, then sales, home by home
-    gap = np.concatenate([_role_columns(homes, col0, "com_buy", T),
-                          _role_columns(homes, col0, "com_sell", T)])
+    gap = np.concatenate([_role_columns(homes, col0, "com_buy", T, lp),
+                          _role_columns(homes, col0, "com_sell", T, lp)])
     sign = np.repeat([1.0, -1.0], n)
     by_col = np.argsort(gap[:, 0], kind="stable")  # the same order in every slot
     gap, sign = gap[by_col].T, sign[by_col]
@@ -751,29 +778,34 @@ def build_system_centric_model(config: CommunityConfig) -> MilpModel:
     com["row_home"][:] = COMMUNITY
     com["row_family"][:] = np.tile([FAMILY[k[0]] for k in kinds], T)
     com["row_slot"][:] = np.repeat(slots, len(kinds))
-    return _model("system_centric", homes, arrays, (cost, np.ones(T)))
+    return _model("system_centric_relaxed" if lp else "system_centric", homes, arrays,
+                  (cost, np.ones(T)))
 
 
 def build_home_model(config: CommunityConfig, home_id: str,
-                     batch: HomeModelBatch | None = None) -> MilpModel:
+                     batch: HomeModelBatch | None = None, *, lp: bool = False) -> MilpModel:
     """Single-home model: minimize the home's own bill at external prices.
 
     Same physics as the system model restricted to one home, plus the
     per-home cap on the traded amount.  The per-home cap also serves as the
     big-M in the buy/sell exclusivity rows, which it dominates by
-    construction.  Objective: ``sum(P * buy - alpha * P * sell)``.  The
-    home's numbers come from ``batch``, a :class:`HomeModelBatch` of
-    ``config``'s homes; without one, the home is a batch of one.
+    construction.  Objective: ``sum(P * buy - alpha * P * sell)``.  With
+    ``lp``, the binary-free LP of the same model, named
+    ``home_<id>_relaxed``.  The home's numbers come from ``batch``, a
+    :class:`HomeModelBatch` of ``config``'s homes made with the same
+    ``lp``; without one, the home is a batch of one.
     """
     if batch is None:
-        batch = HomeModelBatch(config, [config.home(home_id)])
+        batch = HomeModelBatch(config, [config.home(home_id)], lp=lp)
+    elif batch.lp != lp:
+        raise ValueError(f"a batch made with lp={batch.lp} cannot build a model with lp={lp}")
     return batch.model(home_id)
 
 
-def build_home_models(config: CommunityConfig) -> list[MilpModel]:
+def build_home_models(config: CommunityConfig, *, lp: bool = False) -> list[MilpModel]:
     """Every home's :func:`build_home_model`, in config order, from one
     :class:`HomeModelBatch`."""
-    batch = HomeModelBatch(config)
+    batch = HomeModelBatch(config, lp=lp)
     return [batch.model(home.id) for home in config.homes]
 
 
@@ -793,22 +825,25 @@ class _PatternHomes:
 
 class HomeModelBatch:
     """The numbers of the selfish models of ``homes`` (by default every
-    home of ``config``), made as one batch: one value table for all homes,
-    from whose rows each home's numbers are cut by its pattern's table
-    columns, and per DER pattern one objective vector, one set of row
-    pointers and one check of all its homes' numbers at once.  A bad
-    number or tag raises the :class:`ModelBuildError` of the first home at
-    fault, naming its column or row; :meth:`model` then makes any home's
-    model without checking its numbers again."""
+    home of ``config``), or with ``lp`` of their binary-free LPs, made as
+    one batch: one value table for all homes, from whose rows each home's
+    numbers are cut by its pattern's table columns, and per DER pattern one
+    objective vector, one set of row pointers and one check of all its
+    homes' numbers at once.  A bad number or tag raises the
+    :class:`ModelBuildError` of the first home at fault, naming its column
+    or row; :meth:`model` then makes any home's model without checking its
+    numbers again."""
 
-    def __init__(self, config: CommunityConfig, homes: Sequence[HomeConfig] | None = None):
+    def __init__(self, config: CommunityConfig, homes: Sequence[HomeConfig] | None = None, *,
+                 lp: bool = False):
         homes = config.homes if homes is None else homes
         T = config.horizon_slots
+        self.lp = lp
         values = _home_values(homes, config, selfish=True)
         prices = np.column_stack([config.buy_price, -config.alpha * config.buy_price]).ravel()
         members: dict[_Pattern, list[int]] = {}
         for i, home in enumerate(homes):
-            members.setdefault(_home_pattern(home.ess is not None, home.pv is not None, T, True),
+            members.setdefault(_home_pattern(home.ess is not None, home.pv is not None, T, True, lp),
                                []).append(i)
         tags = [lp_tag(home.id) for home in homes]
         faulted = [i for i, tag in enumerate(tags) if tag == COMMUNITY_TAG]
@@ -846,7 +881,7 @@ class HomeModelBatch:
             objective_order=pattern.objective,
         )
         model = MilpModel(
-            name=f"home_{home_id}", c=group.c, integrality=pattern.integrality, indptr=group.indptr,
+            name=f"home_{home_id}_relaxed" if self.lp else f"home_{home_id}", c=group.c, integrality=pattern.integrality, indptr=group.indptr,
             indices=pattern.indices, layout=layout,
             **{name: a[k] for name, a in group.numbers.items()},
         )

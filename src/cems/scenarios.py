@@ -15,13 +15,14 @@ step (the pooled model for ``system``, the per-home selfish stage for
 ``prosumer`` and ``none`` differ only in how they settle, so a run asking
 for both solves and checks the selfish stage once and settles it twice.
 
-:func:`run_scenarios` builds each step's models and hands them to one step
-function, :func:`_solve_lp_first`, which solves them LP first: the LP
-relaxation, its binaries set from its flows, then the checker.  A clean
-check at the LP's cost proves the schedule MILP-optimal; anything else
-falls back to the exact MILP for the models at fault.  The step reports
-every backend call as the :class:`~cems.solve.Solution` it returned, with
-the values in column order.
+:func:`run_scenarios` builds each step's binary-free LPs and hands them to
+one step function, :func:`_solve_lp_first`: the LPs, then a netting step
+that removes each home's same-slot buying and selling, the binaries set
+from the flows, then the checker.  A clean check at the LPs' cost proves
+the schedule MILP-optimal; anything else builds and solves the exact MILP
+for the models at fault.  The step reports every backend call as the
+:class:`~cems.solve.Solution` it returned, with the values in column
+order.
 
 Every run returns a :class:`ScenarioResult`: the checked step plus the
 settlement and the community cost, so the scenarios plot and compare
@@ -32,7 +33,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, replace
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .milp import (
     MilpModel,
     build_home_model,
     build_system_centric_model,
-    relaxed,
 )
 from .solve import (
     CommunitySchedule,
@@ -58,7 +58,7 @@ from .trading import SettlementReport, settle_day, settle_day_at_external_prices
 
 SCENARIO_KINDS = ("system", "prosumer", "none")
 
-# which solves produced a schedule step: the LP relaxation alone, proven
+# which solves produced a schedule step: the binary-free LPs alone, proven
 # optimal by the checker, or the exact MILP for at least one of its models
 LP_CERTIFIED = "lp-certified"
 MILP_FALLBACK = "milp-fallback"
@@ -105,6 +105,37 @@ class ScenarioResult(_Scheduled):
     community_cost: float
 
 
+# each netting move: a sale, the purchase it meets, and the flow that
+# carries the matched energy inside the home instead
+_NETTING = (("res_sell", "com_load", "res_load"),
+            ("ess_sell", "com_load", "ess_load"),
+            ("res_sell", "com_charge", "res_charge"))
+_NETTED = ("com_buy", "com_sell", "res_sell", "ess_sell", "com_load", "com_charge", "res_load",
+           "ess_load", "res_charge")
+
+
+def _net_overlaps(s: CommunitySchedule, rows: np.ndarray) -> CommunitySchedule:
+    """Remove the same-slot overlap of buying and selling from schedule
+    ``s``'s ``rows`` (a mask over its homes), in three moves made in turn:
+    PV sold while the home's load is bought serves the load, storage
+    discharged to the pool while the load is bought serves the load, and
+    PV sold while the storage is charged from the pool charges it.  Each
+    move lowers the purchase and the sale by the amount it moves, so every
+    home's net, its storage books and the community's cost stay as they
+    were.  Storage discharged to the pool while it is charged from the pool
+    is left alone: moving it would change the storage books.  Entries no
+    move touches keep their bits."""
+    flows = {role: getattr(s, role).copy() for role in _NETTED}
+    for sale, purchase, inside in _NETTING:
+        amount = np.where(rows[:, None], np.minimum(flows[sale], flows[purchase]), 0.0)
+        moved = amount > 0.0
+        amount = amount[moved]
+        for role in (sale, purchase, "com_buy", "com_sell"):
+            flows[role][moved] -= amount
+        flows[inside][moved] += amount
+    return replace(s, community_net=None, **flows)
+
+
 def _binaries_from_flows(s: CommunitySchedule, rows: np.ndarray) -> CommunitySchedule:
     """Set the binaries of schedule ``s``'s ``rows`` (a mask over its
     homes) from the flows they gate: a home's storage mode is 1 where it
@@ -140,25 +171,29 @@ def _faulted(
 
 def _solve_lp_first(
     models: Sequence[MilpModel],
+    milp: Callable[[int], MilpModel],
     config: CommunityConfig,
     options: SolverOptions | None,
     build_time: float = 0.0,
     selfish: bool = False,
 ) -> _Scheduled:
-    """The schedule step: solve its built models (the pooled model, or one
-    per home) LP first, and check the schedule they make together once.
+    """The schedule step: solve its built binary-free LPs (the pooled
+    model's, or one per home) and check the schedule they make together
+    once; ``milp(i)`` builds the exact MILP of model ``i``, only for a
+    model that falls back.
 
-    Each model's LP relaxation is solved, the solutions are extracted into
-    one schedule at once, and the binaries of the rows solved as LPs are
-    set from their flows.  The LP value bounds the MILP optimum from below,
-    so a schedule that passes the checker at the LP's cost is an optimal
-    MILP solution.  A model whose LP is not ``optimal``, or that the
-    checker faults, is re-solved as the exact MILP; its rows, with the
-    MILP's own binaries, replace its LP rows, and the schedule is checked
-    again.  The pooled LP objective is the checker's cost reference; a
-    selfish home's bill is linear in its flows, which the binaries do not
-    change, and its models never saw the community band, so a breach of it
-    is a warning.
+    The LP solutions are extracted into one schedule at once; the rows
+    solved as LPs are netted (:func:`_net_overlaps`) and their binaries set
+    from their flows.  The LP is a relaxation of the MILP, so its value
+    bounds the MILP optimum from below, and a schedule that passes the
+    checker at the LP's cost is an optimal MILP solution.  A model whose LP
+    is not ``optimal``, or that the checker faults, is built and re-solved
+    as the exact MILP; its rows, with the MILP's own binaries, replace its
+    LP rows, and the schedule is checked again.  The pooled LP objective is
+    the checker's cost reference; a selfish home's bill is linear in its
+    flows, which netting and the binaries do not change, and its models
+    never saw the community band, so a breach of it is a warning.  The
+    step's ``build_time`` adds the fallback MILPs' builds to the given one.
 
     The models are solved one after another in the order given.  Each LP
     starts from the optimal basis of the last LP before it of the same
@@ -171,7 +206,8 @@ def _solve_lp_first(
     A MILP left without values raises :class:`SolverError` for the pooled
     model and :class:`InfeasibleHomeError` for a home.
     """
-    solutions: dict[int, Solution] = {}  # the last solve of each model
+    solved: dict[int, MilpModel] = {}  # the model of each model's last solve
+    solutions: dict[int, Solution] = {}  # and that solve
     exact: dict[int, set[str]] = {}  # models re-solved as the MILP, and why
     solves: list[Solution] = []
     owner = {hid: i for i, m in enumerate(models) for hid in m.layout.homes}
@@ -180,16 +216,21 @@ def _solve_lp_first(
         bases: dict[tuple, object] = {}  # the last optimal basis of each structure
         for i, m in batch.items():
             key = (m.n_variables, m.indptr.tobytes(), m.indices.tobytes())
+            solved[i] = m
             solution = solutions[i] = solve_model(m, options, start=bases.get(key))
             if solution.basis is not None:
                 bases[key] = solution.basis
             solves.append(solution)
 
     def fall_back(reasons: dict[int, set[str]]) -> None:
-        """Re-solve the faulted models as MILPs."""
+        """Build and solve the faulted models' MILPs."""
+        nonlocal build_time
         exact.update(reasons)
-        solve({i: models[i] for i in reasons})
-        for i in sorted(reasons):
+        start = time.perf_counter()
+        batch = {i: milp(i) for i in sorted(reasons)}
+        build_time += time.perf_counter() - start
+        solve(batch)
+        for i in batch:
             solution = solutions[i]
             if solution.x is None:
                 if selfish:
@@ -198,10 +239,13 @@ def _solve_lp_first(
 
     def assemble() -> CommunitySchedule:
         """The schedule of every model's last solve, extracted at once,
-        with the binaries of the rows solved as LPs set from their flows;
-        a re-solved model's rows keep the MILP's own binaries."""
-        schedule = extract_schedule([solutions[i] for i in range(len(models))], models, config)
-        return _binaries_from_flows(schedule, np.array([owner[hid] not in exact for hid in schedule.homes]))
+        with the rows solved as LPs netted and their binaries set from
+        their flows; a re-solved model's rows keep the MILP's own
+        binaries."""
+        order = range(len(models))
+        schedule = extract_schedule([solutions[i] for i in order], [solved[i] for i in order], config)
+        lp_rows = np.array([owner[hid] not in exact for hid in schedule.homes])
+        return _binaries_from_flows(_net_overlaps(schedule, lp_rows), lp_rows)
 
     def check(schedule: CommunitySchedule) -> FeasibilityReport:
         return check_schedule_feasibility(
@@ -211,7 +255,7 @@ def _solve_lp_first(
             community_peak_as_warning=selfish,
         )
 
-    solve({i: relaxed(m) for i, m in enumerate(models)})
+    solve(dict(enumerate(models)))
     unsolved = {i: {f"lp_{s.status}"} for i, s in solutions.items() if s.status != "optimal"}
     if unsolved:
         fall_back(unsolved)
@@ -286,16 +330,19 @@ def run_scenarios(
         selfish = kind != "system"
         if selfish not in steps:
             start = time.perf_counter()
+            # every build goes through this module's build_home_model and
+            # build_system_centric_model, which the benchmark's tracer
+            # (perfbench/spans.py) wraps to time and count every model
             if selfish:
-                # home by home through this module's build_home_model, which
-                # the benchmark's tracer (perfbench/spans.py) wraps to time
-                # and count every model, cut from one batch of numbers
-                batch = HomeModelBatch(config)
-                models = [build_home_model(config, home.id, batch) for home in config.homes]
+                # home by home, cut from one batch of numbers
+                batch = HomeModelBatch(config, lp=True)
+                models = [build_home_model(config, home.id, batch, lp=True) for home in config.homes]
+                milp = lambda i: build_home_model(config, config.homes[i].id)  # noqa: E731
             else:
-                models = [build_system_centric_model(config)]
+                models = [build_system_centric_model(config, lp=True)]
+                milp = lambda i: build_system_centric_model(config)  # noqa: E731
             build_time = time.perf_counter() - start
-            steps[selfish] = _solve_lp_first(models, config, options, build_time, selfish)
+            steps[selfish] = _solve_lp_first(models, milp, config, options, build_time, selfish)
         results.append(_settle(kind, config, steps[selfish]))
     return results
 
@@ -408,9 +455,11 @@ def bench_scaling(
     """Build and solve system-centric models for scaled communities.
 
     Communities come from :func:`generate_synthetic_community`, so model
-    dimensions grow linearly in the home count.  Each model is solved LP
-    first, like a scenario's.  A row that fails records its status and the
-    run continues with the next size.
+    dimensions grow linearly in the home count.  Each row reports the size
+    of the paper's model, the MILP, and solves it like a scenario's
+    schedule step: its binary-free LP first, the MILP only as the
+    fallback.  The build time covers both models.  A row that fails
+    records its status and the run continues with the next size.
     """
     options = options or SolverOptions(relative_mip_gap=1e-3)
     rows = []
@@ -418,9 +467,10 @@ def bench_scaling(
         config = generate_synthetic_community(n, seed, template)
         start = time.perf_counter()
         model = build_system_centric_model(config)
+        lp = build_system_centric_model(config, lp=True)
         build_time = time.perf_counter() - start
         try:
-            step = _solve_lp_first([model], config, options, build_time)
+            step = _solve_lp_first([lp], lambda i: model, config, options, build_time)
             status, objective, solve_time = step.solver_status, step.objective, step.solve_time
             solve_path = step.solve_path
         except SolverError as exc:

@@ -248,9 +248,11 @@ def extract_schedule(solution: Solution | Sequence[Solution], model: MilpModel |
     rows, in config order, are taken at once.  Mode and status values
     within ``1e-6`` of an integer are rounded to it; values farther away
     are left for the checker to flag.  The community's columns (of the
-    pooled model) give the status flags and slot costs.  A solution
-    without values raises ``ValueError``, and so does a model home the
-    config lacks (the first in model order) or one that two models share.
+    pooled model) give the status flags and slot costs; a model without a
+    mode or status column, such as a binary-free LP, gives zeros there.  A
+    solution without values raises ``ValueError``, and so does a model home
+    the config lacks (the first in model order) or one that two models
+    share.
     """
     solutions, models = ([solution], [model]) if isinstance(model, MilpModel) else (solution, model)
     for solution in solutions:

@@ -26,6 +26,7 @@ from cems import (
     write_lp,
 )
 from cems.cli import _json_text, _native_stdout_to_stderr, main
+from cems.solve import SolverOptions
 
 from conftest import make_community, make_ess, make_home, make_hvac
 
@@ -291,6 +292,31 @@ def test_jobs_is_accepted_and_ignored(cfg_file, tmp_path):
     assert first
     for flags, files in runs.items():
         assert files == first, flags
+
+
+def test_main_calls_parse_independently(cfg_file, small_cfg, tmp_path, monkeypatch):
+    """The parser is built once per process; a later call sees none of an
+    earlier call's subcommand or flags."""
+    runs = []
+    real = cems.cli.run_scenario
+
+    def recording(kind, config, options=None):
+        runs.append((kind, config.alpha, config.mid_price_policy, options))
+        return real(kind, config, options)
+
+    monkeypatch.setattr(cems.cli, "run_scenario", recording)
+    assert main(["solve", "--config", cfg_file, "--scenario", "none", "--alpha", "0.5",
+                 "--pmid", "case3", "--gap", "0.01", "--time-limit", "30",
+                 "--out", str(tmp_path / "flags")]) == 0
+    assert main(["export-lp", "--config", cfg_file, "--scenario", "prosumer", "--home", "a",
+                 "--out", str(tmp_path / "lp")]) == 0
+    assert main(["solve", "--config", cfg_file, "--out", str(tmp_path / "defaults")]) == 0
+    assert runs == [
+        ("none", 0.5, "case3", SolverOptions(relative_mip_gap=0.01, time_limit=30.0)),
+        ("system", small_cfg.alpha, small_cfg.mid_price_policy, SolverOptions()),
+    ]
+    assert cems.cli._build_parser() is cems.cli._build_parser()
+    assert [p.name for p in (tmp_path / "lp").iterdir()] == ["home_a.lp"]
 
 
 def test_solver_failure_exit_codes(infeasible_cfg_file, tmp_path, capsys):

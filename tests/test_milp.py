@@ -13,8 +13,8 @@ from cems import (
     build_home_models,
     build_system_centric_model,
     config_to_dict,
+    generate_synthetic_community,
     load_community_config,
-    relaxed,
     solve_model,
     write_lp,
 )
@@ -162,20 +162,59 @@ def test_legacy_big_m_policy_key_is_ignored():
     assert sol_legacy.objective == sol.objective
 
 
-# -- relaxation -------------------------------------------------------------
+# -- the binary-free LP -------------------------------------------------------
 
-def test_lp_relaxation_lower_bounds_milp():
+def _milp_and_lps(cfg):
+    """Each model of ``cfg`` as the MILP and as its binary-free LP: the
+    pooled model, then every home's."""
+    yield build_system_centric_model(cfg), build_system_centric_model(cfg, lp=True)
+    yield from zip(build_home_models(cfg), build_home_models(cfg, lp=True))
+
+
+def test_binary_free_lp_lower_bounds_milp():
     rng = np.random.default_rng(21)
     for _ in range(5):
         cfg = random_small_config(rng)
-        model = build_system_centric_model(cfg)
-        lp = relaxed(model)
-        assert not lp.integrality.any()
-        milp_sol = solve_model(model)
-        lp_sol = solve_model(lp)
-        assert milp_sol.status == "optimal"
-        assert lp_sol.status == "optimal"
-        assert lp_sol.objective <= milp_sol.objective + 1e-7 * (1 + abs(milp_sol.objective))
+        for model, lp in _milp_and_lps(cfg):
+            assert lp.n_binaries == 0 and not lp.integrality.any()
+            milp_sol = solve_model(model)
+            lp_sol = solve_model(lp)
+            assert milp_sol.status == "optimal"
+            assert lp_sol.status == "optimal"
+            assert lp_sol.objective <= milp_sol.objective + 1e-7 * (1 + abs(milp_sol.objective))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3], ids=["bundled", "seed1", "seed2", "seed3"])
+def test_binary_free_lp_reaches_the_milp_optimum(replication, seed):
+    """On the bundled day and the ten-home days of seeds 1-3 the LP's
+    value is the MILP optimum; its columns are the MILP's continuous ones,
+    with their bounds and costs, and its rows the MILP's but for those
+    that gate a binary."""
+    cfg = replication if seed is None else generate_synthetic_community(10, seed, replication)
+    model, lp = build_system_centric_model(cfg), build_system_centric_model(cfg, lp=True)
+    assert lp.n_binaries == 0 and lp.name == "system_centric_relaxed"
+    assert not lp.data.flags.writeable
+    continuous = model.integrality == 0
+    names = np.array(model.layout.variable_names())
+    assert lp.layout.variable_names() == names[continuous].tolist()
+    for name in ("c", "lb", "ub"):
+        np.testing.assert_array_equal(getattr(lp, name), getattr(model, name)[continuous], err_msg=name)
+    gating = ("buy_mode", "sell_mode", "status_on", "status_off", "cost_imp_lo", "cost_imp_hi",
+              "cost_exp_lo", "cost_exp_hi")
+    kept = [row for row in model.layout.row_names() if not row.startswith(gating)]
+    assert lp.layout.row_names() == kept
+    exact, relaxation = solve_model(model), solve_model(lp)
+    assert exact.status == relaxation.status == "optimal"
+    assert abs(relaxation.objective - exact.objective) <= 1e-6 * abs(exact.objective)
+
+
+def test_a_batch_builds_models_of_its_own_kind(replication):
+    lp_batch = HomeModelBatch(replication, lp=True)
+    lp = build_home_model(replication, "home1", lp_batch, lp=True)
+    assert (lp.name, lp.n_binaries) == ("home_home1_relaxed", 0)
+    for batch, kind in ((lp_batch, False), (HomeModelBatch(replication), True)):
+        with pytest.raises(ValueError, match=f"cannot build a model with lp={kind}"):
+            build_home_model(replication, "home1", batch, lp=kind)
 
 
 # -- home model -------------------------------------------------------------
@@ -310,7 +349,7 @@ def test_home_models_are_built_as_one_batch(forty_homes, monkeypatch):
                     (model.layout, other.layout, n) for n in _LAYOUT_ARRAYS]:
                 a, b = getattr(ours, name), getattr(theirs, name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        pattern = _home_pattern(home.ess is not None, home.pv is not None, cfg.horizon_slots, True)
+        pattern = _home_pattern(home.ess is not None, home.pv is not None, cfg.horizon_slots, True, False)
         assert model.indices is pattern.indices and model.integrality is pattern.integrality
         for name in ("var_role", "var_slot", "row_family", "row_slot", "term_order"):
             assert getattr(model.layout, name) is getattr(pattern, name), name
@@ -366,15 +405,6 @@ def test_views_agree_with_the_arrays(replication):
     assert {column[name]: coef for name, coef in row.terms} == from_arrays
     assert [name for name, _ in row.terms] == ["temp_in_home1_2", "hvac_power_home1_2", "temp_in_home1_1"]
     assert (row.sense, row.rhs) == ("=", model.row_lower[i]) and model.row_upper[i] == row.rhs
-
-
-def test_relaxed_shares_the_arrays(replication):
-    model = build_system_centric_model(replication)
-    lp = relaxed(model)
-    assert lp.n_binaries == 0 and model.n_binaries == 384
-    for name in ("c", "lb", "ub", "indptr", "indices", "data", "row_lower", "row_upper", "layout"):
-        assert getattr(lp, name) is getattr(model, name)
-    assert not model.data.flags.writeable
 
 
 # -- LP export --------------------------------------------------------------

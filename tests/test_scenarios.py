@@ -13,9 +13,9 @@ from cems import (
     bench_scaling,
     build_home_model,
     build_system_centric_model,
+    check_schedule_feasibility,
     compare,
     extract_schedule,
-    relaxed,
     replication_config,
     run_scenario,
     run_scenarios,
@@ -32,6 +32,7 @@ from cems.scenarios import (
     comparison_to_csv,
     comparison_to_dict,
 )
+from cems.milp import ROLE
 from cems.solve import SCHEDULE_ROLES, Solution, SolverError, SolverOptions, Violation
 
 from conftest import make_community, make_ess, make_home, make_hvac, random_small_config
@@ -205,6 +206,96 @@ def test_lp_that_burns_energy_falls_back_to_the_infeasible_milp(monkeypatch):
     assert ("ess_simultaneity", "h", 1) in {(v.family, v.home, v.slot) for v in report.violations}
 
 
+# -- netting ------------------------------------------------------------------
+
+def _moved(schedule, home, slot, amount, *changes):
+    """``schedule`` with ``amount`` added to (``+1``) or taken from (``-1``)
+    each ``(role, sign)`` of ``changes`` at one (home, slot)."""
+    arrays = {role: getattr(schedule, role).copy() for role, _ in changes}
+    for role, sign in changes:
+        arrays[role][home, slot] += sign * amount
+    return dataclasses.replace(schedule, **arrays)
+
+
+def _overlapped(schedule, sale, purchase, inside, taken):
+    """``schedule`` with energy that the flow ``inside`` carried within a
+    home sold through ``sale`` and bought back through ``purchase`` in the
+    same slot, at the first entry outside ``taken`` where ``inside`` is
+    clearly positive.  Balances, splits and storage books still hold."""
+    home, slot = next((h, t) for h, t in zip(*np.nonzero(getattr(schedule, inside) > 0.1))
+                      if (h, t) not in taken)
+    taken.add((home, slot))
+    amount = getattr(schedule, inside)[home, slot] / 2
+    return _moved(schedule, home, slot, amount, (sale, 1), (purchase, 1), (inside, -1),
+                  ("com_buy", 1), ("com_sell", 1))
+
+
+def test_netting_removes_each_overlap_and_keeps_the_books(replication, system_result):
+    certified = system_result.schedule
+    overlapped, taken = certified, set()
+    for move in cems.scenarios._NETTING:
+        overlapped = _overlapped(overlapped, *move, taken)
+    before = check_schedule_feasibility(overlapped, replication)
+    assert {(v.family, certified.homes.index(v.home), v.slot - 1) for v in before.violations} == {("buy_sell_exclusivity", h, t) for h, t in taken}
+
+    every_home = np.ones(len(overlapped.homes), dtype=bool)
+    netted = cems.scenarios._net_overlaps(overlapped, every_home)
+    after = check_schedule_feasibility(netted, replication)
+    assert after.violations == ()
+    assert after.cost_recomputed == pytest.approx(before.cost_recomputed, rel=1e-12)
+    for what in ("net", "community_net", "ess_level"):
+        np.testing.assert_allclose(getattr(netted, what), getattr(overlapped, what), rtol=0, atol=1e-12)
+    for flows in (("ess_load", "ess_sell"), ("res_charge", "com_charge"),
+                  ("res_load", "res_sell", "res_charge")):
+        np.testing.assert_allclose(sum(getattr(netted, f) for f in flows),
+                                   sum(getattr(overlapped, f) for f in flows), rtol=0, atol=1e-12)
+
+    # a home outside the mask keeps its overlap, bit for bit
+    home = min(h for h, _ in taken)
+    rows = every_home.copy()
+    rows[home] = False
+    kept = cems.scenarios._net_overlaps(overlapped, rows)
+    for role in SCHEDULE_ROLES:
+        assert getattr(kept, role)[home].tobytes() == getattr(overlapped, role)[home].tobytes(), role
+
+
+def test_storage_sold_while_charged_is_not_netted(replication, system_result, monkeypatch):
+    """Storage discharged to the pool while it is charged from the pool:
+    netting would change the storage books, so it stays, the checker faults
+    it, and the step falls back to the MILP."""
+    certified = system_result.schedule
+    has_ess = np.array([h.ess is not None for h in replication.homes])[:, None]
+    home, slot = np.argwhere(has_ess & (certified.com_load == 0.0) & (certified.res_sell == 0.0))[0]
+    overlap = (("ess_sell", 1), ("com_charge", 1), ("com_buy", 1), ("com_sell", 1))
+    overlapped = _moved(certified, home, slot, 0.5, *overlap)
+    netted = cems.scenarios._net_overlaps(overlapped, np.ones(len(certified.homes), dtype=bool))
+    for role in SCHEDULE_ROLES:
+        assert getattr(netted, role).tobytes() == getattr(overlapped, role).tobytes(), role
+
+    # the same overlap in the pooled LP's solution
+    real = cems.scenarios.solve_model
+
+    def overlapping(model, *args, **kwargs):
+        solution = real(model, *args, **kwargs)
+        if model.integrality.any():
+            return solution
+        lay, x = model.layout, solution.x.copy()
+        for role, _ in overlap:
+            x[(lay.var_home == home) & (lay.var_role == ROLE[role]) & (lay.var_slot == slot + 1)] += 0.5
+        return dataclasses.replace(solution, x=x)
+
+    monkeypatch.setattr(cems.scenarios, "solve_model", overlapping)
+    reports = _record_checks(monkeypatch)
+    result = run_scenario("system", replication)
+    first = {(v.family, v.home, v.slot) for v in reports[0].violations}
+    assert ("buy_sell_exclusivity", replication.homes[home].id, slot + 1) in first
+    assert result.solve_path == MILP_FALLBACK
+    assert "buy_sell_exclusivity" in result.fallback_reason.split(",")
+    assert result.feasibility.ok and result.feasibility.cost_matches_solver
+    assert [s.model for s in result.solves] == ["system_centric_relaxed", "system_centric"]
+    assert result.objective == solve_model(build_system_centric_model(replication)).objective
+
+
 def _fault_first_check(monkeypatch, home=None, cost=False):
     """The first checker pass reports a violation at ``home`` (or a cost
     mismatch); later passes are the real checker's."""
@@ -289,7 +380,7 @@ def _assert_rows_come_from(result, cfg, milp_home):
     assert result.schedule.homes == tuple(h.id for h in cfg.homes)
     for row, home in enumerate(cfg.homes):
         solution = solved[f"home_{home.id}" if home.id == milp_home else f"home_{home.id}_relaxed"]
-        expected = extract_schedule(solution, build_home_model(cfg, home.id), cfg)
+        expected = extract_schedule(solution, build_home_model(cfg, home.id, lp=home.id != milp_home), cfg)
         arrays = {role: getattr(expected, role) for role in SCHEDULE_ROLES}
         if home.id != milp_home:
             arrays["mode_home"] = (expected.com_buy > expected.com_sell).astype(float)
@@ -404,7 +495,7 @@ def test_selfish_chains_match_cold_solves(forty_homes, monkeypatch):
         seen.add(home.archetype)
     assert [s.warm_start for s in chained[0].solves] == expected
     for home in cfg.homes:
-        alone = solve_model(relaxed(build_home_model(cfg, home.id)))
+        alone = solve_model(build_home_model(cfg, home.id, lp=True))
         assert chained[0].per_home_objective[home.id] == pytest.approx(alone.objective, rel=1e-9, abs=0.0)
 
     cold = _run_with_starts(monkeypatch, cfg, lambda start: None)
@@ -448,10 +539,10 @@ def test_rejected_start_runs_cold(forty_homes, monkeypatch):
     cfg = forty_homes
     # a two-slot home's basis fits none of the day's 24-slot models
     tiny = make_community([make_home("x", 2)], [1.0, 2.0])
-    misfit = solve_model(relaxed(build_home_model(tiny, "x"))).basis
+    misfit = solve_model(build_home_model(tiny, "x", lp=True)).basis
     assert misfit is not None
 
-    model = relaxed(build_home_model(cfg, cfg.homes[0].id))
+    model = build_home_model(cfg, cfg.homes[0].id, lp=True)
     cold, started = solve_model(model), solve_model(model, start=misfit)
     assert (started.status, started.warm_start) == ("optimal", False)
     assert started.objective == cold.objective
@@ -466,7 +557,7 @@ def test_rejected_start_runs_cold(forty_homes, monkeypatch):
 def test_milp_ignores_a_start(forty_homes):
     cfg = forty_homes
     model = build_home_model(cfg, cfg.homes[0].id)
-    start = solve_model(relaxed(model)).basis
+    start = solve_model(build_home_model(cfg, cfg.homes[0].id, lp=True)).basis
     cold, started = solve_model(model), solve_model(model, start=start)
     assert (started.warm_start, started.basis, cold.basis) == (False, None, None)
     assert started.objective == cold.objective

@@ -14,7 +14,6 @@ from cems import (
     check_schedule_feasibility,
     community_cost,
     extract_schedule,
-    relaxed,
     solve_model,
 )
 from cems.solve import (
@@ -482,7 +481,7 @@ def test_extract_rejects_model_homes_the_config_lacks(replication, system_result
     """A schedule extracted for part of the model's homes would leave the
     rest out of its net but keep the whole model's community values; the
     first model home the config lacks is named instead."""
-    model = build_system_centric_model(replication)
+    model = build_system_centric_model(replication, lp=True)
     solution = system_result.solves[0]
     part = dataclasses.replace(replication, homes=replication.homes[:8])
     with pytest.raises(ValueError, match=r"^model has home 'home9', which the config lacks$"):
@@ -492,9 +491,10 @@ def test_extract_rejects_model_homes_the_config_lacks(replication, system_result
 
 def test_extract_schedule_scatters_several_models_at_once(replication, no_cems_result):
     # the selfish step's LP solutions, one per home model
-    models = build_home_models(replication)
+    models = build_home_models(replication, lp=True)
     solutions = list(no_cems_result.solves)
-    assert [s.model for s in solutions] == [f"{m.name}_relaxed" for m in models]
+    assert [s.model for s in solutions] == [m.name for m in models]
+    assert [m.name for m in models] == [f"home_{h.id}_relaxed" for h in replication.homes]
     alone = [extract_schedule(s, m, replication) for s, m in zip(solutions, models)]
     # rows come out in config order, whatever the order of the models
     for order in (slice(None), slice(None, None, -1)):
@@ -531,7 +531,7 @@ def test_schedule_from_dict_takes_finite_numbers_only(replication, system_result
 def test_solution_reports_mip_telemetry():
     cfg = random_small_config(np.random.default_rng(8), n_homes=2, T=4)
     model = build_system_centric_model(cfg)
-    lp = solve_model(relaxed(model))
+    lp = solve_model(build_system_centric_model(cfg, lp=True))
     assert lp.status == "optimal"
     assert (lp.mip_node_count, lp.mip_dual_bound) == (None, None)
     exact = solve_model(model)
@@ -562,9 +562,10 @@ def _milp_oracle(model, gap):
 @pytest.mark.parametrize("which", ["system", "home1"])
 @pytest.mark.parametrize("as_lp", [True, False], ids=["lp", "milp"])
 def test_solve_matches_scipy_milp_bit_for_bit(replication, which, as_lp):
-    model = build_system_centric_model(replication) if which == "system" else build_home_model(replication, which)
-    if as_lp:
-        model = relaxed(model)
+    if which == "system":
+        model = build_system_centric_model(replication, lp=as_lp)
+    else:
+        model = build_home_model(replication, which, lp=as_lp)
     sol = solve_model(model)  # the CLI's default gap
     ref = _milp_oracle(model, SolverOptions().relative_mip_gap)
     assert (sol.status, ref.status) == ("optimal", 0)
@@ -631,9 +632,7 @@ _OK = cems.solve._highs.HighsStatus.kOk
 ])
 def test_highs_statuses_map_as_scipy_milp_maps_them(monkeypatch, replication, status, run_status,
                                                    mip, expected):
-    model = build_home_model(replication, "home1")
-    if not mip:
-        model = relaxed(model)
+    model = build_home_model(replication, "home1", lp=not mip)
     make = cems.solve._highs._Highs
     monkeypatch.setattr(cems.solve._highs, "_Highs", lambda: _ForcedStatus(make, status, run_status))
     if expected is SolverError:
