@@ -44,6 +44,7 @@ from .scenarios import (
 from .solve import (
     CommunitySchedule,
     FeasibilityReport,
+    LpSession,
     Solution,
     SolverError,
     SolverOptions,

@@ -351,7 +351,8 @@ def _value_column(key, T: int) -> int:
     return len(_SCALARS) + _SERIES.index(series) * T + t - 1
 
 
-def _home_values(homes: Sequence[HomeConfig], config: CommunityConfig, selfish: bool) -> np.ndarray:
+def _home_values(homes: Sequence[HomeConfig], config: CommunityConfig, selfish: bool,
+                 lp: bool) -> np.ndarray:
     """The table of every home's numbers, one row per home: the
     :data:`_SCALARS`, then the per-slot series.  Storage and PV entries of a
     home without the device are zeros or placeholders no pattern reads.
@@ -361,7 +362,9 @@ def _home_values(homes: Sequence[HomeConfig], config: CommunityConfig, selfish: 
     the cap, the most it can buy in a slot
     (:func:`cems.domain.default_peak_limit`) and the most it can sell (peak
     PV output plus the discharge rate).  That cuts nothing, and is much
-    tighter than :func:`big_m_value`, which keeps the LP relaxation strong."""
+    tighter than :func:`big_m_value`, which keeps the LP relaxation strong.
+    No row of a binary-free LP (``lp``) reads ``M``, so there it is the
+    cap, as alone."""
     T, dt = config.horizon_slots, config.slot_hours
     (eps, eta_hvac, conductivity, p_max, t_min, t_max, t_initial, peak,
      eta, charge, discharge, level_min, level_max, level0, area, efficiency) = np.array([
@@ -373,7 +376,7 @@ def _home_values(homes: Sequence[HomeConfig], config: CommunityConfig, selfish: 
         for h in homes
     ]).reshape(len(homes), 16).T
     big_m = peak
-    if not selfish:
+    if not (selfish or lp):
         buy_cap = [default_peak_limit(h.hvac.p_max, h.fixed_load, h.ess, dt) for h in homes]
         # PV output at the day's peak irradiance
         sell_cap = 0.0 + discharge * dt + pv_output_energy(float(config.ghi.max()), area, efficiency, dt)
@@ -606,10 +609,11 @@ def _part(arrays: dict[str, np.ndarray], cols: slice, rows: slice,
 
 
 def _fill_homes(out: dict[str, np.ndarray], patterns: Sequence[_Pattern], sizes: np.ndarray,
-                homes: Sequence[HomeConfig], config: CommunityConfig) -> np.ndarray:
+                homes: Sequence[HomeConfig], config: CommunityConfig, lp: bool) -> np.ndarray:
     """Write the homes' blocks end to end into ``out``, views of the
     model's leading columns, rows and terms; ``sizes`` holds each home's
-    column, row and term count.  Returns each home's first column."""
+    column, row and term count, and ``lp`` says whether the blocks are of
+    the binary-free LP.  Returns each home's first column."""
     n_cols, n_rows, n_terms = sizes.T
     col0 = np.cumsum(n_cols, dtype=np.int32) - n_cols
     term0 = np.cumsum(n_terms, dtype=np.int32) - n_terms
@@ -625,7 +629,7 @@ def _fill_homes(out: dict[str, np.ndarray], patterns: Sequence[_Pattern], sizes:
     out["var_home"][:] = codes.repeat(n_cols)
     out["row_home"][:] = codes.repeat(n_rows)
     # the numbers: each entry reads its own home's row of the value table
-    values = _home_values(homes, config, selfish=False)
+    values = _home_values(homes, config, selfish=False, lp=lp)
     flat, width = values.ravel(), values.shape[1]
     row_start = {kind: (codes * width).repeat(counts)
                  for kind, counts in (("cols", n_cols), ("rows", n_rows), ("terms", n_terms))}
@@ -728,7 +732,7 @@ def build_system_centric_model(config: CommunityConfig, *, lp: bool = False) -> 
     n0, m0, nnz0 = (int(x) for x in sizes.sum(axis=0))
     arrays = _allocate(n0 + len(com_roles) * T, m0 + len(kinds) * T, nnz0 + per_slot * T)
     col0 = _fill_homes(_part(arrays, slice(0, n0), slice(0, m0), slice(0, nnz0)), patterns, sizes,
-                       homes, config)
+                       homes, config, lp)
     com = _part(arrays, slice(n0, None), slice(m0, None), slice(nnz0, None))
 
     # community columns: one status binary (not in the LP) and one free
@@ -839,7 +843,7 @@ class HomeModelBatch:
         homes = config.homes if homes is None else homes
         T = config.horizon_slots
         self.lp = lp
-        values = _home_values(homes, config, selfish=True)
+        values = _home_values(homes, config, selfish=True, lp=lp)
         prices = np.column_stack([config.buy_price, -config.alpha * config.buy_price]).ravel()
         members: dict[_Pattern, list[int]] = {}
         for i, home in enumerate(homes):

@@ -47,6 +47,7 @@ from .milp import (
 from .solve import (
     CommunitySchedule,
     FeasibilityReport,
+    LpSession,
     Solution,
     SolverError,
     SolverOptions,
@@ -195,13 +196,14 @@ def _solve_lp_first(
     never saw the community band, so a breach of it is a warning.  The
     step's ``build_time`` adds the fallback MILPs' builds to the given one.
 
-    The models are solved one after another in the order given.  Each LP
-    starts from the optimal basis of the last LP before it of the same
-    sparsity structure (the homes of one DER pattern) that ended
+    The models are solved one after another in the order given, in one
+    :class:`~cems.solve.LpSession`: the LPs of one sparsity structure (the
+    homes of one DER pattern) share a HiGHS instance, and each starts from
+    the optimal basis of the last LP before it of that structure that ended
     ``optimal``, so only the first LP of each structure runs cold.  A start
     moves the LP along another path to an optimal vertex, so a value can
     differ from a cold solve's in its last bits; the checker still judges
-    every schedule.
+    every schedule.  The fallback MILPs each run on a fresh instance.
 
     A MILP left without values raises :class:`SolverError` for the pooled
     model and :class:`InfeasibleHomeError` for a home.
@@ -213,14 +215,11 @@ def _solve_lp_first(
     owner = {hid: i for i, m in enumerate(models) for hid in m.layout.homes}
 
     def solve(batch: dict[int, MilpModel]) -> None:
-        bases: dict[tuple, object] = {}  # the last optimal basis of each structure
+        session = LpSession(options)
         for i, m in batch.items():
-            key = (m.n_variables, m.indptr.tobytes(), m.indices.tobytes())
             solved[i] = m
-            solution = solutions[i] = solve_model(m, options, start=bases.get(key))
-            if solution.basis is not None:
-                bases[key] = solution.basis
-            solves.append(solution)
+            solutions[i] = solve_model(m, session=session)
+            solves.append(solutions[i])
 
     def fall_back(reasons: dict[int, set[str]]) -> None:
         """Build and solve the faulted models' MILPs."""

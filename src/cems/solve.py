@@ -3,10 +3,10 @@
 The solver boundary is deliberately narrow: :func:`solve_model` hands the
 arrays of a solver-neutral model from :mod:`cems.milp` to the backend and
 returns a plain :class:`Solution` (status, objective, the values in column
-order, and for a MILP the node count and dual bound).  Each solve runs on a
-fresh solver instance; the one thing that may carry from one solve to the
-next is an LP's optimal basis, which the caller hands back as the start of
-another LP of the same structure.  The bundled backend is the HiGHS solver
+order, and for a MILP the node count and dual bound).  A solve runs on a
+fresh solver instance, unless an LP is given an :class:`LpSession`: then
+it refills the session's instance of its structure and starts from that
+structure's last optimal basis.  The bundled backend is the HiGHS solver
 that SciPy ships: the model's arrays are handed to its bindings
 (``scipy.optimize._highspy._core``) directly, with the options SciPy's MILP
 front end would pass, and without that front end's per-call conversions and
@@ -19,11 +19,10 @@ guards against builder bugs.
 """
 from __future__ import annotations
 
-import functools
 import sys
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,10 +73,7 @@ class Solution:
     the values in the model's column order, ``None`` when there are none.
     The branch-and-bound node count and dual bound are ``None`` for an LP.
     ``simplex_iterations`` is HiGHS's count, and ``warm_start`` says whether
-    the solve started from a basis HiGHS accepted.  ``basis`` is an optimal
-    LP's final basis, opaque and kept out of ``==`` and ``repr``: a start
-    for another LP of the same structure, ``None`` for a MILP and for any
-    LP that did not end ``optimal``."""
+    the solve started from a basis HiGHS accepted."""
 
     model: str
     status: str
@@ -90,25 +86,56 @@ class Solution:
     mip_dual_bound: float | None = None
     simplex_iterations: int | None = None
     warm_start: bool = False
-    basis: object = field(default=None, compare=False, repr=False)
 
 
-@functools.lru_cache(maxsize=16)
-def _highs_options(options: SolverOptions):
-    """The HiGHS options SciPy's MILP front end would pass for ``options``:
-    no console log, presolve on, the MIP gap and any time limit.  HiGHS
-    copies them into each solver, so one object serves every solve."""
-    highs_options = _highs.HighsOptions()
-    highs_options.log_to_console = False
-    highs_options.presolve = "on"
-    highs_options.mip_rel_gap = options.relative_mip_gap
-    if options.time_limit is not None:
-        highs_options.time_limit = options.time_limit
-    return highs_options
+def _structure(model: MilpModel) -> tuple:
+    """What two LPs must share for one's basis to start the other."""
+    return model.n_variables, model.indptr.tobytes(), model.indices.tobytes()
+
+
+class LpSession:
+    """Kept HiGHS instances for a sequence of LP solves: one per sparsity
+    structure (column count, row pointers and column indices), given the
+    session's options once, together with the last optimal basis of that
+    structure.  :func:`solve_model` refills an LP's kept instance and
+    starts it from that basis.  A session is meant to serve one schedule
+    step's LPs and then be dropped; its instances live until then.  The
+    options are the ones SciPy's MILP front end would pass: no console
+    log, presolve on and the MIP gap; a time limit is set before each run
+    (:func:`solve_model`)."""
+
+    def __init__(self, options: SolverOptions | None = None):
+        self.options = options or SolverOptions()
+        self._highs_options = _highs.HighsOptions()
+        self._highs_options.log_to_console = False
+        self._highs_options.presolve = "on"
+        self._highs_options.mip_rel_gap = self.options.relative_mip_gap
+        # per structure: its instance and its last optimal basis
+        self._kept: dict[tuple, list] = {}
+
+    def _new(self):
+        """A fresh instance with the session's options."""
+        highs = _highs._Highs()
+        if highs.passOptions(self._highs_options) == _highs.HighsStatus.kError:
+            raise SolverError("solver failed: HiGHS rejected the options")
+        return highs
+
+    def _entry(self, model: MilpModel) -> list:
+        """The ``[instance, basis]`` of ``model``'s structure, made on first use."""
+        key = _structure(model)
+        if key not in self._kept:
+            self._kept[key] = [self._new(), None]
+        return self._kept[key]
+
+    def basis(self, model: MilpModel) -> object:
+        """The last optimal basis of ``model``'s structure in this session,
+        ``None`` before one; opaque."""
+        entry = self._kept.get(_structure(model))
+        return None if entry is None else entry[1]
 
 
 def solve_model(model: MilpModel, options: SolverOptions | None = None,
-                start: object = None) -> Solution:
+                session: LpSession | None = None) -> Solution:
     """Solve a model with the bundled HiGHS backend.
 
     The model's arrays go straight into HiGHS through the NumPy-array
@@ -118,24 +145,40 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None,
     are HiGHS's own column types.  An LP passes all zeros; HiGHS rejects
     an empty array.  The builders validated the arrays, so nothing is
     re-checked or re-shaped here.
-    Each solve runs on a fresh solver instance.  ``start``, the ``basis``
-    of an earlier :class:`Solution`, is given to an LP as its starting
-    basis; a MILP ignores it.  A start HiGHS rejects (one of another
-    structure, say) is dropped and the LP runs cold, so a start can change
-    how many iterations a solve takes but not whether it succeeds.
+
+    With a ``session`` (:class:`LpSession`), an LP does not get a fresh
+    solver: it refills the session's instance of its structure, which
+    ``passModel`` leaves cold, and starts from that structure's last
+    optimal basis, if any; an LP that ends ``optimal`` leaves its basis
+    there for the next.  This departs from a fresh solver per solve: what
+    carries over is the instance and that one basis, never another model's
+    numbers.  A MILP always runs on a fresh instance and never starts
+    from a basis.  The session's options apply; ``options``, if given,
+    must equal them.  Without a session, the solve runs on a fresh
+    instance, cold.  HiGHS measures a time limit against an instance's
+    run clock, which adds up over its runs, so the limit is set before
+    each run to that clock plus the limit: it bounds each solve alone.
     ``solve_time`` is HiGHS's own ``run()``.
     """
+    if session is None:
+        session = LpSession(options)
+    elif options is not None and options != session.options:
+        raise ValueError("solve_model: options differ from the session's")
     is_mip = model.n_binaries > 0
-    highs = _highs._Highs()
-    if (highs.passOptions(_highs_options(options or SolverOptions())) == _highs.HighsStatus.kError
-            or highs.passModel(
+    entry = None if is_mip else session._entry(model)
+    highs = session._new() if is_mip else entry[0]
+    time_limit = session.options.time_limit
+    if (highs.passModel(
                 model.n_variables, model.n_constraints, model.nnz, _highs.MatrixFormat.kRowwise,
                 _MINIMIZE, 0.0, model.c, model.lb, model.ub, model.row_lower, model.row_upper,
                 model.indptr[:-1], model.indices, model.data, model.integrality.astype(np.int32),
-            ) == _highs.HighsStatus.kError):
+            ) == _highs.HighsStatus.kError
+            or time_limit is not None and highs.setOptionValue(
+                "time_limit", highs.getRunTime() + time_limit) == _highs.HighsStatus.kError):
         raise SolverError(f"solver failed on {model.name}: HiGHS rejected the model or its options")
     # HiGHS checks a start against the model and leaves itself cold on a misfit
-    warm = start is not None and not is_mip and highs.setBasis(start) != _highs.HighsStatus.kError
+    warm = (entry is not None and entry[1] is not None
+            and highs.setBasis(entry[1]) != _highs.HighsStatus.kError)
     began = time.perf_counter()
     run_status = highs.run()
     elapsed = time.perf_counter() - began
@@ -162,6 +205,8 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None,
         return Solution(model=model.name, status=status, objective=None, x=None,
                         solve_time=elapsed, message=message, simplex_iterations=iterations,
                         warm_start=warm)
+    if entry is not None and status == "optimal":
+        entry[1] = highs.getBasis()
     return Solution(
         model=model.name,
         status=status,
@@ -174,7 +219,6 @@ def solve_model(model: MilpModel, options: SolverOptions | None = None,
         mip_dual_bound=info.mip_dual_bound if is_mip else None,
         simplex_iterations=iterations,
         warm_start=warm,
-        basis=highs.getBasis() if status == "optimal" and not is_mip else None,
     )
 
 

@@ -208,6 +208,38 @@ def test_binary_free_lp_reaches_the_milp_optimum(replication, seed):
     assert abs(relaxation.objective - exact.objective) <= 1e-6 * abs(exact.objective)
 
 
+# the pooled LP's numbers, as built while its value table still held the
+# pooled big-M that no LP row reads
+POOLED_LP_SHA256 = {
+    "bundled": {
+        "c": "cd2e21e70d2ace2682c165b13d66513178a797f2d3a000293816407519c23a99",
+        "lb": "697eeeb23a723b76c6ed44c25f5420c88b0f8be19a1e6a7b900345f32afbd79c",
+        "ub": "0004fa2f3bac937a67069c92041660b1acb57a9715409489f769755646790912",
+        "row_lower": "0ff4daccdfb6d250c0c0e5590c032c355bb4b0566fc4c298258d83c7cd939066",
+        "row_upper": "f6ed93441b4e00cc8bb91be6e6023fa64b2a711d0392aa9782c4f94c066134c6",
+        "data": "f58a476d7d5e4752b6c13b7e76163d774cca3add44e9cd1bc22f6462539e7779",
+    },
+    "seed1_50": {
+        "c": "4183cd4e2720b063e454a1dc184e90f98726475cc7ca340d480d124d58009de2",
+        "lb": "f27705152f892508121c8dcf904f46c546cdd708a6b2695866e388c8078e1746",
+        "ub": "723b0423066b4b0b994b2a778a98a082d6791de4ca822cc24bb085c91d4c4e98",
+        "row_lower": "e75f4cfde343792a4d59802ceb65fb4137028fc3050d47056ae673c6bf3ead1f",
+        "row_upper": "54e679dc5d8f41bdb4001a968322ca4092e1f16eafa263cedfc813f51b4b6423",
+        "data": "b26e5da85ddc89239becb070812e12851705b58a0c763bcc38a6f941b6a1b45d",
+    },
+}
+
+
+@pytest.mark.parametrize("day", sorted(POOLED_LP_SHA256))
+def test_pooled_lp_numbers_are_pinned(replication, day):
+    """The bundled day's and the 50-home seed-1 day's pooled LP: each
+    number array, byte for byte."""
+    cfg = replication if day == "bundled" else generate_synthetic_community(50, 1, replication)
+    lp = build_system_centric_model(cfg, lp=True)
+    assert {name: hashlib.sha256(getattr(lp, name).tobytes()).hexdigest()
+            for name in POOLED_LP_SHA256[day]} == POOLED_LP_SHA256[day]
+
+
 def test_a_batch_builds_models_of_its_own_kind(replication):
     lp_batch = HomeModelBatch(replication, lp=True)
     lp = build_home_model(replication, "home1", lp_batch, lp=True)

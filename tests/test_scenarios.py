@@ -9,6 +9,7 @@ import cems.scenarios
 from cems import (
     SCENARIO_KINDS,
     InfeasibleHomeError,
+    LpSession,
     PvParams,
     bench_scaling,
     build_home_model,
@@ -456,12 +457,12 @@ def test_solver_is_deterministic():
 
 # -- selfish chains: each home's LP warm-started from its predecessor's basis --
 
-def _run_with_starts(monkeypatch, cfg, pick_start):
-    """The selfish stage with each LP's start replaced by ``pick_start(start)``."""
+def _run_cold(monkeypatch, cfg):
+    """The selfish stage with each LP solved alone, on a fresh instance, cold."""
     real = cems.scenarios.solve_model
 
-    def solve(model, options=None, start=None):
-        return real(model, options, start=pick_start(start))
+    def solve(model, options=None, session=None):
+        return real(model, options if session is None else session.options)
 
     with monkeypatch.context() as patch:
         patch.setattr(cems.scenarios, "solve_model", solve)
@@ -498,7 +499,7 @@ def test_selfish_chains_match_cold_solves(forty_homes, monkeypatch):
         alone = solve_model(build_home_model(cfg, home.id, lp=True))
         assert chained[0].per_home_objective[home.id] == pytest.approx(alone.objective, rel=1e-9, abs=0.0)
 
-    cold = _run_with_starts(monkeypatch, cfg, lambda start: None)
+    cold = _run_cold(monkeypatch, cfg)
     assert not any(s.warm_start for s in cold[0].solves)
     _assert_matches(chained, cold, atol=1e-12)
     assert (sum(s.simplex_iterations for s in chained[0].solves)
@@ -512,56 +513,51 @@ def test_a_failed_lp_keeps_its_mix_on_the_last_optimal_basis(forty_homes, monkey
     before, failed, after = next((a, b, c) for a, b, c in zip(mix, mix[1:], mix[2:]) if c - a > 2)
     lp_name = {i: f"home_{cfg.homes[i].id}_relaxed" for i in range(len(cfg.homes))}
     real = cems.scenarios.solve_model
-    starts, solutions = {}, {}
+    starts, kept, solutions = {}, {}, {}
 
-    def solve(model, options=None, start=None):
+    def solve(model, options=None, session=None):
         if model.name == lp_name[failed]:
-            solution = Solution(model=model.name, status="time_limit", objective=None, x=None,
-                                solve_time=0.0)
-        else:
-            solution = real(model, options, start=start)
-        starts[model.name], solutions[model.name] = start, solution
+            # the same structure without a feasible point: a column's bounds cross
+            lb = model.lb.copy()
+            lb[0] = model.ub[0] + 1.0
+            model = dataclasses.replace(model, lb=lb)
+        starts[model.name] = session.basis(model)
+        solution = solutions[model.name] = real(model, options, session)
+        kept[model.name] = session.basis(model)
         return solution
 
     monkeypatch.setattr(cems.scenarios, "solve_model", solve)
     result = run_scenario("prosumer", cfg)
-    assert (result.solve_path, result.fallback_reason) == (MILP_FALLBACK, "lp_time_limit")
-    basis = solutions[lp_name[before]].basis
+    assert (result.solve_path, result.fallback_reason) == (MILP_FALLBACK, "lp_infeasible")
+    assert result.feasibility.ok
+    assert solutions[lp_name[failed]].status == "infeasible"
+    basis = kept[lp_name[before]]
     assert basis is not None
-    assert starts[lp_name[failed]] is basis
+    # the failed LP started from the mix's basis and left it as it was
+    assert starts[lp_name[failed]] is basis and kept[lp_name[failed]] is basis
     assert starts[lp_name[after]] is basis
+    assert solutions[lp_name[after]].warm_start and solutions[lp_name[after]].status == "optimal"
     between = [i for i in range(before + 1, after) if i != failed]
     assert between and all(cfg.homes[i].archetype != cfg.homes[before].archetype for i in between)
-    assert all(solutions[lp_name[i]].basis is not None for i in between)
+    assert all(solutions[lp_name[i]].status == "optimal" and kept[lp_name[i]] is not None
+               for i in between)
 
 
-def test_rejected_start_runs_cold(forty_homes, monkeypatch):
+def test_milp_runs_fresh_in_a_session(forty_homes):
     cfg = forty_homes
-    # a two-slot home's basis fits none of the day's 24-slot models
-    tiny = make_community([make_home("x", 2)], [1.0, 2.0])
-    misfit = solve_model(build_home_model(tiny, "x", lp=True)).basis
-    assert misfit is not None
-
-    model = build_home_model(cfg, cfg.homes[0].id, lp=True)
-    cold, started = solve_model(model), solve_model(model, start=misfit)
-    assert (started.status, started.warm_start) == ("optimal", False)
-    assert started.objective == cold.objective
-    np.testing.assert_array_equal(started.x, cold.x)
-    assert started.simplex_iterations == cold.simplex_iterations
-
-    rejected = _run_with_starts(monkeypatch, cfg, lambda start: None if start is None else misfit)
-    assert not any(s.warm_start for s in rejected[0].solves)
-    _assert_matches(rejected, _run_with_starts(monkeypatch, cfg, lambda start: None), atol=0.0)
-
-
-def test_milp_ignores_a_start(forty_homes):
-    cfg = forty_homes
+    lp = build_home_model(cfg, cfg.homes[0].id, lp=True)
     model = build_home_model(cfg, cfg.homes[0].id)
-    start = solve_model(build_home_model(cfg, cfg.homes[0].id, lp=True)).basis
-    cold, started = solve_model(model), solve_model(model, start=start)
-    assert (started.warm_start, started.basis, cold.basis) == (False, None, None)
-    assert started.objective == cold.objective
-    np.testing.assert_array_equal(started.x, cold.x)
+    session = LpSession()
+    solve_model(lp, session=session)
+    basis = session.basis(lp)
+    assert basis is not None
+    cold, in_session = solve_model(model), solve_model(model, session=session)
+    assert (in_session.warm_start, cold.warm_start) == (False, False)
+    assert in_session.objective == cold.objective
+    np.testing.assert_array_equal(in_session.x, cold.x)
+    assert in_session.mip_node_count == cold.mip_node_count
+    # the MILP kept nothing, and left the LP's basis alone
+    assert session.basis(model) is None and session.basis(lp) is basis
 
 
 # -- comparison -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cems import (
 from cems.solve import (
     SCHEDULE_ROLES,
     CommunitySchedule,
+    LpSession,
     SolverError,
     SolverOptions,
     schedule_from_dict,
@@ -546,6 +548,31 @@ def test_gap_and_time_limit_options(replication):
     sol = solve_model(model, SolverOptions(relative_mip_gap=1e-3, time_limit=120.0))
     assert sol.status == "optimal"
     assert sol.solve_time > 0.0
+
+
+def test_a_time_limit_bounds_each_solve_of_a_session(forty_homes):
+    """HiGHS measures a time limit against an instance's run clock, which
+    adds up over the runs of a kept instance; a session's limit must bound
+    each solve alone.  An LP solved again from its own optimal basis takes
+    no iteration and HiGHS then never reads the clock, so the solves cycle
+    through the LPs of one DER mix, each starting from the one before:
+    about 2 000 solves, each far shorter than the limit, together far
+    longer."""
+    cfg = forty_homes
+    mix = [build_home_model(cfg, home.id, lp=True) for home in cfg.homes
+           if home.archetype == cfg.homes[0].archetype]
+    session = LpSession(SolverOptions(time_limit=0.05))
+    rounds = 2000 // len(mix)
+    statuses = Counter(solve_model(model, session=session).status for _ in range(rounds) for model in mix)
+    assert statuses == {"optimal": rounds * len(mix)}
+
+
+def test_a_session_takes_only_its_own_options(replication):
+    model = build_home_model(replication, "home1", lp=True)
+    session = LpSession(SolverOptions(time_limit=60.0))
+    assert solve_model(model, SolverOptions(time_limit=60.0), session).status == "optimal"
+    with pytest.raises(ValueError, match="options differ from the session's"):
+        solve_model(model, SolverOptions(), session)
 
 
 # -- the hand-off to HiGHS ----------------------------------------------------
