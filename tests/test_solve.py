@@ -1,5 +1,11 @@
 import dataclasses
+import importlib.machinery
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -682,3 +688,108 @@ def test_a_model_highs_refuses_to_load_raises(replication, capfd):
     with pytest.raises(SolverError, match="HiGHS rejected the model"):
         solve_model(dataclasses.replace(model, indices=indices))
     assert capfd.readouterr().out == ""
+
+
+# -- loading the bindings ---------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code, *first):
+    """Run ``code`` in a fresh interpreter with ``first``, then the
+    package's source, at the head of ``sys.path``; fails on a nonzero exit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, first), str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_cli_starts_and_solves_without_scipy_optimize():
+    _fresh_python("""
+        import sys
+        import cems.cli
+        assert "scipy.optimize" not in sys.modules, "after import"
+        from cems import build_home_model, replication_config, solve_model
+        assert solve_model(build_home_model(replication_config(), "home1", lp=True)).status == "optimal"
+        assert "scipy.optimize" not in sys.modules, "after a solve"
+    """)
+
+
+@pytest.mark.parametrize("first, second", [("scipy.optimize", "cems.cli"), ("cems.cli", "scipy.optimize")])
+def test_cems_and_scipy_optimize_share_one_binding_module(first, second):
+    # in either import order the bindings are loaded once, under their own
+    # name, and both front ends solve the home LP to the same values
+    _fresh_python(f"""
+        import sys
+        import {first}
+        import {second}
+        import numpy as np
+        from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.optimize._highspy import _highs_wrapper
+        from scipy.sparse import csr_array
+        import cems.solve
+        from cems import build_home_model, replication_config, solve_model
+
+        assert cems.solve._highs is sys.modules["scipy.optimize._highspy._core"] is _highs_wrapper._h
+        model = build_home_model(replication_config(), "home1", lp=True)
+        sol = solve_model(model)
+        a = csr_array((model.data, model.indices, model.indptr), shape=(model.n_constraints, model.n_variables))
+        ref = milp(c=model.c, constraints=LinearConstraint(a, model.row_lower, model.row_upper),
+                   integrality=model.integrality, bounds=Bounds(model.lb, model.ub),
+                   options={{"presolve": True, "disp": False}})
+        assert (sol.status, ref.status) == ("optimal", 0)
+        assert np.array_equal(sol.x, ref.x)
+    """)
+
+
+def test_the_bindings_are_the_extension_scipy_ships():
+    # loaded from SciPy's own package directory, under its canonical name
+    path = Path(cems.solve._highs.__file__)
+    assert cems.solve._highs.__name__ == "scipy.optimize._highspy._core"
+    assert path.parent == Path(sys.modules["scipy.optimize._highspy"].__file__).parent
+    assert path.name.startswith("_core") and path.suffix in {".so", ".pyd"}
+
+
+_IMPORT_FAILS = """
+    import sys
+    try:
+        import cems.solve
+    except ImportError as exc:
+        print(exc)
+    else:
+        raise SystemExit("cems.solve imported")
+    assert "scipy.optimize._highspy._core" not in sys.modules
+    assert "cems.solve" not in sys.modules
+"""
+
+
+@pytest.mark.parametrize("extension", [None, b"not a shared object"], ids=["absent", "broken"])
+def test_missing_or_broken_bindings_fail_naming_the_scipy_floor(tmp_path, extension):
+    # a stub SciPy first on the path: without the extension file the plain
+    # import fails; with a file that cannot load, loading it fails
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    if extension is not None:
+        where = tmp_path / "scipy" / "optimize" / "_highspy"
+        where.mkdir(parents=True)
+        (where / ("_core" + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(extension)
+    assert "SciPy >= 1.15" in _fresh_python(_IMPORT_FAILS, tmp_path)
+
+
+def test_a_failed_load_leaves_no_module_behind():
+    # the failure comes after the module is registered under its name
+    refuse = """
+    import importlib.machinery
+
+    load = importlib.machinery.ExtensionFileLoader.exec_module
+
+    def refuse(self, module):
+        if module.__name__ == "scipy.optimize._highspy._core":
+            raise ImportError("refused")
+        load(self, module)
+
+    importlib.machinery.ExtensionFileLoader.exec_module = refuse
+"""
+    assert "SciPy >= 1.15" in _fresh_python(refuse + _IMPORT_FAILS)
