@@ -32,6 +32,20 @@ Homes with the same DER mix share one sparsity pattern, made once per mix
 and horizon.  A model tiles the patterns over its homes with NumPy index
 arithmetic, fills in each home's numbers, and appends the community's
 coupling rows as array slices.
+
+:func:`write_lp` relies on that layout, which :meth:`MilpModel.validate`
+checks: each home's columns and rows form one block, in home order, before
+the community's, and a home's rows reference only its own columns.  Homes
+whose blocks have the same structure (local row pointers, column indices,
+term order, row families and slots, column roles and slots, integrality)
+form a group, and the writer renders each group's rows and Bounds lines
+once, as a skeleton: the text of its first home with a sentinel where the
+home tag goes and a slot for each coefficient, row tail (sense and
+right-hand side) or bound that is not bitwise equal across the group.  It
+then writes the homes in model order, each as one join of the skeleton's
+segments with that home's number texts and one replace of the sentinel by
+its tag.  The objective, the community's rows and bounds, and the Binary
+list are rendered from arrays over their own columns' names.
 """
 from __future__ import annotations
 
@@ -216,8 +230,9 @@ class MilpModel:
             raise ModelBuildError("home tags must be unique, one per home, and not the community's")
 
     def _validate_structure(self) -> None:
-        """Codes, names, the CSR pattern, integrality codes and the written
-        objective's columns: everything but the numbers."""
+        """Codes, names, the CSR pattern, integrality codes, the written
+        objective's columns and the home blocks :func:`write_lp` relies on:
+        everything but the numbers."""
         lay = self.layout
         n, nnz = len(self.c), len(self.data)
         owners = len(lay.homes) + 1
@@ -269,6 +284,7 @@ class MilpModel:
             raise ModelBuildError("objective_order references an undeclared column")
         if len(np.unique(objective)) < len(objective):
             raise ModelBuildError("objective_order must list each column with a nonzero cost once")
+        _home_blocks(self)  # the layout write_lp relies on
 
     def _validate_numbers(self) -> None:
         """Finite coefficients, sane column and row bounds, and a cost on
@@ -904,7 +920,9 @@ _validated_patterns: set[_Pattern] = set()
 # LP text export
 
 _PER_LINE = 8  # terms per line of LP text
-_CHUNK_TERMS = 1 << 17  # constraint terms rendered per write
+_TAG = "\x00"  # stands for the home tag in a skeleton; no name part or number holds it
+_SLOT = "\x01"  # marks a slot of a skeleton while it is rendered
+_SPREAD = -0x61C8864680B583EB  # odd int64 multiplier of the structure digest's weights
 
 
 def _fmt_all(values: np.ndarray, before: str = "", after: str = "") -> np.ndarray:
@@ -918,23 +936,44 @@ def _fmt_all(values: np.ndarray, before: str = "", after: str = "") -> np.ndarra
     return text
 
 
+def _coef_texts(coefs: np.ndarray) -> np.ndarray:
+    """Each coefficient as a term writes it, ``+ 1.5`` or ``- 1.5``; each
+    distinct magnitude is formatted once."""
+    magnitudes, which = np.unique(np.abs(coefs), return_inverse=True)
+    texts = np.array([f"{sign} {value:.17g}" for sign in "+-" for value in magnitudes.tolist()],
+                     dtype=object)
+    return texts[(coefs < 0) * len(magnitudes) + which.reshape(coefs.shape)]
+
+
+def _tails(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Each row's ``sense rhs`` as its line ends, `` = 1.5\\n``."""
+    senses, rhs = _senses(lower, upper)
+    return (" " + senses.astype(object)) + _fmt_all(rhs.ravel(), " ", "\n").reshape(rhs.shape)
+
+
 def _rows_text(heads: np.ndarray, tails: np.ndarray, indptr: np.ndarray,
-               cols: np.ndarray, coefs: np.ndarray, names: np.ndarray) -> str:
+               cols: np.ndarray, coefs: np.ndarray, names: np.ndarray,
+               slots: np.ndarray | None = None) -> str:
     """LP text of rows of terms: each row's head, its terms ``± coef name``
     eight to a line, then its tail.  ``indptr`` (starting at 0) delimits
-    the rows' terms in ``cols``/``coefs``, which are in written order."""
+    the rows' terms in ``cols``/``coefs``, which are in written order.
+    Where the mask ``slots`` is set, a term's ``± coef`` is written as
+    :data:`_SLOT`."""
     n_rows, nnz = len(heads), len(cols)
     lengths = np.diff(indptr)
     row_of = np.repeat(np.arange(n_rows), lengths)
     rank = np.arange(nnz) - indptr[:-1][row_of]
     magnitudes, which = np.unique(np.abs(coefs), return_inverse=True)
-    # a term's text up to its variable name, by separator, sign and magnitude
+    # a term's text up to its variable name, by separator, sign and
+    # magnitude, then by separator for a slot
     prefixes = np.array([
         f"{sep}{sign} {value:.17g} "
         for sep in ("", " ", "\n      ") for sign in "+-" for value in magnitudes.tolist()
-    ], dtype=object)
+    ] + [f"{sep}{_SLOT} " for sep in ("", " ", "\n      ")], dtype=object)
     sep = np.where(rank == 0, 0, np.where(rank % _PER_LINE == 0, 2, 1))
     key = (sep * 2 + (coefs < 0)) * len(magnitudes) + which
+    if slots is not None:
+        key[slots] = 6 * len(magnitudes) + sep[slots]
     empty = lengths == 0
     if empty.any():
         heads = np.where(empty, heads + "0", heads)
@@ -949,52 +988,229 @@ def _rows_text(heads: np.ndarray, tails: np.ndarray, indptr: np.ndarray,
     return "".join(pieces.tolist())
 
 
-def write_lp(model: MilpModel, stream: IO[str]) -> None:
-    """Write the model in CPLEX LP text format for out-of-process solving.
-
-    Constraint rows are rendered and written a chunk of terms at a time."""
-    lay = model.layout
-    names = _labels(ROLES, lay.var_role, lay.tags, lay.var_home, lay.var_slot)
-    stream.write(f"\\ {model.name}\n")
-    stream.write("Minimize\n")
-    objective = lay.objective_order
-    stream.write(_rows_text(np.array([" obj: "], dtype=object), np.array(["\n"], dtype=object),
-                            np.array([0, len(objective)]), objective, model.c[objective], names))
-    stream.write("Subject To\n")
-    senses, rhs = _senses(model.row_lower, model.row_upper)
-    heads = _labels(FAMILIES, lay.row_family, lay.tags, lay.row_home, lay.row_slot, " ", ": ")
-    tails = (" " + senses.astype(object)) + _fmt_all(rhs, " ", "\n")
-    indptr = model.indptr.astype(np.int64)
-    cuts = np.unique(np.concatenate([
-        [0], np.searchsorted(indptr, np.arange(_CHUNK_TERMS, model.nnz, _CHUNK_TERMS)),
-        [model.n_constraints],
-    ]))
-    for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        p0, p1 = indptr[r0], indptr[r1]
-        written = lay.term_order[p0:p1]
-        stream.write(_rows_text(heads[r0:r1], tails[r0:r1], indptr[r0:r1 + 1] - p0,
-                                model.indices[written], model.data[written], names))
-    stream.write("Bounds\n")
-    # one line per continuous column, in five pieces (unused ones empty):
-    # " name free", " name >= lb" or " lb <= name <= ub"
-    continuous = np.flatnonzero(model.integrality == 0)
-    lb, ub, bounded = model.lb[continuous], model.ub[continuous], names[continuous]
+def _bound_lines(lb: np.ndarray, ub: np.ndarray, names: np.ndarray) -> np.ndarray:
+    """Each column's line of the Bounds section in five pieces, unused ones
+    empty: `` name free``, `` name >= lb`` or `` lb <= name <= ub``."""
     free = (lb == -INF) & (ub == INF)
     lower = ~free & (ub == INF)
     both = ~free & ~lower
-    lines = np.full((len(continuous), 5), "", dtype=object)
+    lines = np.full((len(lb), 5), "", dtype=object)
     lines[:, 0] = " "
-    lines[free, 1] = bounded[free]
+    lines[free, 1] = names[free]
     lines[free, 2] = " free\n"
-    lines[lower, 1] = bounded[lower]
+    lines[lower, 1] = names[lower]
     lines[lower, 2] = " >= "
     lines[lower, 3] = _fmt_all(lb[lower], after="\n")
     lines[both, 1] = _fmt_all(lb[both])
     lines[both, 2] = " <= "
-    lines[both, 3] = bounded[both]
+    lines[both, 3] = names[both]
     lines[both, 4] = _fmt_all(ub[both], " <= ", "\n")
+    return lines
+
+
+def _column_names(layout: Layout, cols: np.ndarray) -> np.ndarray:
+    """The names of columns ``cols``, as an object array."""
+    return _labels(ROLES, layout.var_role[cols], layout.tags, layout.var_home[cols],
+                   layout.var_slot[cols])
+
+
+def _varies(values: np.ndarray) -> np.ndarray:
+    """Per column of a (homes, entries) array, whether some home's entry is
+    not bitwise the first home's: ``-0.0`` differs from ``0.0``."""
+    bits = values.view(np.uint64)
+    return (bits != bits[:1]).any(axis=0)
+
+
+def _block(values: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
+    """``values[start:start + size]`` for each start, as a (starts, size) array."""
+    return values[starts[:, None] + np.arange(size)]
+
+
+def _structure_groups(model: MilpModel, col_at: np.ndarray, row_at: np.ndarray,
+                      term_at: np.ndarray) -> list[np.ndarray]:
+    """The homes of each structure group, in home order: homes whose blocks
+    have the same local row pointers, column indices, term order, row
+    family and slot, column role and slot, and integrality."""
+    lay = model.layout
+    n_homes = len(lay.homes)
+    sizes = np.column_stack([np.diff(at[:n_homes + 1]) for at in (col_at, row_at, term_at)])
+    groups = []
+    for size in np.unique(sizes, axis=0):
+        homes = np.flatnonzero((sizes == size).all(axis=1))
+        n_cols, n_rows, n_terms = size.tolist()
+        c0, r0, p0 = col_at[homes], row_at[homes], term_at[homes]
+        key = np.concatenate([
+            _block(model.indptr, r0, n_rows + 1) - p0[:, None],
+            _block(lay.term_order, p0, n_terms) - p0[:, None],
+            _block(model.indices, p0, n_terms) - c0[:, None],
+            _block(lay.row_family, r0, n_rows), _block(lay.row_slot, r0, n_rows),
+            _block(lay.var_role, c0, n_cols), _block(lay.var_slot, c0, n_cols),
+            _block(model.integrality, c0, n_cols),
+        ], axis=1, dtype=np.int64)
+        # homes of equal blocks share a digest; the blocks of a digest are
+        # then compared in full, so a collision splits the homes exactly
+        digest = key @ (np.arange(1, key.shape[1] + 1) * _SPREAD)
+        for value in np.unique(digest):
+            rest = np.flatnonzero(digest == value)
+            while rest.size:
+                same = (key[rest] == key[rest[0]]).all(axis=1)
+                groups.append(homes[rest[same]])
+                rest = rest[~same]
+    return groups
+
+
+def _cut(skeleton: str, texts: np.ndarray) -> np.ndarray:
+    """A (homes, pieces) array: each home's text cut into the skeleton's
+    segments, with that home's slot texts (a row of ``texts``) between
+    them."""
+    segments = skeleton.split(_SLOT)
+    pieces = np.empty((len(texts), 2 * len(segments) - 1), dtype=object)
+    pieces[:, 0::2] = np.array(segments, dtype=object)
+    pieces[:, 1::2] = texts
+    return pieces
+
+
+def _group_pieces(model: MilpModel, homes: np.ndarray, col_at: np.ndarray, row_at: np.ndarray,
+                  term_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the Bounds lines of a structure group's homes, each as
+    the :func:`_cut` pieces of one skeleton and the homes' slot texts.  The
+    skeleton is the first home's text with :data:`_TAG` for its tag and a
+    slot for each coefficient, row tail or bound that is not bitwise equal
+    across the group."""
+    lay = model.layout
+    c0, r0, p0 = col_at[homes], row_at[homes], term_at[homes]
+    # the first home's columns, rows and terms
+    cols, rows = slice(c0[0], col_at[homes[0] + 1]), slice(r0[0], row_at[homes[0] + 1])
+    n_rows = rows.stop - rows.start
+    indptr = model.indptr[rows.start:rows.stop + 1] - p0[0]
+    written = lay.term_order[p0[0]:indptr[-1] + p0[0]] - p0[0]
+    names = _labels(ROLES, lay.var_role[cols], (_TAG,), np.zeros(cols.stop - cols.start, np.intp),
+                    lay.var_slot[cols])
+
+    # rows: slots for coefficients, in written order, and for row tails
+    coefs = model.data[p0[:, None] + written]
+    lower, upper = _block(model.row_lower, r0, n_rows), _block(model.row_upper, r0, n_rows)
+    coef_slot, tail_slot = _varies(coefs), _varies(lower) | _varies(upper)
+    heads = _labels(FAMILIES, lay.row_family[rows], (_TAG,), np.zeros(n_rows, np.intp),
+                    lay.row_slot[rows], " ", ": ")
+    tails = _tails(lower[0], upper[0])
+    tails[tail_slot] = _SLOT
+    skeleton = _rows_text(heads, tails, indptr, model.indices[p0[0] + written] - c0[0], coefs[0],
+                          names, coef_slot)
+    # slots sit in text order: a row's terms, then its tail
+    row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
+    at = np.concatenate([np.flatnonzero(coef_slot) + row_of[coef_slot],
+                         indptr[1:][tail_slot] + np.flatnonzero(tail_slot)])
+    texts = np.concatenate([_coef_texts(coefs[:, coef_slot]),
+                            _tails(lower[:, tail_slot], upper[:, tail_slot])], axis=1)
+    row_pieces = _cut(skeleton, texts[:, np.argsort(at)])
+
+    # Bounds lines of the continuous columns: a whole line per slot
+    continuous = np.flatnonzero(model.integrality[cols] == 0)
+    lb, ub = model.lb[c0[:, None] + continuous], model.ub[c0[:, None] + continuous]
+    bound_slot = _varies(lb) | _varies(ub)
+    lines = _bound_lines(lb[0], ub[0], names[continuous])
+    lines[bound_slot, 0] = _SLOT
+    lines[bound_slot, 1:] = ""
+    slot_names = np.tile(names[continuous[bound_slot]], len(homes))
+    slot_lines = _bound_lines(lb[:, bound_slot].ravel(), ub[:, bound_slot].ravel(), slot_names)
+    bound_pieces = _cut("".join(lines.ravel().tolist()),
+                        slot_lines.sum(axis=1).reshape(len(homes), -1))
+    return row_pieces, bound_pieces
+
+
+def _home_blocks(model: MilpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each home's first column, row and term, in home order, then the
+    community's.  Raises :class:`ModelBuildError`, naming the first
+    misplaced column or row, unless each home's columns and rows form one
+    block, in home order, before the community's, and each home's rows
+    reference its own columns only."""
+    lay = model.layout
+    n_homes = len(lay.homes)
+    starts = []
+    for what, home, names in (("column", lay.var_home, lay.variable_names),
+                              ("row", lay.row_home, lay.row_names)):
+        key = np.where(home == COMMUNITY, n_homes, home)
+        if (key[1:] < key[:-1]).any():
+            # misplaced: the first entry that some later entry should precede
+            later = np.minimum.accumulate(key[::-1])[::-1]
+            raise ModelBuildError(f"{names()[_first(key[:-1] > later[1:])]}: out of place; each "
+                                  f"home's {what}s must form one block, in home order, before "
+                                  "the community's")
+        starts.append(np.searchsorted(key, np.arange(n_homes + 1)))
+    col_at, row_at = starts
+    term_at = model.indptr[row_at]
+    homes = np.flatnonzero(term_at[1:] > term_at[:-1])  # the homes with a term
+    if homes.size:
+        terms = model.indices[:term_at[-1]]
+        low = np.minimum.reduceat(terms, term_at[homes])
+        high = np.maximum.reduceat(terms, term_at[homes])
+        foreign = (low < col_at[homes]) | (high >= col_at[homes + 1])
+        if foreign.any():
+            home = homes[_first(foreign)]
+            span = slice(term_at[home], term_at[home + 1])
+            outside = (terms[span] < col_at[home]) | (terms[span] >= col_at[home + 1])
+            row = int(np.searchsorted(model.indptr, span.start + _first(outside), side="right")) - 1
+            raise ModelBuildError(f"{lay.row_names()[row]}: references a column outside its home")
+    return col_at, row_at, term_at
+
+
+def write_lp(model: MilpModel, stream: IO[str]) -> None:
+    """Write the model in CPLEX LP text format for out-of-process solving.
+
+    The model must have the layout :meth:`MilpModel.validate` checks;
+    :class:`ModelBuildError` names the first misplaced column or row of
+    one that does not.  Homes whose blocks have the same structure form a
+    group (:func:`_structure_groups`).  Each group's rows and Bounds lines
+    are rendered once, as a skeleton with :data:`_TAG` where the home tag
+    goes and a slot for each coefficient, row tail or bound that is not
+    bitwise equal across the group (:func:`_group_pieces`); each distinct
+    number of a group's slots is formatted once.  Homes are then written in
+    model order, each as one join of the skeleton's segments with its slot
+    texts and one replace of :data:`_TAG` by its tag, so memory holds one
+    home's text at a time.  The objective, the community's rows, its
+    Bounds lines and the Binary list are rendered from arrays over their
+    own columns' names."""
+    lay = model.layout
+    col_at, row_at, term_at = _home_blocks(model)
+    stream.write(f"\\ {model.name}\n")
+    stream.write("Minimize\n")
+    objective = lay.objective_order
+    stream.write(_rows_text(np.array([" obj: "], dtype=object), np.array(["\n"], dtype=object),
+                            np.array([0, len(objective)]), np.arange(len(objective)),
+                            model.c[objective], _column_names(lay, objective)))
+
+    groups = _structure_groups(model, col_at, row_at, term_at)
+    pieces = [_group_pieces(model, homes, col_at, row_at, term_at) for homes in groups]
+    place = [(0, 0)] * len(lay.homes)  # each home's group and rank in it
+    for g, homes in enumerate(groups):
+        for k, home in enumerate(homes.tolist()):
+            place[home] = (g, k)
+
+    def write_homes(part: int) -> None:
+        for (g, k), tag in zip(place, lay.tags):
+            stream.write("".join(pieces[g][part][k].tolist()).replace(_TAG, tag))
+
+    stream.write("Subject To\n")
+    write_homes(0)
+    r0, p0 = row_at[-1], term_at[-1]
+    written = lay.term_order[p0:]
+    cols = model.indices[written]
+    names = np.empty(model.n_variables, dtype=object)
+    used = np.zeros(model.n_variables, dtype=bool)
+    used[cols] = True
+    names[used] = _column_names(lay, np.flatnonzero(used))
+    stream.write(_rows_text(
+        _labels(FAMILIES, lay.row_family[r0:], lay.tags, lay.row_home[r0:], lay.row_slot[r0:],
+                " ", ": "),
+        _tails(model.row_lower[r0:], model.row_upper[r0:]), model.indptr[r0:] - p0, cols,
+        model.data[written], names))
+    stream.write("Bounds\n")
+    write_homes(1)
+    continuous = col_at[-1] + np.flatnonzero(model.integrality[col_at[-1]:] == 0)
+    lines = _bound_lines(model.lb[continuous], model.ub[continuous], _column_names(lay, continuous))
     stream.write("".join(lines.ravel().tolist()))
-    binaries = names[model.integrality == 1].tolist()
+    binaries = _column_names(lay, np.flatnonzero(model.integrality == 1)).tolist()
     if binaries:
         stream.write("Binary\n")
         for i in range(0, len(binaries), _PER_LINE):

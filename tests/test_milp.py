@@ -20,7 +20,7 @@ from cems import (
 )
 from cems.domain import lp_tag
 from cems.milp import ModelBuildError, _home_pattern, big_m_value
-from cems.solve import SolverOptions
+from cems.solve import SolverOptions, _highs
 
 from conftest import make_community, make_ess, make_home, make_hvac, random_small_config
 
@@ -445,10 +445,10 @@ def test_write_lp_sections(replication):
     model = build_system_centric_model(replication)
     buf = io.StringIO()
     write_lp(model, buf)
+    lines = buf.getvalue().splitlines()
+    sections = ["Minimize", "Subject To", "Bounds", "Binary", "End"]
+    assert [line for line in lines if line in sections] == sections
     text = buf.getvalue()
-    assert text.startswith("\\") or text.startswith("Minimize") or "Minimize" in text
-    for section in ("Minimize", "Subject To", "Bounds", "Binary", "End"):
-        assert section in text
     assert "status_com_1" in text
     assert "temp_rec_home1_1" in text
 
@@ -482,3 +482,173 @@ def test_system_lp_text_is_pinned(replication):
 
 def test_home_lp_text_is_pinned(replication):
     assert _lp_sha256(build_home_model(replication, "home1")) == HOME1_LP_SHA256
+
+
+# -- LP text against a plain renderer -------------------------------------------
+
+def _reference_lp(model):
+    """The LP text of ``model`` from a plain loop over its rows and
+    columns, with ``%.17g`` numbers: what ``write_lp`` must write."""
+    lay = model.layout
+    names = lay.variable_names()
+
+    def terms(cols, coefs):
+        text = ""
+        for k, (j, v) in enumerate(zip(cols, coefs)):
+            sep = "" if k == 0 else "\n      " if k % 8 == 0 else " "
+            text += f"{sep}{'-' if v < 0 else '+'} {abs(v):.17g} {names[j]}"
+        return text or "0"
+
+    objective = lay.objective_order.tolist()
+    out = [f"\\ {model.name}\nMinimize\n obj: {terms(objective, model.c[objective].tolist())}\n",
+           "Subject To\n"]
+    for i, row in enumerate(lay.row_names()):
+        written = lay.term_order[model.indptr[i]:model.indptr[i + 1]]
+        lo, hi = float(model.row_lower[i]), float(model.row_upper[i])
+        sense, rhs = ("=", lo) if lo == hi else ("<=", hi) if lo == -math.inf else (">=", lo)
+        out.append(f" {row}: {terms(model.indices[written].tolist(), model.data[written].tolist())}"
+                   f" {sense} {rhs:.17g}\n")
+    out.append("Bounds\n")
+    binaries = []
+    for j, name in enumerate(names):
+        lb, ub = float(model.lb[j]), float(model.ub[j])
+        if model.integrality[j]:
+            binaries.append(name)
+        elif lb == -math.inf and ub == math.inf:
+            out.append(f" {name} free\n")
+        elif ub == math.inf:
+            out.append(f" {name} >= {lb:.17g}\n")
+        else:
+            out.append(f" {lb:.17g} <= {name} <= {ub:.17g}\n")
+    if binaries:
+        out.append("Binary\n")
+        out += [" " + " ".join(binaries[i:i + 8]) + "\n" for i in range(0, len(binaries), 8)]
+    return "".join(out) + "End\n"
+
+
+def _lp_text(model):
+    buf = io.StringIO()
+    write_lp(model, buf)
+    return buf.getvalue()
+
+
+def _home_span(model, h):
+    """Home ``h``'s columns, rows and terms."""
+    lay = model.layout
+    rows = np.flatnonzero(lay.row_home == h)
+    return (np.flatnonzero(lay.var_home == h), rows,
+            np.arange(model.indptr[rows[0]], model.indptr[rows[-1] + 1]))
+
+
+def _lp_variants(model, cfg):
+    """``model``, then variants of it in which home ``a`` differs from the
+    other homes of its DER mix only in: the written order of one row (a
+    structure group of one home); all its numbers, made home ``b``'s; a
+    coefficient, a column bound and a row bound of 0.0 made -0.0; a ``<=``
+    row made ``=``."""
+    homes = cfg.homes
+    a = next(i for i, h in enumerate(homes) if h.ess is not None and h.pv is not None)
+    b = next(i for i in range(a + 1, len(homes)) if homes[i].archetype == homes[a].archetype)
+    mix = [i for i, h in enumerate(homes) if h.archetype == homes[a].archetype]
+    (cols, rows, terms), (cols_b, rows_b, terms_b) = _home_span(model, a), _home_span(model, b)
+    yield model
+
+    order = model.layout.term_order.copy()
+    i = next(i for i in rows if model.indptr[i + 1] - model.indptr[i] > 1)
+    order[model.indptr[i]:model.indptr[i] + 2] = order[model.indptr[i]:model.indptr[i] + 2][::-1]
+    yield _broken(model, layout_term_order=order)
+
+    numbers = {name: getattr(model, name).copy() for name in ("lb", "ub", "row_lower", "row_upper", "data")}
+    for name, (ours, theirs) in (("lb", (cols, cols_b)), ("ub", (cols, cols_b)),
+                                 ("row_lower", (rows, rows_b)), ("row_upper", (rows, rows_b)),
+                                 ("data", (terms, terms_b))):
+        numbers[name][ours] = numbers[name][theirs]
+    yield _broken(model, **numbers)
+
+    data, lb = model.data.copy(), model.lb.copy()
+    row_lower, row_upper = model.row_lower.copy(), model.row_upper.copy()
+    for h in mix:  # the last term, whose text follows slots of other rows
+        data[_home_span(model, h)[2][-1]] = 0.0
+    data[terms[-1]] = -0.0
+    lb[cols[np.flatnonzero(lb[cols] == 0.0)[0]]] = -0.0
+    zero = rows[np.flatnonzero((row_lower[rows] == 0.0) & (row_upper[rows] == 0.0))[0]]
+    row_lower[zero] = row_upper[zero] = -0.0
+    yield _broken(model, data=data, lb=lb, row_lower=row_lower, row_upper=row_upper)
+
+    row_lower = model.row_lower.copy()
+    i = rows[np.flatnonzero(row_lower[rows] == -math.inf)[0]]
+    row_lower[i] = model.row_upper[i]
+    yield _broken(model, row_lower=row_lower)
+
+
+@pytest.mark.parametrize("lp", [False, True])
+@pytest.mark.parametrize("n_homes, seed", [(20, 4), (40, 9)])
+def test_write_lp_matches_a_plain_renderer(replication, n_homes, seed, lp):
+    cfg = generate_synthetic_community(n_homes, seed, replication)
+    model = build_system_centric_model(cfg, lp=lp)
+    variants = list(_lp_variants(model, cfg)) if n_homes == 20 else [model]
+    variants.append(build_home_model(cfg, cfg.homes[-1].id, lp=lp))
+    for variant in variants:
+        variant.validate()
+        assert _lp_text(variant) == _reference_lp(variant)
+
+
+@pytest.mark.parametrize("which", ["system", "home1"])
+def test_highs_reads_the_lp_text_back(replication, tmp_path, which):
+    model = (build_system_centric_model(replication) if which == "system"
+             else build_home_model(replication, which))
+    path = tmp_path / "model.lp"
+    with open(path, "w", encoding="utf-8") as stream:
+        write_lp(model, stream)
+    highs = _highs._Highs()
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("mip_rel_gap", SolverOptions().relative_mip_gap)
+    assert highs.readModel(str(path)) == _highs.HighsStatus.kOk
+    binaries = sum(v == _highs.HighsVarType.kInteger for v in highs.getLp().integrality_)
+    assert (highs.getNumCol(), highs.getNumRow(), binaries) == (
+        model.n_variables, model.n_constraints, model.n_binaries)
+    highs.run()
+    assert highs.getModelStatus() == _highs.HighsModelStatus.kOptimal
+    solution = solve_model(model)
+    assert solution.status == "optimal"
+    assert highs.getObjectiveValue() == pytest.approx(solution.objective, rel=1e-9, abs=0.0)
+
+
+def test_validate_rejects_homes_out_of_their_blocks(replication):
+    model = build_system_centric_model(replication)
+    model.validate()
+    lay = model.layout
+    first_com = int(np.flatnonzero(lay.var_home == -1)[0])
+    home2 = int(np.flatnonzero(lay.var_home == 1)[0])
+
+    def swapped(prefix, names, i, j):
+        """The model with the codes of columns or rows ``i`` and ``j`` swapped."""
+        arrays = {}
+        for name in names:
+            codes = getattr(lay, name).copy()
+            codes[[i, j]] = codes[[j, i]]
+            arrays[f"layout_{name}"] = codes
+        return _broken(model, **arrays)
+
+    columns = ("var_home", "var_role", "var_slot")
+    # a community column among the homes' columns
+    with pytest.raises(ModelBuildError, match="^status_com_1: out of place; each home's columns"):
+        swapped("var", columns, home2, first_com).validate()
+    # home2's block before home1's
+    var_home = lay.var_home.copy()
+    var_home[(lay.var_home == 0) | (lay.var_home == 1)] ^= 1
+    with pytest.raises(ModelBuildError, match="^hvac_power_home2_1: out of place"):
+        _broken(model, layout_var_home=var_home).validate()
+    # a community row among the homes' rows
+    first_com_row = int(np.flatnonzero(lay.row_home == -1)[0])
+    with pytest.raises(ModelBuildError, match="^peak_hi_com_1: out of place; each home's rows"):
+        swapped("row", ("row_home", "row_family", "row_slot"), 0, first_com_row).validate()
+    # a home's row on another home's column: home2's terminal storage row
+    # reads home1's first column
+    row = lay.row_names().index("ess_terminal_home2")
+    indices = model.indices.copy()
+    indices[model.indptr[row]] = 0
+    with pytest.raises(ModelBuildError, match="^ess_terminal_home2: references a column outside its home"):
+        _broken(model, indices=indices).validate()
+    with pytest.raises(ModelBuildError, match="^ess_terminal_home2: references"):
+        write_lp(_broken(model, indices=indices), io.StringIO())
