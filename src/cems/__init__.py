@@ -26,7 +26,6 @@ from .milp import (
     MilpModel,
     big_m_value,
     build_home_model,
-    build_home_models,
     build_system_centric_model,
     write_lp,
 )

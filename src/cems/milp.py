@@ -16,9 +16,8 @@ net exchange of the whole community: the per-slot cost is ``P * E`` when the
 community imports ``E`` and ``alpha * P * E`` when it exports, made linear
 with one status binary per slot and a four-sided big-M envelope around the
 slot cost.  :func:`build_home_model` is the selfish counterpart used by the
-baselines: one home, priced at the external buy/sell prices directly;
-:func:`build_home_models` builds every home's from one
-:class:`HomeModelBatch`.
+baselines: one home, priced at the external buy/sell prices directly,
+with its numbers cut from a :class:`HomeModelBatch` of the day's homes.
 
 Each builder makes the MILP or, with ``lp=True``, its binary-free LP from
 the same pattern code: the LP has no binary column (the home and storage
@@ -29,23 +28,28 @@ and the slot-cost hull, so it is a relaxation of the MILP, and a schedule
 that is feasible for the MILP at the LP's cost is MILP-optimal.
 
 Homes with the same DER mix share one sparsity pattern, made once per mix
-and horizon.  A model tiles the patterns over its homes with NumPy index
-arithmetic, fills in each home's numbers, and appends the community's
-coupling rows as array slices.
+and horizon, which owns the structure of their blocks: the column and row
+codes, the local row pointers, column indices and term order.  Its
+structure is checked once, when it is made.  A model tiles the patterns
+over its homes with NumPy index arithmetic, fills in each home's numbers,
+and appends the community's coupling rows as array slices.
 
 :func:`write_lp` relies on that layout, which :meth:`MilpModel.validate`
 checks: each home's columns and rows form one block, in home order, before
 the community's, and a home's rows reference only its own columns.  Homes
 whose blocks have the same structure (local row pointers, column indices,
-term order, row families and slots, column roles and slots, integrality)
-form a group, and the writer renders each group's rows and Bounds lines
-once, as a skeleton: the text of its first home with a sentinel where the
-home tag goes and a slot for each coefficient, row tail (sense and
-right-hand side) or bound that is not bitwise equal across the group.  It
-then writes the homes in model order, each as one join of the skeleton's
-segments with that home's number texts and one replace of the sentinel by
-its tag.  The objective, the community's rows and bounds, and the Binary
-list are rendered from arrays over their own columns' names.
+term order, row families and slots, column roles and slots, integrality;
+compared as bytes, in one pass over the homes) form a group, and the
+writer renders each group's rows and Bounds lines once, as a skeleton: the
+text of its first home with a sentinel where the home tag goes and a slot
+for each coefficient, row tail (sense and right-hand side) or bound that
+is not bitwise equal across the group.  It then writes the homes in model
+order, each as one join of the skeleton's segments with that home's number
+texts and one replace of the sentinel by its tag.  The objective, the
+community's rows and bounds, and the Binary list are rendered from arrays
+over their own columns' names; the community's rows in runs of whole rows
+of a bounded term count, so a large community's rows never become one
+string.
 """
 from __future__ import annotations
 
@@ -367,8 +371,7 @@ def _value_column(key, T: int) -> int:
     return len(_SCALARS) + _SERIES.index(series) * T + t - 1
 
 
-def _home_values(homes: Sequence[HomeConfig], config: CommunityConfig, selfish: bool,
-                 lp: bool) -> np.ndarray:
+def _home_values(homes: Sequence[HomeConfig], config: CommunityConfig, selfish: bool) -> np.ndarray:
     """The table of every home's numbers, one row per home: the
     :data:`_SCALARS`, then the per-slot series.  Storage and PV entries of a
     home without the device are zeros or placeholders no pattern reads.
@@ -379,8 +382,7 @@ def _home_values(homes: Sequence[HomeConfig], config: CommunityConfig, selfish: 
     (:func:`cems.domain.default_peak_limit`) and the most it can sell (peak
     PV output plus the discharge rate).  That cuts nothing, and is much
     tighter than :func:`big_m_value`, which keeps the LP relaxation strong.
-    No row of a binary-free LP (``lp``) reads ``M``, so there it is the
-    cap, as alone."""
+    No row of a binary-free LP reads ``M``."""
     T, dt = config.horizon_slots, config.slot_hours
     (eps, eta_hvac, conductivity, p_max, t_min, t_max, t_initial, peak,
      eta, charge, discharge, level_min, level_max, level0, area, efficiency) = np.array([
@@ -392,7 +394,7 @@ def _home_values(homes: Sequence[HomeConfig], config: CommunityConfig, selfish: 
         for h in homes
     ]).reshape(len(homes), 16).T
     big_m = peak
-    if not (selfish or lp):
+    if not selfish:
         buy_cap = [default_peak_limit(h.hvac.p_max, h.fixed_load, h.ess, dt) for h in homes]
         # PV output at the day's peak irradiance
         sell_cap = 0.0 + discharge * dt + pv_output_energy(float(config.ghi.max()), area, efficiency, dt)
@@ -428,11 +430,13 @@ class _Pattern:
     """The block of every home with one DER mix, in local numbering, by
     model array name.  ``lb``, ``ub``, ``row_lower``, ``row_upper`` and
     ``data`` hold columns of the home value table (:func:`_home_values`)
-    rather than numbers; ``row_len`` is each row's term count.  Terms are
-    in canonical order; ``term_order`` is the written order.  A home
-    scheduled alone writes its objective over the ``objective`` columns,
-    its purchase and its sale in each slot.  Every array is read-only: a
-    one-home model shares them."""
+    rather than numbers; ``row_len`` is each row's term count and
+    ``indptr`` the block's row pointers.  Terms are in canonical order;
+    ``term_order`` is the written order.  ``var_home`` and ``row_home`` are
+    zeros, the home codes of a one-home model.  A home scheduled alone
+    writes its objective over the ``objective`` columns, its purchase and
+    its sale in each slot.  Every array is read-only: a one-home model
+    (:meth:`model`) shares them."""
 
     var_role: np.ndarray
     var_slot: np.ndarray
@@ -448,6 +452,21 @@ class _Pattern:
     data: np.ndarray
     term_order: np.ndarray
     objective: np.ndarray
+    indptr: np.ndarray
+    var_home: np.ndarray
+    row_home: np.ndarray
+
+    def model(self, name: str, home: str, tag: str, c: np.ndarray,
+              numbers: dict[str, np.ndarray]) -> MilpModel:
+        """The one-home model of this block with the objective ``c`` and
+        the home's ``numbers`` (by :data:`_NUMBERS` name), unchecked."""
+        layout = Layout(
+            homes=(home,), tags=(tag,), var_home=self.var_home, var_role=self.var_role,
+            var_slot=self.var_slot, row_home=self.row_home, row_family=self.row_family,
+            row_slot=self.row_slot, term_order=self.term_order, objective_order=self.objective,
+        )
+        return MilpModel(name=name, c=c, integrality=self.integrality, indptr=self.indptr,
+                         indices=self.indices, layout=layout, **numbers)
 
 
 @functools.lru_cache(maxsize=None)
@@ -468,7 +487,8 @@ def _home_pattern(has_ess: bool, has_pv: bool, T: int, selfish: bool, lp: bool) 
     when it is scheduled alone (``selfish``).  Terms are ``(role, slot,
     coefficient)`` with the coefficient a value-table name.  The
     binary-free LP (``lp``) drops the mode columns and the exclusivity
-    rows, and caps the storage rates without a mode."""
+    rows, and caps the storage rates without a mode.  The pattern's
+    structure is checked here, once (:func:`_finish_pattern`)."""
     rows: list[tuple[str, int, list, str, object]] = []
 
     def row(family: str, slot: int, terms: list, sense: str, rhs) -> None:
@@ -584,9 +604,17 @@ def _finish_pattern(roles: tuple[str, ...], T: int, rows: list) -> _Pattern:
         data=positions(coefs),
         term_order=ints(term_order),
         objective=positions([first[role] + t for t in range(T) for role in ("com_buy", "com_sell")]),
+        indptr=ints(np.cumsum([0] + [len(r[2]) for r in rows])),
+        var_home=np.zeros(len(roles) * T, dtype=np.int32),
+        row_home=np.zeros(len(rows), dtype=np.int32),
     )
     for value in vars(pattern).values():
         value.flags.writeable = False
+    # the structure, checked once on a one-home model with placeholder numbers
+    model = pattern.model("pattern", "pattern", "pattern", np.zeros(len(pattern.var_role)),
+                          {name: np.zeros(len(getattr(pattern, name))) for name in _NUMBERS})
+    model._validate_sizes()
+    model._validate_structure()
     return pattern
 
 
@@ -625,11 +653,10 @@ def _part(arrays: dict[str, np.ndarray], cols: slice, rows: slice,
 
 
 def _fill_homes(out: dict[str, np.ndarray], patterns: Sequence[_Pattern], sizes: np.ndarray,
-                homes: Sequence[HomeConfig], config: CommunityConfig, lp: bool) -> np.ndarray:
+                homes: Sequence[HomeConfig], config: CommunityConfig) -> np.ndarray:
     """Write the homes' blocks end to end into ``out``, views of the
     model's leading columns, rows and terms; ``sizes`` holds each home's
-    column, row and term count, and ``lp`` says whether the blocks are of
-    the binary-free LP.  Returns each home's first column."""
+    column, row and term count.  Returns each home's first column."""
     n_cols, n_rows, n_terms = sizes.T
     col0 = np.cumsum(n_cols, dtype=np.int32) - n_cols
     term0 = np.cumsum(n_terms, dtype=np.int32) - n_terms
@@ -645,7 +672,7 @@ def _fill_homes(out: dict[str, np.ndarray], patterns: Sequence[_Pattern], sizes:
     out["var_home"][:] = codes.repeat(n_cols)
     out["row_home"][:] = codes.repeat(n_rows)
     # the numbers: each entry reads its own home's row of the value table
-    values = _home_values(homes, config, selfish=False, lp=lp)
+    values = _home_values(homes, config, selfish=False)
     flat, width = values.ravel(), values.shape[1]
     row_start = {kind: (codes * width).repeat(counts)
                  for kind, counts in (("cols", n_cols), ("rows", n_rows), ("terms", n_terms))}
@@ -748,7 +775,7 @@ def build_system_centric_model(config: CommunityConfig, *, lp: bool = False) -> 
     n0, m0, nnz0 = (int(x) for x in sizes.sum(axis=0))
     arrays = _allocate(n0 + len(com_roles) * T, m0 + len(kinds) * T, nnz0 + per_slot * T)
     col0 = _fill_homes(_part(arrays, slice(0, n0), slice(0, m0), slice(0, nnz0)), patterns, sizes,
-                       homes, config, lp)
+                       homes, config)
     com = _part(arrays, slice(n0, None), slice(m0, None), slice(nnz0, None))
 
     # community columns: one status binary (not in the LP) and one free
@@ -822,44 +849,22 @@ def build_home_model(config: CommunityConfig, home_id: str,
     return batch.model(home_id)
 
 
-def build_home_models(config: CommunityConfig, *, lp: bool = False) -> list[MilpModel]:
-    """Every home's :func:`build_home_model`, in config order, from one
-    :class:`HomeModelBatch`."""
-    batch = HomeModelBatch(config, lp=lp)
-    return [batch.model(home.id) for home in config.homes]
-
-
-@dataclass(frozen=True, eq=False)
-class _PatternHomes:
-    """The homes of one DER pattern in a :class:`HomeModelBatch`: the
-    arrays the pattern fixes for every one of their models, and their
-    numbers as (homes, entries) arrays, one row per home."""
-
-    pattern: _Pattern
-    c: np.ndarray
-    indptr: np.ndarray
-    var_home: np.ndarray
-    row_home: np.ndarray
-    numbers: dict[str, np.ndarray]
-
-
 class HomeModelBatch:
     """The numbers of the selfish models of ``homes`` (by default every
     home of ``config``), or with ``lp`` of their binary-free LPs, made as
     one batch: one value table for all homes, from whose rows each home's
     numbers are cut by its pattern's table columns, and per DER pattern one
-    objective vector, one set of row pointers and one check of all its
-    homes' numbers at once.  A bad number or tag raises the
-    :class:`ModelBuildError` of the first home at fault, naming its column
-    or row; :meth:`model` then makes any home's model without checking its
-    numbers again."""
+    objective vector and one check of all its homes' numbers at once.  A
+    bad number or tag raises the :class:`ModelBuildError` of the first home
+    at fault, naming its column or row; each pattern's structure was
+    checked when it was made, so :meth:`model` checks nothing again."""
 
     def __init__(self, config: CommunityConfig, homes: Sequence[HomeConfig] | None = None, *,
                  lp: bool = False):
         homes = config.homes if homes is None else homes
         T = config.horizon_slots
         self.lp = lp
-        values = _home_values(homes, config, selfish=True, lp=lp)
+        values = _home_values(homes, config, selfish=True)
         prices = np.column_stack([config.buy_price, -config.alpha * config.buy_price]).ravel()
         members: dict[_Pattern, list[int]] = {}
         for i, home in enumerate(homes):
@@ -867,53 +872,32 @@ class HomeModelBatch:
                                []).append(i)
         tags = [lp_tag(home.id) for home in homes]
         faulted = [i for i, tag in enumerate(tags) if tag == COMMUNITY_TAG]
-        self._at: dict[str, tuple[_PatternHomes, int, str]] = {}
+        # per pattern, its objective and its homes' numbers as (homes, entries) arrays
+        self._numbers: dict[_Pattern, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
+        self._at: dict[str, tuple[_Pattern, int, str]] = {}
         for pattern, rows in members.items():
             numbers = {name: values[np.array(rows)[:, None], getattr(pattern, name)]
                        for name in _NUMBERS}
-            indptr = np.zeros(len(pattern.row_len) + 1, dtype=np.int32)
-            np.cumsum(pattern.row_len, out=indptr[1:])
             c = np.zeros(len(pattern.var_role))
             c[pattern.objective] = prices
-            # one home, from column 0
-            group = _PatternHomes(pattern, c, indptr, np.zeros(len(pattern.var_role), dtype=np.int32),
-                                  np.zeros(len(pattern.row_family), dtype=np.int32), numbers)
-            for value in (*numbers.values(), c, indptr, group.var_home, group.row_home):
+            for value in (*numbers.values(), c):
                 value.flags.writeable = False
             faults = _number_faults(c, numbers["lb"], numbers["ub"], pattern.integrality == 1,
                                     numbers["row_lower"], numbers["row_upper"], numbers["data"])
             bad = faults.pop("cost").any() | np.any([f.any(axis=-1) for f in faults.values()], axis=0)
             faulted += [rows[k] for k in np.flatnonzero(bad)]
-            self._at.update((homes[i].id, (group, k, tags[i])) for k, i in enumerate(rows))
+            self._numbers[pattern] = c, numbers
+            self._at.update((homes[i].id, (pattern, k, tags[i])) for k, i in enumerate(rows))
         if faulted:
             self.model(homes[min(faulted)].id).validate()  # raises, naming the home's column or row
 
     def model(self, home_id: str) -> MilpModel:
         """The selfish model of the batch's home ``home_id``.  Every array
-        its pattern fixes is shared with the pattern's other models, and a
-        pattern's structure is checked with the first model made on it."""
-        group, k, tag = self._at[home_id]
-        pattern = group.pattern
-        layout = Layout(
-            homes=(home_id,), tags=(tag,), var_home=group.var_home, var_role=pattern.var_role,
-            var_slot=pattern.var_slot, row_home=group.row_home, row_family=pattern.row_family,
-            row_slot=pattern.row_slot, term_order=pattern.term_order,
-            objective_order=pattern.objective,
-        )
-        model = MilpModel(
-            name=f"home_{home_id}_relaxed" if self.lp else f"home_{home_id}", c=group.c, integrality=pattern.integrality, indptr=group.indptr,
-            indices=pattern.indices, layout=layout,
-            **{name: a[k] for name, a in group.numbers.items()},
-        )
-        if pattern not in _validated_patterns:
-            model.validate()
-            _validated_patterns.add(pattern)
-        return model
-
-
-# the DER patterns whose structure arrays passed MilpModel.validate, with
-# the first one-home model made on them
-_validated_patterns: set[_Pattern] = set()
+        its pattern fixes is shared with the pattern's other models."""
+        pattern, k, tag = self._at[home_id]
+        c, numbers = self._numbers[pattern]
+        return pattern.model(f"home_{home_id}_relaxed" if self.lp else f"home_{home_id}", home_id,
+                             tag, c, {name: a[k] for name, a in numbers.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +906,7 @@ _validated_patterns: set[_Pattern] = set()
 _PER_LINE = 8  # terms per line of LP text
 _TAG = "\x00"  # stands for the home tag in a skeleton; no name part or number holds it
 _SLOT = "\x01"  # marks a slot of a skeleton while it is rendered
-_SPREAD = -0x61C8864680B583EB  # odd int64 multiplier of the structure digest's weights
+_RUN_TERMS = 1 << 15  # the most terms of community rows rendered as one string, bar a longer row
 
 
 def _fmt_all(values: np.ndarray, before: str = "", after: str = "") -> np.ndarray:
@@ -1030,33 +1014,27 @@ def _structure_groups(model: MilpModel, col_at: np.ndarray, row_at: np.ndarray,
                       term_at: np.ndarray) -> list[np.ndarray]:
     """The homes of each structure group, in home order: homes whose blocks
     have the same local row pointers, column indices, term order, row
-    family and slot, column role and slot, and integrality."""
+    family and slot, column role and slot, and integrality.  A home's key
+    is the bytes of its rows' (start, family, slot), its terms' (written
+    order, column) and its columns' (role, slot, integrality), all in local
+    numbering, whose lengths give its row, term and column counts; homes
+    are grouped in one pass by equal keys."""
     lay = model.layout
-    n_homes = len(lay.homes)
-    sizes = np.column_stack([np.diff(at[:n_homes + 1]) for at in (col_at, row_at, term_at)])
-    groups = []
-    for size in np.unique(sizes, axis=0):
-        homes = np.flatnonzero((sizes == size).all(axis=1))
-        n_cols, n_rows, n_terms = size.tolist()
-        c0, r0, p0 = col_at[homes], row_at[homes], term_at[homes]
-        key = np.concatenate([
-            _block(model.indptr, r0, n_rows + 1) - p0[:, None],
-            _block(lay.term_order, p0, n_terms) - p0[:, None],
-            _block(model.indices, p0, n_terms) - c0[:, None],
-            _block(lay.row_family, r0, n_rows), _block(lay.row_slot, r0, n_rows),
-            _block(lay.var_role, c0, n_cols), _block(lay.var_slot, c0, n_cols),
-            _block(model.integrality, c0, n_cols),
-        ], axis=1, dtype=np.int64)
-        # homes of equal blocks share a digest; the blocks of a digest are
-        # then compared in full, so a collision splits the homes exactly
-        digest = key @ (np.arange(1, key.shape[1] + 1) * _SPREAD)
-        for value in np.unique(digest):
-            rest = np.flatnonzero(digest == value)
-            while rest.size:
-                same = (key[rest] == key[rest[0]]).all(axis=1)
-                groups.append(homes[rest[same]])
-                rest = rest[~same]
-    return groups
+    n_terms = np.diff(term_at)
+    rows = np.column_stack([
+        model.indptr[:row_at[-1]] - np.repeat(term_at[:-1], np.diff(row_at)),
+        lay.row_family[:row_at[-1]], lay.row_slot[:row_at[-1]]])
+    terms = np.column_stack([lay.term_order[:term_at[-1]] - np.repeat(term_at[:-1], n_terms),
+                             model.indices[:term_at[-1]] - np.repeat(col_at[:-1], n_terms)])
+    cols = np.column_stack([lay.var_role[:col_at[-1]], lay.var_slot[:col_at[-1]],
+                            model.integrality[:col_at[-1]]])
+    groups: dict[tuple[bytes, bytes, bytes], list[int]] = {}
+    for h, (r0, r1, p0, p1, c0, c1) in enumerate(zip(
+            row_at[:-1].tolist(), row_at[1:].tolist(), term_at[:-1].tolist(), term_at[1:].tolist(),
+            col_at[:-1].tolist(), col_at[1:].tolist())):
+        key = rows[r0:r1].tobytes(), terms[p0:p1].tobytes(), cols[c0:c1].tobytes()
+        groups.setdefault(key, []).append(h)
+    return [np.array(homes) for homes in groups.values()]
 
 
 def _cut(skeleton: str, texts: np.ndarray) -> np.ndarray:
@@ -1170,7 +1148,9 @@ def write_lp(model: MilpModel, stream: IO[str]) -> None:
     texts and one replace of :data:`_TAG` by its tag, so memory holds one
     home's text at a time.  The objective, the community's rows, its
     Bounds lines and the Binary list are rendered from arrays over their
-    own columns' names."""
+    own columns' names, the community's rows in runs of whole rows of at
+    most :data:`_RUN_TERMS` terms (or one row) each; a row's text depends
+    on that row alone, so the runs write the text one call would."""
     lay = model.layout
     col_at, row_at, term_at = _home_blocks(model)
     stream.write(f"\\ {model.name}\n")
@@ -1200,11 +1180,18 @@ def write_lp(model: MilpModel, stream: IO[str]) -> None:
     used = np.zeros(model.n_variables, dtype=bool)
     used[cols] = True
     names[used] = _column_names(lay, np.flatnonzero(used))
-    stream.write(_rows_text(
-        _labels(FAMILIES, lay.row_family[r0:], lay.tags, lay.row_home[r0:], lay.row_slot[r0:],
-                " ", ": "),
-        _tails(model.row_lower[r0:], model.row_upper[r0:]), model.indptr[r0:] - p0, cols,
-        model.data[written], names))
+    heads = _labels(FAMILIES, lay.row_family[r0:], lay.tags, lay.row_home[r0:], lay.row_slot[r0:],
+                    " ", ": ")
+    tails = _tails(model.row_lower[r0:], model.row_upper[r0:])
+    indptr = model.indptr[r0:] - p0
+    start = 0
+    while start < len(heads):
+        stop = max(start + 1, int(np.searchsorted(indptr, indptr[start] + _RUN_TERMS, "right")) - 1)
+        terms = slice(indptr[start], indptr[stop])
+        stream.write(_rows_text(heads[start:stop], tails[start:stop],
+                                indptr[start:stop + 1] - indptr[start], cols[terms],
+                                model.data[written[terms]], names))
+        start = stop
     stream.write("Bounds\n")
     write_homes(1)
     continuous = col_at[-1] + np.flatnonzero(model.integrality[col_at[-1]:] == 0)

@@ -175,8 +175,8 @@ def _solve_lp_first(
     milp: Callable[[int], MilpModel],
     config: CommunityConfig,
     options: SolverOptions | None,
-    build_time: float = 0.0,
-    selfish: bool = False,
+    build_time: float,
+    selfish: bool,
 ) -> _Scheduled:
     """The schedule step: solve its built binary-free LPs (the pooled
     model's, or one per home) and check the schedule they make together
@@ -455,10 +455,11 @@ def bench_scaling(
 
     Communities come from :func:`generate_synthetic_community`, so model
     dimensions grow linearly in the home count.  Each row reports the size
-    of the paper's model, the MILP, and solves it like a scenario's
-    schedule step: its binary-free LP first, the MILP only as the
-    fallback.  The build time covers both models.  A row that fails
-    records its status and the run continues with the next size.
+    of the paper's model, the MILP, and solves the day as the ``system``
+    scenario (:func:`run_scenario`): its binary-free LP first, the MILP
+    only as the fallback.  The build time covers the size MILP and the
+    scenario's builds.  A row that fails records its status and the run
+    continues with the next size.
     """
     options = options or SolverOptions(relative_mip_gap=1e-3)
     rows = []
@@ -466,12 +467,12 @@ def bench_scaling(
         config = generate_synthetic_community(n, seed, template)
         start = time.perf_counter()
         model = build_system_centric_model(config)
-        lp = build_system_centric_model(config, lp=True)
         build_time = time.perf_counter() - start
         try:
-            step = _solve_lp_first([lp], lambda i: model, config, options, build_time)
-            status, objective, solve_time = step.solver_status, step.objective, step.solve_time
-            solve_path = step.solve_path
+            result = run_scenario("system", config, options)
+            status, objective, solve_time = result.solver_status, result.objective, result.solve_time
+            solve_path = result.solve_path
+            build_time += result.build_time
         except SolverError as exc:
             # a model the step left without values has been through the MILP
             status, objective, solve_time = exc.status or f"error: {exc}", None, 0.0

@@ -10,7 +10,6 @@ import pytest
 from cems import (
     HomeModelBatch,
     build_home_model,
-    build_home_models,
     build_system_centric_model,
     config_to_dict,
     generate_synthetic_community,
@@ -19,7 +18,7 @@ from cems import (
     write_lp,
 )
 from cems.domain import lp_tag
-from cems.milp import ModelBuildError, _home_pattern, big_m_value
+from cems.milp import MilpModel, ModelBuildError, _home_pattern, big_m_value
 from cems.solve import SolverOptions, _highs
 
 from conftest import make_community, make_ess, make_home, make_hvac, random_small_config
@@ -168,7 +167,9 @@ def _milp_and_lps(cfg):
     """Each model of ``cfg`` as the MILP and as its binary-free LP: the
     pooled model, then every home's."""
     yield build_system_centric_model(cfg), build_system_centric_model(cfg, lp=True)
-    yield from zip(build_home_models(cfg), build_home_models(cfg, lp=True))
+    milps, lps = HomeModelBatch(cfg), HomeModelBatch(cfg, lp=True)
+    for home in cfg.homes:
+        yield milps.model(home.id), lps.model(home.id)
 
 
 def test_binary_free_lp_lower_bounds_milp():
@@ -284,7 +285,7 @@ def test_reserved_community_tag():
         build_system_centric_model(cfg)
     mixed = make_community([make_home("a", 2), make_home("com", 2)], [2.0, 2.0])
     with pytest.raises(ModelBuildError, match="not the community's"):
-        build_home_models(mixed)
+        HomeModelBatch(mixed)
 
 
 def _broken(model, **arrays):
@@ -338,27 +339,37 @@ def test_validate_rejects_broken_arrays(replication):
 
 
 def test_home_models_of_one_pattern_check_their_structure_once(replication, monkeypatch):
-    # home1 and home2 share a DER mix, so a model of home2 reuses the
-    # structure a model of home1 passed; its own numbers are still checked
-    reference = build_home_model(replication, "home1")
+    # homes of one DER mix share their pattern's structure arrays, checked
+    # once, when the pattern is made; each home's numbers are still checked
     checked = []
-    monkeypatch.setattr(type(reference), "_validate_structure", lambda self: checked.append(self.name))
-    model = build_home_model(replication, "home2")
-    assert checked == []
-    assert model.indices is reference.indices and model.layout.term_order is reference.layout.term_order
+    check = MilpModel._validate_structure
+
+    def counted(model):
+        checked.append(model.name)
+        check(model)
+
+    monkeypatch.setattr(MilpModel, "_validate_structure", counted)
+    _home_pattern.cache_clear()
+    home1 = replication.home("home1")
+    mix = [h for h in replication.homes
+           if (h.ess is None, h.pv is None) == (home1.ess is None, home1.pv is None)]
+    assert len(mix) >= 2
+    batch = HomeModelBatch(replication, mix)
+    models = [batch.model(home.id) for home in mix]
+    assert checked == ["pattern"]
+    pattern = _home_pattern(home1.ess is not None, home1.pv is not None, replication.horizon_slots,
+                            True, False)
+    for model in models:
+        assert model.indptr is pattern.indptr and model.indices is pattern.indices
+        assert model.layout.var_home is pattern.var_home and model.layout.row_home is pattern.row_home
+        model.validate()
+    assert len(checked) == 1 + len(models)
 
     home2 = replication.home("home2")
     hvac = dataclasses.replace(home2.hvac, t_min=home2.hvac.t_max + 1.0)
     cold = dataclasses.replace(replication, homes=(dataclasses.replace(home2, hvac=hvac),))
     with pytest.raises(ModelBuildError, match="temp_in_home2_1: lb"):
         build_home_model(cold, "home2")
-
-    # the arrays the skipped check would compare are made from the pattern
-    # alone: the same row pointers and home codes as the checked model's
-    for ours, theirs in ((model.indptr, reference.indptr),
-                         (model.layout.var_home, reference.layout.var_home),
-                         (model.layout.row_home, reference.layout.row_home)):
-        np.testing.assert_array_equal(ours, theirs)
 
 
 _MODEL_ARRAYS = ("c", "lb", "ub", "integrality", "indptr", "indices", "data", "row_lower", "row_upper")
@@ -368,9 +379,8 @@ _LAYOUT_ARRAYS = ("var_home", "var_role", "var_slot", "row_home", "row_family", 
 
 def test_home_models_are_built_as_one_batch(forty_homes, monkeypatch):
     cfg = forty_homes
-    batch = build_home_models(cfg)
-    assert len(batch) == len(cfg.homes)
     shared = HomeModelBatch(cfg)
+    batch = [shared.model(home.id) for home in cfg.homes]
     first_of = {}  # per pattern, the batch's first model on it
     for home, model in zip(cfg.homes, batch):
         alone = build_home_model(cfg, home.id)
@@ -386,16 +396,19 @@ def test_home_models_are_built_as_one_batch(forty_homes, monkeypatch):
         for name in ("var_role", "var_slot", "row_family", "row_slot", "term_order"):
             assert getattr(model.layout, name) is getattr(pattern, name), name
         assert model.layout.objective_order is pattern.objective
-        # the arrays a pattern fixes are made once per batch
+        assert model.indptr is pattern.indptr
+        assert model.layout.var_home is pattern.var_home and model.layout.row_home is pattern.row_home
+        # the objective is made once per pattern and batch
         first = first_of.setdefault(pattern, model)
-        assert model.c is first.c and model.indptr is first.indptr
-        assert model.layout.var_home is first.layout.var_home
+        assert model.c is first.c
     assert len(first_of) == 4
 
-    # every pattern passed its structure check already
+    # every pattern passed its structure check when it was made
     checked = []
-    monkeypatch.setattr(type(batch[0]), "_validate_structure", lambda self: checked.append(self.name))
-    build_home_models(cfg)
+    monkeypatch.setattr(MilpModel, "_validate_structure", lambda self: checked.append(self.name))
+    again = HomeModelBatch(cfg)
+    for home in cfg.homes:
+        again.model(home.id)
     assert checked == []
 
 
@@ -410,8 +423,6 @@ def test_a_batch_names_its_first_home_with_a_bad_number(forty_homes):
         hvac = dataclasses.replace(homes[i].hvac, t_min=homes[i].hvac.t_max + 1.0)
         homes[i] = dataclasses.replace(homes[i], hvac=hvac)
     cold = dataclasses.replace(cfg, homes=tuple(homes))
-    with pytest.raises(ModelBuildError, match=f"^temp_in_{lp_tag(homes[first].id)}_1: lb "):
-        build_home_models(cold)
     with pytest.raises(ModelBuildError, match=f"^temp_in_{lp_tag(homes[first].id)}_1: lb "):
         HomeModelBatch(cold)
     with pytest.raises(ModelBuildError, match=f"^temp_in_{lp_tag(homes[later].id)}_1: lb "):
@@ -591,6 +602,16 @@ def test_write_lp_matches_a_plain_renderer(replication, n_homes, seed, lp):
     for variant in variants:
         variant.validate()
         assert _lp_text(variant) == _reference_lp(variant)
+
+
+@pytest.mark.parametrize("run_terms", [1, 50, 1000])
+def test_write_lp_renders_the_community_rows_in_runs(replication, monkeypatch, run_terms):
+    # the bundled day's community rows hold 20-22 terms each: one row per
+    # run, two rows per run, and runs that end mid-slot
+    model = build_system_centric_model(replication)
+    whole = _lp_text(model)
+    monkeypatch.setattr("cems.milp._RUN_TERMS", run_terms)
+    assert _lp_text(model) == whole == _reference_lp(model)
 
 
 @pytest.mark.parametrize("which", ["system", "home1"])

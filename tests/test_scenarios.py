@@ -438,6 +438,33 @@ def test_lp_first_cost_equals_the_milp_cost(cfg):
         assert selfish.per_home_objective[home.id] == pytest.approx(exact, rel=1e-6, abs=1e-6)
 
 
+# random_small_config days (by seed) whose pooled MILP HiGHS 1.12 ends in
+# "Solve error": it claims optimality for an incumbent with a primal
+# infeasibility of 2e-6, on a matrix whose largest coefficient is the
+# community big-M; the same MILP without the status column solves at
+# these values, the LP's
+HIGHS_SOLVE_ERROR_DAYS = {10363: 63.5660045026, 10022: 58.2288769170}
+
+
+@pytest.mark.parametrize("seed", sorted(HIGHS_SOLVE_ERROR_DAYS))
+def test_days_highs_cannot_finish_as_milps_certify_from_the_lp(seed):
+    cfg = random_small_config(np.random.default_rng(seed))
+    result = run_scenario("system", cfg)
+    assert result.solve_path == LP_CERTIFIED
+    assert result.objective == pytest.approx(HIGHS_SOLVE_ERROR_DAYS[seed], rel=1e-9)
+    assert result.feasibility.ok and result.feasibility.cost_matches_solver
+
+
+@pytest.mark.xfail(raises=SolverError, strict=False,
+                   reason="HiGHS 1.12 ends this MILP in 'Solve error'; another HiGHS may not")
+@pytest.mark.parametrize("seed", sorted(HIGHS_SOLVE_ERROR_DAYS))
+def test_highs_solves_the_milps_of_those_days(seed):
+    cfg = random_small_config(np.random.default_rng(seed))
+    solution = solve_model(build_system_centric_model(cfg))
+    assert solution.status == "optimal"
+    assert solution.objective == pytest.approx(HIGHS_SOLVE_ERROR_DAYS[seed], rel=1e-6)
+
+
 def test_unknown_kind_rejected_before_any_solve(monkeypatch):
     calls = _count_solves(monkeypatch)
     with pytest.raises(ValueError, match="cooperative"):

@@ -14,9 +14,9 @@ from scipy.sparse import csr_array
 
 import cems.solve
 from cems import (
+    HomeModelBatch,
     PvParams,
     build_home_model,
-    build_home_models,
     build_system_centric_model,
     check_schedule_feasibility,
     community_cost,
@@ -499,7 +499,8 @@ def test_extract_rejects_model_homes_the_config_lacks(replication, system_result
 
 def test_extract_schedule_scatters_several_models_at_once(replication, no_cems_result):
     # the selfish step's LP solutions, one per home model
-    models = build_home_models(replication, lp=True)
+    batch = HomeModelBatch(replication, lp=True)
+    models = [batch.model(home.id) for home in replication.homes]
     solutions = list(no_cems_result.solves)
     assert [s.model for s in solutions] == [m.name for m in models]
     assert [m.name for m in models] == [f"home_{h.id}_relaxed" for h in replication.homes]
